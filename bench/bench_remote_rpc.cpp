@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -24,6 +25,7 @@
 #include "net/server.h"
 #include "runtime/liquid_compiler.h"
 #include "serde/batch.h"
+#include "util/output_path.h"
 
 namespace {
 
@@ -190,9 +192,9 @@ void print_summary() {
             {"pipelined_us", pipelined * 1e6},
             {"speedup", lockstep / pipelined}});
 
-  const char* json_file = "BENCH_remote.json";
+  const std::string json_file = util::resolve_output_path("BENCH_remote.json");
   if (json.write(json_file)) {
-    std::printf("wrote %s\n", json_file);
+    std::printf("wrote %s\n", json_file.c_str());
   }
 }
 

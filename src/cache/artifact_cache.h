@@ -54,7 +54,7 @@ inline constexpr uint32_t kCacheFormatVersion = 1;
 /// mixed into every artifact key so entries cannot survive a codegen
 /// change. Bump alongside any backend lowering change that alters emitted
 /// artifacts without changing their serialized *format*.
-inline constexpr const char* kToolchainVersion = "lm-toolchain-1";
+inline constexpr const char* kToolchainVersion = "lm-toolchain-2";
 
 /// Backend id strings used as the `backend` key/header component.
 inline constexpr const char* kBackendBytecode = "bytecode";

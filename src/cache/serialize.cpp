@@ -605,8 +605,7 @@ fpga::FpgaCompileResult decode_fpga_result(std::span<const uint8_t> bytes) {
   p.latency = r.i32();
   p.initiation_interval = r.i32();
   if (!r.done()) throw RuntimeError("netlist payload has trailing bytes");
-  // Re-run the structural checks: recomputes the comb topological order the
-  // simulator needs, and rejects a bit-rotted netlist outright.
+  // Re-run the structural checks: a bit-rotted netlist is rejected outright.
   m->validate();
   out.module = std::move(m);
   return out;

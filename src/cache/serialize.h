@@ -64,9 +64,8 @@ std::vector<uint8_t> encode_fpga_result(const fpga::FpgaCompileResult& r);
 std::vector<uint8_t> encode_fpga_parts(const rtl::Module& module,
                                        const std::string& verilog,
                                        const fpga::FpgaPortMeta& ports);
-/// The decoded module is validate()d before returning (recomputing the
-/// combinational order the simulator needs); a netlist that fails
-/// validation throws, which the cache layer treats as corruption.
+/// The decoded module is validate()d before returning; a netlist that
+/// fails validation throws, which the cache layer treats as corruption.
 fpga::FpgaCompileResult decode_fpga_result(std::span<const uint8_t> bytes);
 
 // -- canonical content bytes (cache keying) --------------------------------

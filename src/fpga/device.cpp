@@ -55,6 +55,19 @@ FpgaFilter::FpgaFilter(FpgaCompileResult artifact) {
   module_ = std::move(artifact.module);
   verilog_ = std::move(artifact.verilog);
   ports_ = std::move(artifact.ports);
+  compiled_ = std::make_shared<const rtl::CompiledModule>(*module_);
+  auto port = [&](const std::string& name) {
+    rtl::SigId id = module_->find(name);
+    LM_CHECK_MSG(id >= 0, "module " << module_->name << " has no port '"
+                                    << name << "'");
+    return id;
+  };
+  LM_CHECK(ports_.in_data.size() == static_cast<size_t>(ports_.arity));
+  for (const std::string& name : ports_.in_data) in_data_.push_back(port(name));
+  in_ready_ = port("inReady");
+  in_take_ = port("inTake");
+  out_ready_ = port("outReady");
+  out_data_ = port(ports_.out_data);
 }
 
 std::string FpgaFilter::describe() const {
@@ -78,7 +91,7 @@ CValue FpgaFilter::process(const CValue& input, FpgaRunStats* stats) {
                                       << k);
   size_t firings = input.count / k;
 
-  rtl::RtlSim sim(*module_);
+  rtl::RtlSim sim(compiled_);
   if (want_vcd_) {
     vcd_ = std::make_shared<rtl::VcdWriter>(*module_);
     sim.attach_vcd(vcd_);
@@ -111,12 +124,12 @@ CValue FpgaFilter::process(const CValue& input, FpgaRunStats* stats) {
                          " stalled (handshake deadlock?)");
     }
     // Drive the input side.
-    bool can_take = sim.peek("inTake") != 0;
+    bool can_take = sim.peek(in_take_) != 0;
     if (can_take && next_in < firings) {
       for (size_t p = 0; p < k; ++p) {
-        sim.poke(ports_.in_data[p], element_bits(input, next_in * k + p));
+        sim.poke(in_data_[p], element_bits(input, next_in * k + p));
       }
-      sim.poke("inReady", 1);
+      sim.poke(in_ready_, 1);
       if (!saw_first_accept) {
         saw_first_accept = true;
         first_accept = sim.cycle();
@@ -124,11 +137,11 @@ CValue FpgaFilter::process(const CValue& input, FpgaRunStats* stats) {
       ++next_in;
       ++local.inputs_accepted;
     } else {
-      sim.poke("inReady", 0);
+      sim.poke(in_ready_, 0);
     }
     // Sample the output side (combinational view of this cycle).
-    if (sim.peek("outReady") != 0) {
-      store_bits(out, next_out, sim.peek("outData"), ports_.out_width);
+    if (sim.peek(out_ready_) != 0) {
+      store_bits(out, next_out, sim.peek(out_data_), ports_.out_width);
       if (!saw_first_output) {
         saw_first_output = true;
         // Inclusive cycle count: read cycle, compute cycle(s), publish

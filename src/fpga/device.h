@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "fpga/synth.h"
 #include "rtl/sim.h"
@@ -54,6 +55,15 @@ class FpgaFilter {
   std::unique_ptr<rtl::Module> module_;
   std::string verilog_;
   FpgaPortMeta ports_;
+  /// Built once; every process() call runs a simulator of its own over it,
+  /// so concurrent calls (a device server's connections) share no state.
+  std::shared_ptr<const rtl::CompiledModule> compiled_;
+  /// The handshake ports, resolved once.
+  std::vector<rtl::SigId> in_data_;
+  rtl::SigId in_ready_ = -1;
+  rtl::SigId in_take_ = -1;
+  rtl::SigId out_ready_ = -1;
+  rtl::SigId out_data_ = -1;
   std::shared_ptr<rtl::VcdWriter> vcd_;
   bool want_vcd_ = false;
 };

@@ -387,6 +387,15 @@ class Synthesizer {
     }
   }
 
+  /// Java masks a shift distance to the operand width (& 31 for int, & 63
+  /// for long), as the VM and the GPU simulator do. A constant distance
+  /// folds here, so the datapath keeps its constant shift.
+  static HExprPtr shift_distance(const HExprPtr& l, const HExprPtr& r) {
+    HExprPtr d = h_resize(r, l->width, false);
+    return h_binary(HBinOp::kAnd, d,
+                    h_const(l->width, l->width > 32 ? 63 : 31));
+  }
+
   HExprPtr apply_binop(BinOp op, const TypeRef& operand_type, HExprPtr l,
                        HExprPtr r) {
     switch (op) {
@@ -409,12 +418,12 @@ class Synthesizer {
       case BinOp::kOr: return h_binary(HBinOp::kOr, l, r);
       case BinOp::kXor: return h_binary(HBinOp::kXor, l, r);
       case BinOp::kShl:
-        return h_binary(HBinOp::kShl, l, h_resize(r, l->width, false));
+        return h_binary(HBinOp::kShl, l, shift_distance(l, r));
       case BinOp::kShr:
         // Lime follows Java: >> on signed ints is arithmetic.
         return h_binary(is_signed_type(operand_type) ? HBinOp::kShrA
                                                      : HBinOp::kShrL,
-                        l, h_resize(r, l->width, false));
+                        l, shift_distance(l, r));
       case BinOp::kLAnd: return h_binary(HBinOp::kAnd, l, r);
       case BinOp::kLOr: return h_binary(HBinOp::kOr, l, r);
       case BinOp::kEq: return h_binary(HBinOp::kEq, l, r);

@@ -1,65 +1,11 @@
 #include "rtl/netlist.h"
 
 #include <functional>
-#include <unordered_map>
+#include <unordered_set>
 
 namespace lm::rtl {
 
-uint64_t mask_to_width(uint64_t v, int width) {
-  LM_CHECK(width >= 1 && width <= 64);
-  if (width == 64) return v;
-  return v & ((uint64_t{1} << width) - 1);
-}
-
-int64_t sign_extend(uint64_t v, int width) {
-  LM_CHECK(width >= 1 && width <= 64);
-  if (width == 64) return static_cast<int64_t>(v);
-  uint64_t sign = uint64_t{1} << (width - 1);
-  uint64_t m = mask_to_width(v, width);
-  return static_cast<int64_t>((m ^ sign) - sign);
-}
-
 namespace {
-
-uint64_t fold_unary(HUnOp op, uint64_t a, int width, int src_width) {
-  switch (op) {
-    case HUnOp::kNot: return mask_to_width(~a, width);
-    case HUnOp::kNeg: return mask_to_width(~a + 1, width);
-    case HUnOp::kTrunc:
-    case HUnOp::kZext:
-      return mask_to_width(a, width);
-    case HUnOp::kSext:
-      return mask_to_width(static_cast<uint64_t>(sign_extend(a, src_width)),
-                           width);
-  }
-  return 0;
-}
-
-uint64_t fold_binary(HBinOp op, uint64_t a, uint64_t b, int opw) {
-  switch (op) {
-    case HBinOp::kAdd: return mask_to_width(a + b, opw);
-    case HBinOp::kSub: return mask_to_width(a - b, opw);
-    case HBinOp::kMul: return mask_to_width(a * b, opw);
-    case HBinOp::kAnd: return a & b;
-    case HBinOp::kOr: return a | b;
-    case HBinOp::kXor: return a ^ b;
-    case HBinOp::kShl: return mask_to_width(b >= 64 ? 0 : a << b, opw);
-    case HBinOp::kShrL: return b >= 64 ? 0 : mask_to_width(a, opw) >> b;
-    case HBinOp::kShrA: {
-      int64_t sa = sign_extend(a, opw);
-      int64_t sh = b >= static_cast<uint64_t>(opw) ? opw - 1
-                                                   : static_cast<int64_t>(b);
-      return mask_to_width(static_cast<uint64_t>(sa >> sh), opw);
-    }
-    case HBinOp::kEq: return mask_to_width(a, opw) == mask_to_width(b, opw);
-    case HBinOp::kNe: return mask_to_width(a, opw) != mask_to_width(b, opw);
-    case HBinOp::kLtS: return sign_extend(a, opw) < sign_extend(b, opw);
-    case HBinOp::kLeS: return sign_extend(a, opw) <= sign_extend(b, opw);
-    case HBinOp::kGtS: return sign_extend(a, opw) > sign_extend(b, opw);
-    case HBinOp::kGeS: return sign_extend(a, opw) >= sign_extend(b, opw);
-  }
-  return 0;
-}
 
 bool is_comparison(HBinOp op) {
   switch (op) {
@@ -206,30 +152,26 @@ void Module::assign_next(SigId reg, HExprPtr next) {
 }
 
 namespace {
-void collect_sigs(const HExpr& e, std::vector<SigId>& out) {
-  switch (e.kind) {
-    case HKind::kSig:
-      out.push_back(e.sig);
-      return;
-    case HKind::kUnary:
-      collect_sigs(*e.a, out);
-      return;
-    case HKind::kBinary:
-      collect_sigs(*e.a, out);
-      collect_sigs(*e.b, out);
-      return;
-    case HKind::kMux:
-      collect_sigs(*e.a, out);
-      collect_sigs(*e.b, out);
-      collect_sigs(*e.c, out);
-      return;
-    default:
-      return;
+/// The signals an expression reads, visiting each distinct node once:
+/// synthesized datapaths share nodes along exponentially many paths.
+std::vector<SigId> collect_sigs(const HExpr& root) {
+  std::vector<SigId> out;
+  std::unordered_set<const HExpr*> seen;
+  std::vector<const HExpr*> stack{&root};
+  while (!stack.empty()) {
+    const HExpr* n = stack.back();
+    stack.pop_back();
+    if (!seen.insert(n).second) continue;
+    if (n->kind == HKind::kSig) out.push_back(n->sig);
+    for (const HExpr* child : {n->c.get(), n->b.get(), n->a.get()}) {
+      if (child) stack.push_back(child);
+    }
   }
+  return out;
 }
 }  // namespace
 
-void Module::validate() const {
+std::vector<int> Module::validate() const {
   // Each wire/output assigned exactly once; each reg has exactly one next.
   std::vector<int> comb_for(signals.size(), -1);
   for (size_t i = 0; i < comb.size(); ++i) {
@@ -255,7 +197,8 @@ void Module::validate() const {
   }
 
   // Topological sort of comb assigns; detect combinational cycles.
-  comb_order_.clear();
+  std::vector<int> order;
+  order.reserve(comb.size());
   std::vector<int> state(comb.size(), 0);  // 0 new, 1 visiting, 2 done
   std::function<void(int)> visit = [&](int ci) {
     if (state[static_cast<size_t>(ci)] == 2) return;
@@ -263,9 +206,7 @@ void Module::validate() const {
                  "combinational cycle through '"
                      << sig(comb[static_cast<size_t>(ci)].target).name << "'");
     state[static_cast<size_t>(ci)] = 1;
-    std::vector<SigId> deps;
-    collect_sigs(*comb[static_cast<size_t>(ci)].expr, deps);
-    for (SigId d : deps) {
+    for (SigId d : collect_sigs(*comb[static_cast<size_t>(ci)].expr)) {
       const Signal& s = sig(d);
       if (s.kind == SigKind::kWire || s.kind == SigKind::kOutput) {
         int dep_ci = comb_for[static_cast<size_t>(d)];
@@ -274,9 +215,10 @@ void Module::validate() const {
       }
     }
     state[static_cast<size_t>(ci)] = 2;
-    comb_order_.push_back(ci);
+    order.push_back(ci);
   };
   for (size_t i = 0; i < comb.size(); ++i) visit(static_cast<int>(i));
+  return order;
 }
 
 }  // namespace lm::rtl

@@ -62,15 +62,72 @@ HExprPtr h_binary(HBinOp op, HExprPtr a, HExprPtr b);
 /// cond must be 1 bit wide; branches must agree on width.
 HExprPtr h_mux(HExprPtr cond, HExprPtr then_e, HExprPtr else_e);
 
-/// Evaluates a constant-free-input expression (all kSig leaves resolved via
-/// the callback). Masked to the expression width.
+/// Tree-walking reference evaluator: kSig leaves read `signal_values`.
+/// Masked to the expression width. A shared node is evaluated once per path
+/// that reaches it, so the simulator runs the compiled form (rtl/sim.h)
+/// instead; tests compare that form against this one.
 uint64_t h_eval(const HExpr& e, const std::vector<uint64_t>& signal_values);
 
 /// Masks a value to `width` bits.
-uint64_t mask_to_width(uint64_t v, int width);
+inline uint64_t mask_to_width(uint64_t v, int width) {
+  LM_CHECK(width >= 1 && width <= 64);
+  if (width == 64) return v;
+  return v & ((uint64_t{1} << width) - 1);
+}
 
 /// Sign-extends the low `width` bits of v to int64.
-int64_t sign_extend(uint64_t v, int width);
+inline int64_t sign_extend(uint64_t v, int width) {
+  LM_CHECK(width >= 1 && width <= 64);
+  if (width == 64) return static_cast<int64_t>(v);
+  uint64_t sign = uint64_t{1} << (width - 1);
+  uint64_t m = mask_to_width(v, width);
+  return static_cast<int64_t>((m ^ sign) - sign);
+}
+
+/// The semantics of every operator, shared by constant folding, h_eval and
+/// the compiled simulator. `width` is the result width and `src_width` the
+/// operand's; `opw` is the operand width of a binary op (its result is 1
+/// bit for comparisons, `opw` otherwise). Operands arrive masked to their
+/// width; results leave masked to theirs.
+inline uint64_t fold_unary(HUnOp op, uint64_t a, int width, int src_width) {
+  switch (op) {
+    case HUnOp::kNot: return mask_to_width(~a, width);
+    case HUnOp::kNeg: return mask_to_width(~a + 1, width);
+    case HUnOp::kTrunc:
+    case HUnOp::kZext:
+      return mask_to_width(a, width);
+    case HUnOp::kSext:
+      return mask_to_width(static_cast<uint64_t>(sign_extend(a, src_width)),
+                           width);
+  }
+  return 0;
+}
+
+inline uint64_t fold_binary(HBinOp op, uint64_t a, uint64_t b, int opw) {
+  switch (op) {
+    case HBinOp::kAdd: return mask_to_width(a + b, opw);
+    case HBinOp::kSub: return mask_to_width(a - b, opw);
+    case HBinOp::kMul: return mask_to_width(a * b, opw);
+    case HBinOp::kAnd: return a & b;
+    case HBinOp::kOr: return a | b;
+    case HBinOp::kXor: return a ^ b;
+    case HBinOp::kShl: return mask_to_width(b >= 64 ? 0 : a << b, opw);
+    case HBinOp::kShrL: return b >= 64 ? 0 : mask_to_width(a, opw) >> b;
+    case HBinOp::kShrA: {
+      int64_t sa = sign_extend(a, opw);
+      int64_t sh = b >= static_cast<uint64_t>(opw) ? opw - 1
+                                                   : static_cast<int64_t>(b);
+      return mask_to_width(static_cast<uint64_t>(sa >> sh), opw);
+    }
+    case HBinOp::kEq: return mask_to_width(a, opw) == mask_to_width(b, opw);
+    case HBinOp::kNe: return mask_to_width(a, opw) != mask_to_width(b, opw);
+    case HBinOp::kLtS: return sign_extend(a, opw) < sign_extend(b, opw);
+    case HBinOp::kLeS: return sign_extend(a, opw) <= sign_extend(b, opw);
+    case HBinOp::kGtS: return sign_extend(a, opw) > sign_extend(b, opw);
+    case HBinOp::kGeS: return sign_extend(a, opw) >= sign_extend(b, opw);
+  }
+  return 0;
+}
 
 enum class SigKind : uint8_t { kInput, kOutput, kWire, kReg };
 
@@ -112,14 +169,9 @@ struct Module {
 
   /// Structural checks: single assignment per wire/output, every reg has a
   /// next, widths match, no combinational cycles. Throws InternalError.
-  void validate() const;
-
-  /// Topological order of comb assigns (inputs/regs as sources). Computed
-  /// by validate(); cached for the simulator.
-  const std::vector<int>& comb_order() const { return comb_order_; }
-
- private:
-  mutable std::vector<int> comb_order_;
+  /// Returns the indices of `comb` in topological order (inputs and regs
+  /// as sources), the order the simulator evaluates them in.
+  std::vector<int> validate() const;
 };
 
 }  // namespace lm::rtl

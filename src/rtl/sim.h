@@ -10,10 +10,16 @@
 //   2. rising edge: every register latches its `next` expression, all
 //      evaluated against pre-edge values (non-blocking assignment),
 //   3. settle() again so outputs reflect the new register state.
+//
+// The simulator does not walk the expression trees. A CompiledModule
+// lowers them once into flat op arrays, so a node that synthesis shared
+// between many paths is still evaluated once per settle (h_eval, the
+// tree-walking reference, would evaluate it once per path).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,10 +30,58 @@ namespace lm::rtl {
 
 class VcdWriter;
 
+/// A validated module lowered for simulation: two op arrays in topological
+/// order, one combinational and one sequential, over a dense slot file.
+/// Slots [0, signals) hold the signals; every distinct expression node (by
+/// pointer identity) owns one further slot, written by exactly one op, and
+/// constant slots are preloaded. Immutable once built, so any number of
+/// RtlSims may run one CompiledModule at once.
+class CompiledModule {
+ public:
+  /// Validates `module`, which must outlive this object.
+  explicit CompiledModule(const Module& module);
+
+  const Module& module() const { return module_; }
+  size_t slot_count() const { return init_.size(); }
+  size_t comb_op_count() const { return comb_.size(); }
+  size_t seq_op_count() const { return seq_.size(); }
+
+ private:
+  friend class RtlSim;
+
+  /// dst = fold(a[, b]) for kUnary/kBinary, dst = a ? b : c for kMux, and
+  /// dst = a for kSig (a comb assign whose value another slot holds).
+  struct Op {
+    HKind kind;
+    uint8_t op;       // HUnOp or HBinOp
+    uint8_t width;    // result width
+    uint8_t a_width;  // width of operand a
+    uint32_t dst, a, b, c;
+  };
+
+  static void run(const std::vector<Op>& ops, uint64_t* slots);
+
+  const Module& module_;
+  std::vector<Op> comb_;
+  std::vector<Op> seq_;
+  /// The clock edge copies slot `next` into register slot `reg`.
+  struct Latch {
+    uint32_t reg, next;
+  };
+  std::vector<Latch> latches_;
+  /// Initial slot file: register reset values and constants.
+  std::vector<uint64_t> init_;
+  /// Per signal: some combinational op reads it, so a poke must re-settle.
+  std::vector<bool> comb_reads_;
+};
+
 class RtlSim {
  public:
-  /// The module must outlive the simulator. validate() is run here.
+  /// Compiles the module for this simulator alone. The module must outlive
+  /// the simulator. validate() is run here.
   explicit RtlSim(const Module& module);
+  /// Runs an already compiled module: the simulator only adds its slot file.
+  explicit RtlSim(std::shared_ptr<const CompiledModule> compiled);
 
   /// Drives an input signal (takes effect at the next settle).
   void poke(const std::string& name, uint64_t value);
@@ -44,28 +98,29 @@ class RtlSim {
   /// Advances n full clock cycles (settle → edge → settle each).
   void step(int n = 1);
 
-  /// Holds rst=1 (if the module has an `rst` input) for `cycles` cycles and
-  /// initializes registers to their reset values.
+  /// Holds rst=1 for `cycles` cycles, then drives it back to 0 (no-op when
+  /// the module has no `rst` input). Only registers whose next-state logic
+  /// reads rst return to their reset values; the others keep theirs (in the
+  /// FPGA backend's modules: the input latches `in_reg*` and `result`).
   void reset(int cycles = 2);
 
   uint64_t cycle() const { return cycle_; }
-
-  /// Process-wide count of simulated clock cycles across every RtlSim
-  /// instance — the "FPGA time" denominator for runtime metrics (each
-  /// FpgaRunStats covers one run; this survives the simulators' lifetimes).
-  static uint64_t total_cycles();
 
   /// Attaches a VCD waveform writer; every subsequent step dumps changes.
   /// The returned buffer can be written to a file by the caller.
   void attach_vcd(std::shared_ptr<VcdWriter> vcd);
 
-  const Module& module() const { return module_; }
+  const Module& module() const { return compiled_->module(); }
 
  private:
   void clock_edge();
+  std::span<const uint64_t> signal_values() const {
+    return {slots_.data(), module().signals.size()};
+  }
 
-  const Module& module_;
-  std::vector<uint64_t> values_;
+  std::shared_ptr<const CompiledModule> compiled_;
+  std::vector<uint64_t> slots_;
+  std::vector<uint64_t> latched_;  // next-state values between edge phases
   uint64_t cycle_ = 0;
   bool dirty_ = true;
   std::shared_ptr<VcdWriter> vcd_;
@@ -80,7 +135,7 @@ class VcdWriter {
 
   /// Called by RtlSim: records signal values at the given cycle with the
   /// clock phase (high at cycle*10, low at cycle*10+5).
-  void sample(uint64_t cycle, const std::vector<uint64_t>& values);
+  void sample(uint64_t cycle, std::span<const uint64_t> values);
 
   /// The complete VCD document.
   std::string str() const;

@@ -2,13 +2,40 @@
 // Fig. 4 waveform timing reproduction.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <stdexcept>
+#include <thread>
+
 #include "bytecode/compiler.h"
 #include "bytecode/interp.h"
+#include "cache/serialize.h"
 #include "fpga/device.h"
 #include "fpga/synth.h"
 #include "fpga/verilog_emit.h"
+#include "rtl/sim.h"
 #include "tests/lime_test_util.h"
+#include "util/hash.h"
 #include "util/rng.h"
+#include "workloads/workloads.h"
+
+// Every heap allocation in this test binary is counted, so a test can show
+// that a code path makes none per simulated cycle.
+static std::atomic<uint64_t> g_heap_allocations{0};
+
+// None of the three is inlined: GCC would then see malloc or free at a
+// call site of new or delete and warn (-Wmismatched-new-delete), though
+// the pairs match.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace lm::fpga {
 namespace {
@@ -35,6 +62,13 @@ const lime::MethodDecl* method(const Built& b, const std::string& cls,
   const auto* c = b.program->find_class(cls);
   EXPECT_NE(c, nullptr);
   return c->find_method(m);
+}
+
+const workloads::Workload& pipeline_workload(const std::string& name) {
+  for (const auto& w : workloads::pipeline_suite()) {
+    if (w.name == name) return w;
+  }
+  throw std::invalid_argument("no pipeline workload " + name);
 }
 
 // ---------------------------------------------------------------------------
@@ -236,6 +270,169 @@ TEST(Fig4, PipelinedModeReachesIIOne) {
   EXPECT_LT(stats.cycles, n + 8);
 }
 
+// ---------------------------------------------------------------------------
+// Pinned waveforms: the suite's FPGA datapaths, cycle for cycle
+// ---------------------------------------------------------------------------
+
+// Each case streams 64 seeded elements of a pipeline_suite() workload
+// through its synthesized module with the waveform on. The outputs must
+// equal the workload's reference; the run statistics and the FNV-1a digest
+// of the VCD text were captured from the tree-walking simulator, so any
+// change to the simulator that moves a single signal edge fails here.
+struct PinnedWave {
+  const char* name;
+  const char* workload;
+  std::vector<std::pair<const char*, const char*>> chain;  // class, method
+  bool pipelined;
+  uint64_t cycles;
+  uint64_t first_output_latency;
+  uint64_t vcd_fnv;
+};
+
+// Without a printer gtest shows a parameter as its raw bytes, here heap and
+// string pointers, and ctest takes that text into each discovered test name,
+// which then changes with every build and load address.
+void PrintTo(const PinnedWave& pc, std::ostream* os) { *os << pc.name; }
+
+class PinnedWaveform : public ::testing::TestWithParam<PinnedWave> {};
+
+TEST_P(PinnedWaveform, OutputsStatsAndVcdAreUnchanged) {
+  const PinnedWave& pc = GetParam();
+  const workloads::Workload& w = pipeline_workload(pc.workload);
+  auto b = build(w.lime_source);
+  std::vector<const lime::MethodDecl*> chain;
+  for (const auto& [cls, m] : pc.chain) chain.push_back(method(b, cls, m));
+  FpgaSynthOptions opt;
+  opt.pipelined = pc.pipelined;
+  auto r = synthesize_segment(chain, opt);
+  ASSERT_TRUE(r.ok()) << r.exclusion_reason;
+  FpgaFilter filter(std::move(r));
+  filter.enable_waveform();
+
+  const size_t n = 64;
+  std::vector<Value> args = w.make_args(n, 20120603);
+  const bc::ArrayValue& arr = *args[0].as_array();
+  const Value reference = w.reference(args);
+  const bc::ArrayValue& want = *reference.as_array();
+  CValue in = CValue::make(arr.elem, true, n);
+  CValue out;
+  FpgaRunStats stats;
+  if (arr.elem == bc::ElemCode::kI32) {
+    const auto& v = std::get<std::vector<int32_t>>(arr.data);
+    std::copy(v.begin(), v.end(), in.i32s().begin());
+    out = filter.process(in, &stats);
+    const auto& expect = std::get<std::vector<int32_t>>(want.data);
+    ASSERT_EQ(out.count, n);
+    for (size_t i = 0; i < n; ++i) EXPECT_EQ(out.i32s()[i], expect[i]) << i;
+  } else {
+    const auto& v = std::get<std::vector<uint8_t>>(arr.data);
+    std::copy(v.begin(), v.end(), in.bytes().begin());
+    out = filter.process(in, &stats);
+    const auto& expect = std::get<std::vector<uint8_t>>(want.data);
+    ASSERT_EQ(out.count, n);
+    for (size_t i = 0; i < n; ++i) EXPECT_EQ(out.bytes()[i], expect[i]) << i;
+  }
+
+  EXPECT_EQ(stats.inputs_accepted, n);
+  EXPECT_EQ(stats.outputs_produced, n);
+  EXPECT_EQ(stats.cycles, pc.cycles);
+  EXPECT_EQ(stats.first_output_latency, pc.first_output_latency);
+  EXPECT_EQ(util::Fnv1a().mix(filter.waveform()).digest(), pc.vcd_fnv);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SuiteModules, PinnedWaveform,
+    ::testing::Values(
+        PinnedWave{"intpipe_segment_fsm", "intpipe",
+                   {{"IntPipe", "scale"}, {"IntPipe", "clamp"},
+                    {"IntPipe", "offset"}},
+                   false, 192, 3, 1313431964448277015ull},
+        PinnedWave{"intpipe_segment_pipelined", "intpipe",
+                   {{"IntPipe", "scale"}, {"IntPipe", "clamp"},
+                    {"IntPipe", "offset"}},
+                   true, 66, 3, 17223634303532302143ull},
+        PinnedWave{"crc8_fsm", "crc8pipe", {{"Crc8", "crc8"}}, false, 192, 3,
+                   9637475241747273470ull},
+        PinnedWave{"crc8_pipelined", "crc8pipe", {{"Crc8", "crc8"}}, true, 66,
+                   3, 268449610143726944ull},
+        PinnedWave{"bitpipe_fsm", "bitpipe", {{"BitPipe", "flip"}}, false,
+                   192, 3, 2634689460981497556ull},
+        PinnedWave{"bitpipe_pipelined", "bitpipe", {{"BitPipe", "flip"}},
+                   true, 66, 3, 5018980030481489554ull}),
+    [](const ::testing::TestParamInfo<PinnedWave>& info) {
+      return info.param.name;
+    });
+
+TEST(FpgaCache, Crc8ArtifactRoundTripsThroughTheCodec) {
+  // The codec keeps the netlist's node sharing, so a cached or remote
+  // artifact compiles to the same simulator program as a fresh one.
+  auto b = build(pipeline_workload("crc8pipe").lime_source);
+  auto r = synthesize_filter(*method(b, "Crc8", "crc8"));
+  ASSERT_TRUE(r.ok()) << r.exclusion_reason;
+  auto back = cache::decode_fpga_result(cache::encode_fpga_result(r));
+  ASSERT_TRUE(back.ok());
+  FpgaFilter original(std::move(r));
+  FpgaFilter decoded(std::move(back));
+  EXPECT_EQ(decoded.verilog(), original.verilog());
+  rtl::CompiledModule fresh(original.module()), cached(decoded.module());
+  EXPECT_EQ(cached.slot_count(), fresh.slot_count());
+  EXPECT_EQ(cached.comb_op_count(), fresh.comb_op_count());
+  EXPECT_EQ(cached.seq_op_count(), fresh.seq_op_count());
+
+  CValue in = CValue::make(bc::ElemCode::kI32, true, 256);
+  for (int i = 0; i < 256; ++i) in.i32s()[static_cast<size_t>(i)] = i;
+  FpgaRunStats want, got;
+  CValue expect = original.process(in, &want);
+  CValue out = decoded.process(in, &got);
+  EXPECT_EQ(out.storage, expect.storage);
+  EXPECT_EQ(got.cycles, want.cycles);
+  EXPECT_EQ(got.first_output_latency, want.first_output_latency);
+  EXPECT_EQ(got.outputs_produced, 256u);
+}
+
+TEST(Fpga, ConcurrentProcessCallsShareNoState) {
+  // A device server runs one artifact for several connections at once:
+  // process() may share only the immutable compiled module between calls.
+  auto b = build(pipeline_workload("crc8pipe").lime_source);
+  auto r = synthesize_filter(*method(b, "Crc8", "crc8"));
+  ASSERT_TRUE(r.ok()) << r.exclusion_reason;
+  FpgaFilter filter(std::move(r));
+  CValue in = CValue::make(bc::ElemCode::kI32, true, 256);
+  for (int i = 0; i < 256; ++i) in.i32s()[static_cast<size_t>(i)] = i;
+  FpgaRunStats want;
+  const CValue expect = filter.process(in, &want);
+
+  std::vector<CValue> outs(4);
+  std::vector<FpgaRunStats> stats(outs.size());
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < outs.size(); ++t) {
+    threads.emplace_back(
+        [&, t] { outs[t] = filter.process(in, &stats[t]); });
+  }
+  for (auto& th : threads) th.join();
+  for (size_t t = 0; t < outs.size(); ++t) {
+    EXPECT_EQ(outs[t].storage, expect.storage) << "thread " << t;
+    EXPECT_EQ(stats[t].cycles, want.cycles) << "thread " << t;
+  }
+}
+
+TEST(Fpga, ProcessAllocatesNothingPerCycle) {
+  auto b = build(pipeline_workload("crc8pipe").lime_source);
+  auto r = synthesize_filter(*method(b, "Crc8", "crc8"));
+  ASSERT_TRUE(r.ok()) << r.exclusion_reason;
+  FpgaFilter filter(std::move(r));
+  auto allocations_for = [&](size_t n) {
+    CValue in = CValue::make(bc::ElemCode::kI32, true, n);
+    for (size_t i = 0; i < n; ++i) in.i32s()[i] = static_cast<int32_t>(i);
+    FpgaRunStats stats;
+    const uint64_t before = g_heap_allocations.load();
+    CValue out = filter.process(in, &stats);
+    return g_heap_allocations.load() - before;
+  };
+  // 48 cycles against 3072: a per-cycle allocation would show thousands.
+  EXPECT_EQ(allocations_for(16), allocations_for(1024));
+}
+
 TEST(Fpga, MultiParamFilter) {
   auto b = build(R"(
     class P { local static int addPair(int a, int b) { return a + b; } }
@@ -372,6 +569,9 @@ struct RtlDiffCase {
   const char* method;
 };
 
+// Prints the case name for a stable test name, as PrintTo(PinnedWave) does.
+void PrintTo(const RtlDiffCase& tc, std::ostream* os) { *os << tc.name; }
+
 class FpgaVsVmDifferential : public ::testing::TestWithParam<RtlDiffCase> {};
 
 TEST_P(FpgaVsVmDifferential, AgreeOnRandomInputs) {
@@ -395,7 +595,13 @@ TEST_P(FpgaVsVmDifferential, AgreeOnRandomInputs) {
   std::string qn = std::string(tc.cls) + "." + tc.method;
   for (size_t i = 0; i < n; ++i) {
     Value want = vm.call(qn, {Value::i32(in.i32s()[i])});
-    EXPECT_EQ(out.i32s()[i], want.as_i32()) << tc.name << " at " << i;
+    if (out.elem == bc::ElemCode::kI64) {
+      EXPECT_EQ(out.i64s()[i], want.as_i64())
+          << tc.name << " at " << i << " (x = " << in.i32s()[i] << ")";
+    } else {
+      EXPECT_EQ(out.i32s()[i], want.as_i32())
+          << tc.name << " at " << i << " (x = " << in.i32s()[i] << ")";
+    }
   }
 }
 
@@ -428,6 +634,28 @@ INSTANTIATE_TEST_SUITE_P(
                     "class C { local static int sq(int x) { return x * x; } "
                     "local static int f(int x) { int y = x & 255; "
                     "return sq(y) + sq(y + 1); } }",
+                    "C", "f"},
+        // Java masks shift distances to the operand width (& 31, & 63), so
+        // negative distances and distances >= width must wrap, not zero.
+        RtlDiffCase{"shift_int_var_distance",
+                    "class C { local static int f(int x) "
+                    "{ return (x << (x >> 8)) ^ (x >> (x >> 7)); } }",
+                    "C", "f"},
+        RtlDiffCase{"shift_int_var_operand",
+                    "class C { local static int f(int x) "
+                    "{ return (5 << x) + (-1000 >> x); } }",
+                    "C", "f"},
+        RtlDiffCase{"shift_int_const_over_width",
+                    "class C { local static int f(int x) "
+                    "{ return x << 33; } }",
+                    "C", "f"},
+        RtlDiffCase{"shift_long_var_distance",
+                    "class C { local static long f(int x) { long v = x; "
+                    "return (v << (x >> 8)) ^ (v >> (x >> 6)); } }",
+                    "C", "f"},
+        RtlDiffCase{"shift_long_const_over_width",
+                    "class C { local static long f(int x) { long v = x; "
+                    "return v << 65L; } }",
                     "C", "f"}),
     [](const ::testing::TestParamInfo<RtlDiffCase>& info) {
       return info.param.name;

@@ -6,7 +6,9 @@
 //     semantics (the "all artifacts are semantically equivalent" invariant
 //     of §3, tested over a large random program space).
 //   * The wire format round-trips arbitrary arrays of every element type.
-//   * Random RTL expression DAGs fold and simulate consistently.
+//   * Random RTL expression DAGs over every operator, and random modules
+//     with registers stepped over many cycles, simulate exactly as the
+//     tree-walking reference h_eval evaluates them.
 //   * Random task pipelines on the deterministic executor uphold the
 //     ready-queue invariants: exactly-once in-order delivery, no step after
 //     kDone, no lost wake-ups (drive() would report deadlock), and every
@@ -253,34 +255,92 @@ INSTANTIATE_TEST_SUITE_P(AllElemTypes, WireRoundTrip, ::testing::Range(0, 6),
                          wire_case_name);
 
 // ---------------------------------------------------------------------------
-// Random RTL expression DAGs: constant folding == simulation
+// Random RTL expression DAGs: compiled simulation == tree-walking h_eval
 // ---------------------------------------------------------------------------
 
-rtl::HExprPtr gen_hexpr(SplitMix64& rng, int depth,
-                        const std::vector<rtl::SigId>& inputs, int width) {
-  if (depth <= 0 || rng.next_below(4) == 0) {
-    if (!inputs.empty() && rng.next_bool()) {
-      return rtl::h_sig(inputs[rng.next_below(inputs.size())], width);
-    }
-    return rtl::h_const(width, rng.next());
+/// Grows a random expression DAG over every HUnOp and HBinOp. Each new node
+/// draws its operands from `pool`, which holds the leaves and every node
+/// built so far, so later nodes reuse earlier ones the way synthesis shares
+/// subexpressions. Operands of the wrong width are resized (trunc, zext or
+/// sext).
+class HExprGen {
+ public:
+  HExprGen(SplitMix64& rng, std::vector<rtl::HExprPtr> leaves)
+      : rng_(rng), pool_(std::move(leaves)) {}
+
+  static int random_width(SplitMix64& rng) {
+    static const int kWidths[] = {1, 8, 17, 32, 64};
+    return kWidths[rng.next_below(5)];
   }
-  using rtl::HBinOp;
-  auto a = gen_hexpr(rng, depth - 1, inputs, width);
-  auto b = gen_hexpr(rng, depth - 1, inputs, width);
-  static const HBinOp kOps[] = {HBinOp::kAdd, HBinOp::kSub, HBinOp::kMul,
-                                HBinOp::kAnd, HBinOp::kOr, HBinOp::kXor};
-  switch (rng.next_below(8)) {
-    case 6:
-      return rtl::h_unary(rtl::HUnOp::kNot, a);
-    case 7: {
-      auto cond = rtl::h_binary(HBinOp::kLtS, a, b);
-      auto c = gen_hexpr(rng, depth - 1, inputs, width);
-      return rtl::h_mux(cond, b, c);
+
+  /// Adds one node of `width` to the pool and returns it.
+  rtl::HExprPtr grow(int width) {
+    using rtl::HBinOp;
+    static const HBinOp kArith[] = {
+        HBinOp::kAdd, HBinOp::kSub, HBinOp::kMul, HBinOp::kAnd,
+        HBinOp::kOr,  HBinOp::kXor, HBinOp::kShl, HBinOp::kShrL,
+        HBinOp::kShrA};
+    static const HBinOp kCompare[] = {HBinOp::kEq,  HBinOp::kNe,
+                                      HBinOp::kLtS, HBinOp::kLeS,
+                                      HBinOp::kGtS, HBinOp::kGeS};
+    rtl::HExprPtr e;
+    switch (rng_.next_below(6)) {
+      case 0:
+        e = rtl::h_unary(rng_.next_bool() ? rtl::HUnOp::kNot
+                                          : rtl::HUnOp::kNeg,
+                         operand(width));
+        break;
+      case 1: {  // a comparison, resized to the wanted width
+        int opw = random_width(rng_);
+        e = rtl::h_resize(rtl::h_binary(kCompare[rng_.next_below(6)],
+                                        operand(opw), operand(opw)),
+                          width, rng_.next_bool());
+        break;
+      }
+      case 2:
+        e = rtl::h_mux(operand(1), operand(width), operand(width));
+        break;
+      default: {
+        HBinOp op = kArith[rng_.next_below(9)];
+        bool shift = op == HBinOp::kShl || op == HBinOp::kShrL ||
+                     op == HBinOp::kShrA;
+        e = rtl::h_binary(op, operand(width),
+                          shift ? distance(width) : operand(width));
+        break;
+      }
     }
-    default:
-      return rtl::h_binary(kOps[rng.next_below(6)], a, b);
+    pool_.push_back(e);
+    return e;
   }
-}
+
+  void add(rtl::HExprPtr leaf) { pool_.push_back(std::move(leaf)); }
+
+  /// A pool node (or a fresh constant) resized to `width`.
+  rtl::HExprPtr operand(int width) {
+    if (rng_.next_below(8) == 0) return rtl::h_const(width, rng_.next());
+    const rtl::HExprPtr& e = pool_[rng_.next_below(pool_.size())];
+    return rtl::h_resize(e, width, rng_.next_bool());
+  }
+
+ private:
+  /// Shift distances: in range, just past the width, or anything at all.
+  rtl::HExprPtr distance(int width) {
+    int dw = random_width(rng_);
+    switch (rng_.next_below(3)) {
+      case 0:
+        return rtl::h_const(dw, rng_.next_below(
+                                    static_cast<uint64_t>(width) + 8));
+      case 1:
+        return rtl::h_binary(rtl::HBinOp::kAnd, operand(dw),
+                             rtl::h_const(dw, 127));
+      default:
+        return operand(dw);
+    }
+  }
+
+  SplitMix64& rng_;
+  std::vector<rtl::HExprPtr> pool_;
+};
 
 class RtlExprProperty : public ::testing::TestWithParam<uint64_t> {};
 
@@ -290,21 +350,27 @@ TEST_P(RtlExprProperty, SimulationMatchesDirectEvaluation) {
     rtl::Module m;
     m.name = "prop";
     std::vector<rtl::SigId> inputs;
+    std::vector<rtl::HExprPtr> leaves;
     for (int i = 0; i < 3; ++i) {
-      inputs.push_back(m.add_signal("in" + std::to_string(i), width,
+      int w = HExprGen::random_width(rng);
+      inputs.push_back(m.add_signal("in" + std::to_string(i), w,
                                     rtl::SigKind::kInput));
+      leaves.push_back(rtl::h_sig(inputs.back(), w));
     }
-    auto expr = gen_hexpr(rng, 4, inputs, width);
+    HExprGen gen(rng, leaves);
+    rtl::HExprPtr expr;
+    for (int i = 0; i < 12; ++i) expr = gen.grow(HExprGen::random_width(rng));
+    expr = gen.grow(width);
     rtl::SigId out = m.add_signal("out", expr->width, rtl::SigKind::kOutput);
     m.assign(out, expr);
     rtl::RtlSim sim(m);
 
     for (int trial = 0; trial < 8; ++trial) {
       std::vector<uint64_t> vals(m.signals.size(), 0);
-      for (size_t i = 0; i < inputs.size(); ++i) {
-        uint64_t v = rtl::mask_to_width(rng.next(), width);
-        sim.poke(inputs[i], v);
-        vals[static_cast<size_t>(inputs[i])] = v;
+      for (rtl::SigId in : inputs) {
+        uint64_t v = rtl::mask_to_width(rng.next(), m.sig(in).width);
+        sim.poke(in, v);
+        vals[static_cast<size_t>(in)] = v;
       }
       uint64_t direct = rtl::h_eval(*expr, vals);
       EXPECT_EQ(sim.peek(out), direct)
@@ -314,6 +380,99 @@ TEST_P(RtlExprProperty, SimulationMatchesDirectEvaluation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RtlExprProperty,
+                         ::testing::Range<uint64_t>(1, 17));
+
+/// Random modules with registers, wires and outputs over one shared DAG,
+/// stepped for many cycles against a reference that settles with h_eval in
+/// declaration order and latches every register from pre-edge values.
+class RtlModuleProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RtlModuleProperty, SteppedRegistersMatchTreeWalkReference) {
+  SplitMix64 rng(GetParam() * 131 + 3);
+  rtl::Module m;
+  m.name = "prop_seq";
+  std::vector<rtl::SigId> inputs, regs;
+  std::vector<rtl::HExprPtr> leaves;
+  for (int i = 0; i < 3; ++i) {
+    int w = HExprGen::random_width(rng);
+    inputs.push_back(
+        m.add_signal("in" + std::to_string(i), w, rtl::SigKind::kInput));
+    leaves.push_back(rtl::h_sig(inputs.back(), w));
+  }
+  for (int i = 0; i < 5; ++i) {
+    // r3 and r4 share a width: they swap values every edge below.
+    int w = i == 4 ? m.sig(regs[3]).width : HExprGen::random_width(rng);
+    regs.push_back(m.add_signal("r" + std::to_string(i), w,
+                                rtl::SigKind::kReg, rng.next()));
+    leaves.push_back(rtl::h_sig(regs.back(), w));
+  }
+  HExprGen gen(rng, leaves);
+  // Each wire joins the pool as a signal too, so later nodes read it by
+  // name as well as by sharing its expression node. Nodes feeding the
+  // registers come from the same pool, so comb and seq logic share nodes.
+  std::vector<std::pair<rtl::SigId, rtl::HExprPtr>> comb;
+  for (int i = 0; i < 6; ++i) {
+    for (int k = 0; k < 4; ++k) gen.grow(HExprGen::random_width(rng));
+    rtl::HExprPtr e = gen.grow(HExprGen::random_width(rng));
+    rtl::SigKind kind = i % 2 ? rtl::SigKind::kOutput : rtl::SigKind::kWire;
+    rtl::SigId w = m.add_signal("w" + std::to_string(i), e->width, kind);
+    m.assign(w, e);
+    comb.emplace_back(w, e);
+    gen.add(rtl::h_sig(w, e->width));
+  }
+  std::vector<rtl::HExprPtr> nexts;
+  for (size_t i = 0; i < regs.size(); ++i) {
+    const rtl::Signal& r = m.sig(regs[i]);
+    // The swap pair reads each other's pre-edge values directly.
+    if (i >= 3) {
+      nexts.push_back(rtl::h_sig(regs[i == 3 ? 4 : 3], r.width));
+    } else {
+      nexts.push_back(gen.operand(r.width));
+    }
+    m.assign_next(regs[i], nexts.back());
+  }
+
+  rtl::RtlSim sim(m);
+  std::vector<uint64_t> ref(m.signals.size(), 0);
+  for (rtl::SigId r : regs) {
+    ref[static_cast<size_t>(r)] =
+        rtl::mask_to_width(m.sig(r).init, m.sig(r).width);
+  }
+  auto settle_ref = [&] {
+    for (const auto& [sig, e] : comb) {
+      ref[static_cast<size_t>(sig)] = rtl::h_eval(*e, ref);
+    }
+  };
+  for (int cycle = 0; cycle < 40; ++cycle) {
+    if (cycle % 3 != 2) {  // hold the inputs now and then
+      for (rtl::SigId in : inputs) {
+        uint64_t v = rtl::mask_to_width(rng.next(), m.sig(in).width);
+        sim.poke(in, v);
+        ref[static_cast<size_t>(in)] = v;
+      }
+    }
+    settle_ref();
+    for (size_t i = 0; i < m.signals.size(); ++i) {
+      ASSERT_EQ(sim.peek(static_cast<rtl::SigId>(i)), ref[i])
+          << m.signals[i].name << " before edge " << cycle << " seed "
+          << GetParam();
+    }
+    std::vector<uint64_t> latched;
+    for (const auto& e : nexts) latched.push_back(rtl::h_eval(*e, ref));
+    for (size_t i = 0; i < regs.size(); ++i) {
+      ref[static_cast<size_t>(regs[i])] = latched[i];
+    }
+    settle_ref();
+    sim.step(1);
+    for (size_t i = 0; i < m.signals.size(); ++i) {
+      ASSERT_EQ(sim.peek(static_cast<rtl::SigId>(i)), ref[i])
+          << m.signals[i].name << " after edge " << cycle << " seed "
+          << GetParam();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RtlModuleProperty,
                          ::testing::Range<uint64_t>(1, 17));
 
 // ---------------------------------------------------------------------------

@@ -202,6 +202,49 @@ TEST(Sim, CycleCounterAdvances) {
   EXPECT_EQ(sim.cycle(), 5u);
 }
 
+TEST(Sim, DeepSharedChainEvaluatesEachNodeOnce) {
+  // Each level reads the previous node three times, as an if-converted
+  // step of crc8 does: a tree walk would visit ~3^24 nodes per settle.
+  Module m;
+  m.name = "deep";
+  SigId in = m.add_signal("in", 32, SigKind::kInput);
+  SigId acc = m.add_signal("acc", 32, SigKind::kReg);
+  SigId out = m.add_signal("out", 32, SigKind::kOutput);
+  auto key = [](int level) { return 0x9E3779B9u * (level + 1); };
+  HExprPtr x = h_binary(HBinOp::kXor, h_sig(in, 32), h_sig(acc, 32));
+  for (int level = 0; level < 24; ++level) {
+    x = h_mux(h_binary(HBinOp::kLtS, x, h_const(32, 0)),
+              h_binary(HBinOp::kShl, x, h_const(32, 1)),
+              h_binary(HBinOp::kXor, x, h_const(32, key(level))));
+  }
+  m.assign(out, x);
+  m.assign_next(acc, x);
+
+  // One op per distinct node: the input xor plus four per level. The
+  // register reads the output's slot, so the clock edge computes nothing.
+  CompiledModule compiled(m);
+  EXPECT_EQ(compiled.comb_op_count(), 1u + 4u * 24u);
+  EXPECT_EQ(compiled.seq_op_count(), 0u);
+
+  auto chain = [&](uint32_t v, uint32_t a) {
+    uint32_t y = v ^ a;
+    for (int level = 0; level < 24; ++level) {
+      y = static_cast<int32_t>(y) < 0 ? y << 1 : y ^ key(level);
+    }
+    return y;
+  };
+  RtlSim sim(m);
+  uint32_t ref_acc = 0;
+  for (uint32_t cycle = 0; cycle < 1000; ++cycle) {
+    uint32_t v = cycle * 2654435761u;
+    sim.poke(in, v);
+    ref_acc = chain(v, ref_acc);
+    sim.step(1);
+    ASSERT_EQ(sim.peek(acc), ref_acc) << "cycle " << cycle;
+    ASSERT_EQ(sim.peek(out), chain(v, ref_acc)) << "cycle " << cycle;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // VCD output
 // ---------------------------------------------------------------------------
