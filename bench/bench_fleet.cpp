@@ -27,6 +27,7 @@
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "util/output_path.h"
 
 namespace {
 
@@ -160,9 +161,9 @@ void print_summary() {
                            {"overhead_pct", pct},
                            {"body_bytes", static_cast<double>(body.size())}});
 
-  const char* json_file = "BENCH_fleet.json";
+  const std::string json_file = util::resolve_output_path("BENCH_fleet.json");
   if (json.write(json_file)) {
-    std::printf("wrote %s\n", json_file);
+    std::printf("wrote %s\n", json_file.c_str());
   }
 }
 

@@ -11,10 +11,12 @@
 #include <benchmark/benchmark.h>
 
 #include <fstream>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "obs/trace.h"
 #include "runtime/liquid_runtime.h"
+#include "util/output_path.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -123,9 +125,10 @@ void print_summary() {
                lm::bench::fmt(cpu_time / t, "x")});
   }
   table.print();
-  const char* json_file = "BENCH_substitution.json";
+  const std::string json_file =
+      util::resolve_output_path("BENCH_substitution.json");
   if (json.write(json_file)) {
-    std::printf("json: %s\n", json_file);
+    std::printf("json: %s\n", json_file.c_str());
   }
 
   // One traced adaptive run: the trace's "decision" events carry every
@@ -138,10 +141,11 @@ void print_summary() {
   runtime::LiquidRuntime rt(*cp, rc);
   rt.call(intpipe().entry, args);
   recorder.uninstall();
-  const char* trace_file = "bench_substitution_trace.json";
+  const std::string trace_file =
+      util::resolve_output_path("bench_substitution_trace.json");
   std::ofstream(trace_file) << recorder.chrome_trace_json();
   std::printf("trace: %zu event(s) -> %s\n", recorder.event_count(),
-              trace_file);
+              trace_file.c_str());
   std::printf("metrics: %s\n", rt.metrics().summary().c_str());
 }
 

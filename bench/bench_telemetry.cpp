@@ -31,6 +31,7 @@
 #include "obs/trace.h"
 #include "runtime/liquid_compiler.h"
 #include "runtime/liquid_runtime.h"
+#include "util/output_path.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -234,9 +235,10 @@ void print_summary() {
                                  {"scraped_100hz_us", watched * 1e6},
                                  {"overhead_pct", pct}});
 
-  const char* json_file = "BENCH_telemetry.json";
+  const std::string json_file =
+      util::resolve_output_path("BENCH_telemetry.json");
   if (json.write(json_file)) {
-    std::printf("wrote %s\n", json_file);
+    std::printf("wrote %s\n", json_file.c_str());
   }
 }
 

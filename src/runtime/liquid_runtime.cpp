@@ -9,6 +9,7 @@
 #include "obs/flight_recorder.h"
 #include "runtime/executor.h"
 #include "runtime/fifo.h"
+#include "runtime/placement.h"
 #include "util/error.h"
 
 namespace lm::runtime {
@@ -252,17 +253,6 @@ void LiquidRuntime::add_remote_artifact(std::unique_ptr<Artifact> artifact) {
   LM_CHECK_MSG(artifact->is_remote(),
                "add_remote_artifact is for net:: proxies only");
   remote_store_.add(std::move(artifact));
-}
-
-Artifact* LiquidRuntime::find_candidate(const std::string& id,
-                                        DeviceKind d) const {
-  Artifact* local = program_.store.find(id, d);
-  Artifact* remote = remote_store_.find(id, d);
-  // Bytecode across the wire is strictly worse than bytecode here; servers
-  // don't list CPU artifacts, but guard anyway.
-  if (!remote || d == DeviceKind::kCpu) return local;
-  if (config_.prefer_remote || !local) return remote;
-  return local;
 }
 
 Artifact* LiquidRuntime::fallback_for(
@@ -549,7 +539,7 @@ void LiquidRuntime::record_substitution(SubstitutionRecord rec,
       args.add("remote", true).add("endpoint", rec.endpoint);
     }
     if (config_.placement == Placement::kAdaptive) {
-      args.add("calibrated", rec.calibrated);
+      args.add("calibrated", rec.source == "measured");
       if (rec.score_us_per_elem >= 0) {
         args.add("score_us_per_elem", rec.score_us_per_elem);
       }
@@ -600,6 +590,22 @@ namespace {
 Value wrap(std::shared_ptr<LiquidRuntime::RtGraph> g) {
   return Value::opaque(std::static_pointer_cast<void>(std::move(g)));
 }
+
+/// Checked before substitution, so the walk can assume source => ... =>
+/// sink. The frontend already rejects every other shape.
+void validate_shape(const std::vector<LiquidRuntime::RtNode>& nodes) {
+  using Kind = LiquidRuntime::RtNode::Kind;
+  if (nodes.size() < 2 || nodes.front().kind != Kind::kSource ||
+      nodes.back().kind != Kind::kSink) {
+    throw RuntimeError(
+        "task graph must be source => filters... => sink to execute");
+  }
+  for (size_t i = 1; i + 1 < nodes.size(); ++i) {
+    if (nodes[i].kind != Kind::kFilter && nodes[i].kind != Kind::kDevice) {
+      throw RuntimeError("interior task-graph nodes must be filters");
+    }
+  }
+}
 }  // namespace
 
 Value LiquidRuntime::make_source(Value array, int rate) {
@@ -645,582 +651,262 @@ Value LiquidRuntime::connect(Value lhs, Value rhs) {
 }
 
 // ---------------------------------------------------------------------------
-// Task substitution (§4.2)
+// Task substitution (§4.2, runtime/placement.h)
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// A task's or fused segment's candidates, costed, and the pick among them.
+struct Ranked {
+  std::vector<Candidate> candidates;
+  size_t best = 0;
+  /// Measured costs only: the pick's output on the calibration prefix,
+  /// which the next stage calibrates on.
+  std::vector<Value> out;
+
+  /// The pick, or an uncosted null candidate when nothing competed.
+  Candidate winner() const {
+    return candidates.empty() ? Candidate{} : candidates[best];
+  }
+};
+
+/// The measured cost source: one warm-up run on the calibration prefix,
+/// then the better of two timed runs. The candidate stays uncosted when the
+/// prefix cannot feed it even once (a zero time here once made such a
+/// candidate look infinitely fast), or when it is remote and its endpoint
+/// died mid-calibration: it drops out of the race.
+Candidate profile(Artifact* a, const std::vector<Value>& in,
+                  std::vector<Value>* out,
+                  obs::MetricsRegistry::Counter& profiled) {
+  size_t arity = static_cast<size_t>(a->manifest().arity);
+  size_t usable = (in.size() / arity) * arity;
+  if (usable == 0) return {a};
+  std::span<const Value> batch(in.data(), usable);
+  profiled.add();
+  double best = 1e300;
+  try {
+    *out = a->process(batch);
+    for (int rep = 0; rep < 2; ++rep) {
+      auto t0 = std::chrono::steady_clock::now();
+      *out = a->process(batch);
+      auto t1 = std::chrono::steady_clock::now();
+      best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+    }
+  } catch (const TransportError&) {
+    return {a};
+  }
+  return {a, best, best * 1e6 / static_cast<double>(usable)};
+}
+
+/// One decision-event entry per candidate: its measured time or its seed,
+/// or the fact that its cost source had none.
+std::string candidate_json(const Candidate& c, CostSource source) {
+  JsonArgs j;
+  j.add("tasks", c.artifact->manifest().task_id)
+      .add("device", to_string(c.artifact->manifest().device));
+  if (c.artifact->is_remote()) j.add("endpoint", c.artifact->location());
+  if (source == CostSource::kMeasured) {
+    if (c.costed()) {
+      j.add("time_us", c.cost * 1e6);
+    } else {
+      j.add("eligible", false);
+    }
+  } else if (c.costed()) {
+    j.add("static_us_per_elem", c.cost);
+  } else {
+    j.add("seeded", false);
+  }
+  return "{" + std::move(j).str() + "}";
+}
+
+}  // namespace
 
 void LiquidRuntime::substitute(RtGraph& g) {
   if (g.substituted) return;
   g.substituted = true;
   TraceSpan span("runtime", "substitute");
-  if (config_.placement == Placement::kAdaptive) {
-    substitute_adaptive(g);
-    return;
-  }
-  if (config_.placement == Placement::kCpuOnly) {
-    for (const auto& n : g.nodes) {
-      if (n.kind == RtNode::Kind::kFilter && n.relocated) {
-        record_substitution({n.task_id, DeviceKind::kCpu, /*fused=*/false},
-                            {});
-      }
-    }
-    return;
+  const CostSource source = config_.placement != Placement::kAdaptive
+                                ? CostSource::kNone
+                            : config_.enable_calibration
+                                ? CostSource::kMeasured
+                                : CostSource::kStatic;
+  // Costed decisions render every candidate into their decision event, so
+  // a trace shows each loser and by how much.
+  const bool explain =
+      source != CostSource::kNone && TraceRecorder::current() != nullptr;
+
+  // Measured costs come from a calibration prefix: the first elements of
+  // the actual stream, so profiling sees representative data (§7). The
+  // walk threads it through each stage's pick.
+  std::vector<Value> stream;
+  if (source == CostSource::kMeasured) {
+    const bc::ArrayRef& src = g.nodes.front().array.as_array();
+    size_t k = std::min(config_.calibration_elements, src->size());
+    stream.reserve(k);
+    for (size_t i = 0; i < k; ++i) stream.push_back(bc::array_get(*src, i));
   }
 
-  std::vector<DeviceKind> preference;
-  switch (config_.placement) {
-    case Placement::kAuto:
-      preference = {DeviceKind::kGpu, DeviceKind::kFpga};
-      break;
-    case Placement::kGpuOnly:
-      preference = {DeviceKind::kGpu};
-      break;
-    case Placement::kFpgaOnly:
-      preference = {DeviceKind::kFpga};
-      break;
-    case Placement::kCpuOnly:
-    case Placement::kAdaptive:
-      return;  // handled above
-  }
+  auto rank = [&](const std::string& id, const std::vector<Value>& in) {
+    Ranked r;
+    r.candidates = enumerate_candidates(id, config_.placement, source,
+                                        program_.store, remote_store_);
+    std::vector<std::vector<Value>> outs(r.candidates.size());
+    for (size_t k = 0; k < r.candidates.size(); ++k) {
+      Candidate& c = r.candidates[k];
+      if (source == CostSource::kMeasured) {
+        c = profile(c.artifact, in, &outs[k], *hot_->candidates_profiled);
+      } else if (source == CostSource::kStatic) {
+        if (const analysis::StaticCostEstimate* e = program_.static_costs.find(
+                id, static_device_key(c.artifact->manifest().device))) {
+          c.cost = c.us_per_elem = e->us_per_elem;
+        }
+      }
+    }
+    r.best = pick_candidate(r.candidates);
+    if (r.winner().costed()) r.out = std::move(outs[r.best]);
+    return r;
+  };
 
   std::vector<RtNode> out;
-  size_t i = 0;
-  while (i < g.nodes.size()) {
-    const RtNode& n = g.nodes[i];
-    if (n.kind != RtNode::Kind::kFilter || !n.relocated) {
-      out.push_back(n);
-      ++i;
-      continue;
-    }
-    // Maximal run of consecutive relocated filters [i, j).
-    size_t j = i;
-    std::vector<std::string> ids;
-    while (j < g.nodes.size() && g.nodes[j].kind == RtNode::Kind::kFilter &&
-           g.nodes[j].relocated) {
-      ids.push_back(g.nodes[j].task_id);
-      ++j;
-    }
-    // Prefer the largest substitution (§4.2): the whole fused segment.
-    Artifact* seg = nullptr;
-    if (ids.size() > 1 && config_.allow_fusion) {
-      for (DeviceKind d : preference) {
-        seg = find_candidate(ArtifactStore::segment_id(ids), d);
-        if (seg) break;
+  // One decision: the winner becomes a device node, or a CPU winner stays
+  // an interpreter filter unless it is remote or may later swap devices.
+  // `filter` is the member's node, null for a fused segment.
+  auto emit = [&](const Ranked& r, const std::vector<std::string>& ids,
+                  const RtNode* filter, std::string details) {
+    const Candidate w = r.winner();
+    Artifact* a = w.artifact;
+    // A node can re-substitute only toward a measured alternative, so it
+    // needs a measured loser besides its own score.
+    std::vector<RtNode::ResubAlternative> alts;
+    if (config_.enable_resubstitution && source == CostSource::kMeasured) {
+      for (const Candidate& c : r.candidates) {
+        if (c.costed()) alts.push_back({c.artifact, c.us_per_elem});
       }
+      if (alts.size() < 2) alts.clear();
     }
-    if (seg) {
-      RtNode dev;
-      dev.kind = RtNode::Kind::kDevice;
-      dev.artifact = seg;
-      dev.arity = seg->manifest().arity;
-      dev.label = seg->manifest().task_id;
-      dev.fallback = fallback_for(seg, ids);
-      out.push_back(std::move(dev));
-      std::string joined;
-      for (size_t k = 0; k < ids.size(); ++k) {
-        if (k) joined += "+";
-        joined += ids[k];
-      }
-      SubstitutionRecord rec{joined, seg->manifest().device, /*fused=*/true};
-      rec.remote = seg->is_remote();
-      if (rec.remote) rec.endpoint = seg->location();
-      record_substitution(std::move(rec), {});
-      i = j;
-      continue;
+    SubstitutionRecord rec;
+    for (const std::string& id : ids) {
+      if (!rec.task_ids.empty()) rec.task_ids += "+";
+      rec.task_ids += id;
     }
-    // Per-filter substitution, preferring accelerators over bytecode.
-    for (size_t k = i; k < j; ++k) {
-      const RtNode& f = g.nodes[k];
-      Artifact* chosen = nullptr;
-      for (DeviceKind d : preference) {
-        chosen = find_candidate(f.task_id, d);
-        if (chosen) break;
-      }
-      if (chosen) {
-        RtNode dev;
-        dev.kind = RtNode::Kind::kDevice;
-        dev.artifact = chosen;
-        dev.arity = chosen->manifest().arity;
-        dev.label = chosen->manifest().task_id;
-        dev.fallback = fallback_for(chosen, {f.task_id});
-        out.push_back(std::move(dev));
-        SubstitutionRecord rec{f.task_id, chosen->manifest().device,
-                               /*fused=*/false};
-        rec.remote = chosen->is_remote();
-        if (rec.remote) rec.endpoint = chosen->location();
-        record_substitution(std::move(rec), {});
-      } else {
-        out.push_back(f);
-        record_substitution({f.task_id, DeviceKind::kCpu, /*fused=*/false},
-                            {});
-      }
+    rec.fused = filter == nullptr;
+    if (a != nullptr) {
+      rec.device = a->manifest().device;
+      rec.remote = a->is_remote();
+      if (rec.remote) rec.endpoint = a->location();
     }
-    i = j;
-  }
-  g.nodes = std::move(out);
-}
-
-void LiquidRuntime::substitute_adaptive(RtGraph& g) {
-  if (!config_.enable_calibration) {
-    substitute_static_seeded(g);
-    return;
-  }
-  // Calibration prefix: the first few elements of the *actual* stream, so
-  // profiling sees representative data (runtime introspection, §7).
-  const bc::ArrayRef& src = g.nodes.front().array.as_array();
-  size_t k_cal = std::min(config_.calibration_elements, src->size());
-  std::vector<Value> stream;
-  stream.reserve(k_cal);
-  for (size_t i = 0; i < k_cal; ++i) stream.push_back(bc::array_get(*src, i));
-
-  // Candidate scores are rendered into the decision event so a trace shows
-  // not just the winner but every loser and by how much.
-  const bool tracing = TraceRecorder::current() != nullptr;
-
-  /// A candidate's calibration result. `eligible` is false when the prefix
-  /// could not feed the artifact even once (usable == 0): such a candidate
-  /// carries no measurement and must never win on its (absent) score.
-  struct Scored {
-    Artifact* artifact = nullptr;
-    double seconds = 0;
-    double us_per_elem = 0;
-    bool eligible = false;
-  };
-
-  auto profile = [&](Artifact* a, const std::vector<Value>& in,
-                     std::vector<Value>* out) -> Scored {
-    size_t arity = static_cast<size_t>(a->manifest().arity);
-    size_t usable = (in.size() / arity) * arity;
-    if (usable == 0) {
-      // Regression guard: a zero time here used to make an un-runnable
-      // candidate look infinitely fast and beat every real measurement.
-      return {a, 0, 0, false};
+    if (w.costed()) {
+      rec.score_us_per_elem = w.us_per_elem;
+      rec.source = source == CostSource::kMeasured ? "measured" : "static";
     }
-    std::span<const Value> batch(in.data(), usable);
-    hot_->candidates_profiled->add();
-    std::vector<Value> result;
-    double best = 1e300;
-    try {
-      // Warm once, then time the better of two runs.
-      result = a->process(batch);
-      for (int rep = 0; rep < 2; ++rep) {
-        auto t0 = std::chrono::steady_clock::now();
-        result = a->process(batch);
-        auto t1 = std::chrono::steady_clock::now();
-        best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-      }
-    } catch (const TransportError&) {
-      // A remote candidate whose endpoint died during calibration simply
-      // drops out of the race; the run proceeds with whoever answered.
-      return {a, 0, 0, false};
-    }
-    *out = std::move(result);
-    return {a, best, best * 1e6 / static_cast<double>(usable), true};
-  };
-
-  /// One "{"tasks":...,"device":...,"time_us":...}" entry per candidate;
-  /// uncalibratable candidates show "eligible":false instead of a time.
-  auto cand_entry = [](const Scored& s) {
-    JsonArgs j;
-    j.add("tasks", s.artifact->manifest().task_id)
-        .add("device", to_string(s.artifact->manifest().device));
-    if (s.artifact->is_remote()) j.add("endpoint", s.artifact->location());
-    if (s.eligible) {
-      j.add("time_us", s.seconds * 1e6);
+    if (a == nullptr || (filter != nullptr && alts.empty() &&
+                         rec.device == DeviceKind::kCpu && !rec.remote)) {
+      out.push_back(*filter);
     } else {
-      j.add("eligible", false);
-    }
-    return "{" + std::move(j).str() + "}";
-  };
-  auto join_entries = [](const std::vector<std::string>& entries) {
-    std::string out = "[";
-    for (size_t k = 0; k < entries.size(); ++k) {
-      if (k) out += ',';
-      out += entries[k];
-    }
-    out += ']';
-    return out;
-  };
-
-  // Candidate ordering breaks ties toward accelerators (paper default),
-  // and local before remote on the same device so equal measurements avoid
-  // the network hop. Remote candidates race on their *measured* time, which
-  // inherently charges the round-trip and wire transfer.
-  auto candidates_for = [&](const std::string& id) {
-    std::vector<Artifact*> out;
-    for (DeviceKind d :
-         {DeviceKind::kGpu, DeviceKind::kFpga, DeviceKind::kCpu}) {
-      if (Artifact* a = program_.store.find(id, d)) out.push_back(a);
-      if (d == DeviceKind::kCpu) continue;  // servers never list bytecode
-      if (Artifact* a = remote_store_.find(id, d)) out.push_back(a);
-    }
-    return out;
-  };
-
-  std::vector<RtNode> rewritten;
-  rewritten.push_back(g.nodes.front());
-
-  size_t i = 1;
-  while (i + 1 < g.nodes.size()) {
-    const RtNode& n = g.nodes[i];
-    if (n.kind != RtNode::Kind::kFilter || !n.relocated) {
-      // Advance the calibration stream through the untouched filter.
-      if (n.kind == RtNode::Kind::kFilter && !stream.empty()) {
-        size_t arity = static_cast<size_t>(n.arity);
-        std::vector<Value> next;
-        std::vector<Value> args(arity);
-        for (size_t e = 0; e + arity <= stream.size(); e += arity) {
-          for (size_t j = 0; j < arity; ++j) args[j] = stream[e + j];
-          next.push_back(interp_.call(n.method_index, args));
-        }
-        stream = std::move(next);
-      }
-      rewritten.push_back(n);
-      ++i;
-      continue;
-    }
-
-    // Maximal relocated run [i, j).
-    size_t j = i;
-    std::vector<std::string> ids;
-    while (j < g.nodes.size() && g.nodes[j].kind == RtNode::Kind::kFilter &&
-           g.nodes[j].relocated) {
-      ids.push_back(g.nodes[j].task_id);
-      ++j;
-    }
-
-    // Plan A: the fused segment on its best device.
-    Scored fused_best;  // eligible=false until some candidate measures
-    std::vector<Value> fused_out;
-    std::vector<std::string> fused_entries;
-    std::vector<RtNode::ResubAlternative> fused_alts;
-    std::vector<Artifact*> fused_cands;
-    if (ids.size() > 1 && config_.allow_fusion) {
-      fused_cands = candidates_for(ArtifactStore::segment_id(ids));
-      for (Artifact* cand : fused_cands) {
-        std::vector<Value> out;
-        Scored s = profile(cand, stream, &out);
-        if (tracing) fused_entries.push_back(cand_entry(s));
-        if (!s.eligible) continue;
-        fused_alts.push_back({cand, s.us_per_elem});
-        if (!fused_best.eligible || s.seconds < fused_best.seconds) {
-          fused_best = s;
-          fused_out = std::move(out);
-        }
-      }
-    }
-
-    // Plan B: each filter independently on its best device.
-    struct Choice {
-      Scored best;  // best.eligible=false → static-preference fallback
-      std::vector<RtNode::ResubAlternative> alts;
-      std::vector<std::string> entries;
-    };
-    double chain_time = 0;
-    bool any_chain_calibrated = false;
-    std::vector<Choice> chain;
-    std::vector<Value> chain_stream = stream;
-    for (size_t k = i; k < j; ++k) {
-      Choice c;
-      std::vector<Value> best_out;
-      std::vector<Artifact*> cands = candidates_for(g.nodes[k].task_id);
-      LM_CHECK_MSG(!cands.empty(),
-                   "no artifact at all for " << g.nodes[k].task_id);
-      for (Artifact* cand : cands) {
-        std::vector<Value> out;
-        Scored s = profile(cand, chain_stream, &out);
-        if (tracing) c.entries.push_back(cand_entry(s));
-        if (!s.eligible) continue;
-        c.alts.push_back({cand, s.us_per_elem});
-        if (!c.best.eligible || s.seconds < c.best.seconds) {
-          c.best = s;
-          best_out = std::move(out);
-        }
-      }
-      if (c.best.eligible) {
-        any_chain_calibrated = true;
-        chain_time += c.best.seconds;
-        chain_stream = std::move(best_out);
-      } else {
-        // No candidate could be calibrated (prefix shorter than every
-        // arity). Fall back to the static §4.2 preference order —
-        // candidates_for lists accelerators first — with the record marked
-        // uncalibrated, instead of crowning a bogus zero score.
-        c.best.artifact = cands.front();
-      }
-      chain.push_back(std::move(c));
-    }
-
-    std::string joined;
-    for (size_t k = 0; k < ids.size(); ++k) {
-      if (k) joined += "+";
-      joined += ids[k];
-    }
-
-    auto emit_device = [&](Artifact* a,
-                           std::vector<RtNode::ResubAlternative> alts,
-                           const std::vector<std::string>& fb_ids) {
       RtNode dev;
       dev.kind = RtNode::Kind::kDevice;
       dev.artifact = a;
       dev.arity = a->manifest().arity;
       dev.label = a->manifest().task_id;
-      dev.fallback = fallback_for(a, fb_ids);
-      // A node can only re-substitute toward a *measured* alternative, so
-      // it needs at least one calibrated loser besides its own score.
-      if (config_.enable_resubstitution && alts.size() >= 2) {
-        dev.resub_alts = std::move(alts);
+      dev.fallback = fallback_for(a, ids);
+      dev.resub_alts = std::move(alts);
+      out.push_back(std::move(dev));
+    }
+    record_substitution(std::move(rec), std::move(details));
+  };
+
+  for (size_t i = 0; i < g.nodes.size();) {
+    const RtNode& n = g.nodes[i];
+    if (n.kind != RtNode::Kind::kFilter || !n.relocated) {
+      // A fixed filter runs on the interpreter; so does its share of the
+      // calibration prefix.
+      if (n.kind == RtNode::Kind::kFilter && !stream.empty()) {
+        size_t arity = static_cast<size_t>(n.arity);
+        std::vector<Value> next;
+        std::vector<Value> args(arity);
+        for (size_t e = 0; e + arity <= stream.size(); e += arity) {
+          for (size_t k = 0; k < arity; ++k) args[k] = stream[e + k];
+          next.push_back(interp_.call(n.method_index, args));
+        }
+        stream = std::move(next);
       }
-      rewritten.push_back(std::move(dev));
+      out.push_back(n);
+      ++i;
+      continue;
+    }
+    // The maximal run of relocated filters [i, j).
+    size_t j = i;
+    std::vector<std::string> ids;
+    while (j < g.nodes.size() && g.nodes[j].kind == RtNode::Kind::kFilter &&
+           g.nodes[j].relocated) {
+      ids.push_back(g.nodes[j++].task_id);
+    }
+    // The largest substitution, the fused segment, against the chain of
+    // each member's own pick.
+    Ranked fused;
+    if (ids.size() > 1 && config_.allow_fusion) {
+      fused = rank(ArtifactStore::segment_id(ids), stream);
+    }
+    std::vector<Ranked> members;
+    std::vector<Candidate> picks;
+    std::vector<Value> chain_stream = stream;
+    for (const std::string& id : ids) {
+      members.push_back(rank(id, chain_stream));
+      picks.push_back(members.back().winner());
+      if (picks.back().costed()) chain_stream = std::move(members.back().out);
+    }
+
+    // The decision event's cost details: the segment's fused and chain
+    // costs where known, and every candidate the decision weighed.
+    auto details = [&](const Ranked* member) {
+      if (!explain) return std::string();
+      const bool measured = source == CostSource::kMeasured;
+      const double to_us = measured ? 1e6 : 1.0;
+      JsonArgs args;
+      if (fused.winner().costed()) {
+        args.add(measured ? "fused_time_us" : "fused_static_us",
+                 fused.winner().cost * to_us);
+      }
+      double chain = 0;
+      bool chain_costed = true;
+      for (const Candidate& p : picks) {
+        chain_costed = chain_costed && p.costed();
+        chain += p.cost;
+      }
+      if (chain_costed) {
+        args.add(measured ? "chain_time_us" : "chain_static_us",
+                 chain * to_us);
+      }
+      std::string list = "[";
+      auto weigh = [&](const Ranked& r) {
+        for (const Candidate& c : r.candidates) {
+          if (list.size() > 1) list += ',';
+          list += candidate_json(c, source);
+        }
+      };
+      if (member != nullptr) {
+        weigh(*member);
+      } else {
+        weigh(fused);
+        for (const Ranked& m : members) weigh(m);
+      }
+      list += ']';
+      return std::move(args.add_raw("candidates", list)).str();
     };
 
-    // When nothing at all could be calibrated, preserve the §4.2 static
-    // preference: the largest substitution (fused) on the preferred device.
-    const bool fused_fallback =
-        !fused_cands.empty() && !fused_best.eligible && !any_chain_calibrated;
-
-    if (fused_best.eligible && fused_best.seconds <= chain_time) {
-      emit_device(fused_best.artifact, std::move(fused_alts), ids);
-      std::string extra;
-      if (tracing) {
-        // The losing per-filter plan rides along so the trace explains
-        // *why* fusion won.
-        std::vector<std::string> all = fused_entries;
-        for (auto& c : chain) {
-          all.insert(all.end(), c.entries.begin(), c.entries.end());
-        }
-        extra = JsonArgs()
-                    .add("fused_time_us", fused_best.seconds * 1e6)
-                    .add("chain_time_us", chain_time * 1e6)
-                    .add_raw("candidates", join_entries(all))
-                    .str();
-      }
-      {
-        Artifact* a = fused_best.artifact;
-        SubstitutionRecord rec{joined, a->manifest().device, /*fused=*/true,
-                               fused_best.us_per_elem, /*calibrated=*/true};
-        rec.source = "measured";
-        rec.remote = a->is_remote();
-        if (rec.remote) rec.endpoint = a->location();
-        record_substitution(std::move(rec), std::move(extra));
-      }
-      stream = std::move(fused_out);
-    } else if (fused_fallback) {
-      Artifact* a = fused_cands.front();
-      emit_device(a, {}, ids);
-      std::string extra;
-      if (tracing) {
-        extra = JsonArgs()
-                    .add_raw("candidates", join_entries(fused_entries))
-                    .str();
-      }
-      SubstitutionRecord rec{joined, a->manifest().device, /*fused=*/true,
-                             /*score_us_per_elem=*/-1.0, /*calibrated=*/false};
-      rec.remote = a->is_remote();
-      if (rec.remote) rec.endpoint = a->location();
-      record_substitution(std::move(rec), std::move(extra));
-      // The calibration stream was too short to advance; leave it be.
+    if (!fused.candidates.empty() && prefer_fused(fused.winner(), picks)) {
+      emit(fused, ids, nullptr, details(nullptr));
+      if (fused.winner().costed()) stream = std::move(fused.out);
     } else {
-      for (size_t k = 0; k < chain.size(); ++k) {
-        Choice& c = chain[k];
-        Artifact* a = c.best.artifact;
-        // A CPU-won filter normally stays an interpreter node, but a node
-        // that may later swap devices must drain in device batches.
-        const bool resub_node =
-            config_.enable_resubstitution && c.alts.size() >= 2;
-        if (a->manifest().device == DeviceKind::kCpu && !resub_node &&
-            !a->is_remote()) {
-          rewritten.push_back(g.nodes[i + k]);  // keep as interpreter filter
-        } else {
-          emit_device(a, std::move(c.alts), {g.nodes[i + k].task_id});
-        }
-        std::string extra;
-        if (tracing) {
-          JsonArgs e;
-          if (!fused_entries.empty() && fused_best.eligible) {
-            e.add("fused_time_us", fused_best.seconds * 1e6);
-          }
-          e.add_raw("candidates", join_entries(c.entries));
-          extra = std::move(e).str();
-        }
-        SubstitutionRecord rec{
-            g.nodes[i + k].task_id, a->manifest().device, /*fused=*/false,
-            c.best.eligible ? c.best.us_per_elem : -1.0, c.best.eligible};
-        if (c.best.eligible) rec.source = "measured";
-        rec.remote = a->is_remote();
-        if (rec.remote) rec.endpoint = a->location();
-        record_substitution(std::move(rec), std::move(extra));
+      for (size_t k = 0; k < ids.size(); ++k) {
+        emit(members[k], {ids[k]}, &g.nodes[i + k], details(&members[k]));
       }
       stream = std::move(chain_stream);
     }
     i = j;
   }
-  rewritten.push_back(g.nodes.back());
-  g.nodes = std::move(rewritten);
-}
-
-void LiquidRuntime::substitute_static_seeded(RtGraph& g) {
-  // Cold start: no calibration prefix runs. Candidates are ranked by the
-  // compiler's static cost estimates (seeded into the cost models at
-  // construction); decisions log source=static so a trace distinguishes
-  // them from measured ones. Only local artifacts compete — the estimator
-  // models this process's executors, not a remote server's.
-  const bool tracing = TraceRecorder::current() != nullptr;
-
-  auto seed_of = [&](const std::string& id, DeviceKind d) -> double {
-    const analysis::StaticCostEstimate* e =
-        program_.static_costs.find(id, static_device_key(d));
-    return e ? e->us_per_elem : -1.0;
-  };
-
-  struct Pick {
-    Artifact* artifact = nullptr;
-    double score = -1.0;  // negative → no seed; chosen by §4.2 preference
-  };
-  auto pick_for = [&](const std::string& id) {
-    Pick best;
-    Artifact* pref = nullptr;
-    for (DeviceKind d :
-         {DeviceKind::kGpu, DeviceKind::kFpga, DeviceKind::kCpu}) {
-      Artifact* a = program_.store.find(id, d);
-      if (!a) continue;
-      if (!pref) pref = a;
-      double s = seed_of(id, d);
-      if (s >= 0 && (!best.artifact || s < best.score)) best = {a, s};
-    }
-    if (!best.artifact) best.artifact = pref;
-    return best;
-  };
-
-  auto seed_entry = [&](const std::string& id, Artifact* a, double s) {
-    JsonArgs j;
-    j.add("tasks", id).add("device", to_string(a->manifest().device));
-    if (s >= 0) {
-      j.add("static_us_per_elem", s);
-    } else {
-      j.add("seeded", false);
-    }
-    return "{" + std::move(j).str() + "}";
-  };
-
-  std::vector<RtNode> out;
-  size_t i = 0;
-  while (i < g.nodes.size()) {
-    const RtNode& n = g.nodes[i];
-    if (n.kind != RtNode::Kind::kFilter || !n.relocated) {
-      out.push_back(n);
-      ++i;
-      continue;
-    }
-    size_t j = i;
-    std::vector<std::string> ids;
-    while (j < g.nodes.size() && g.nodes[j].kind == RtNode::Kind::kFilter &&
-           g.nodes[j].relocated) {
-      ids.push_back(g.nodes[j].task_id);
-      ++j;
-    }
-
-    // Per-filter plan: every member on its statically cheapest device.
-    std::vector<Pick> chain;
-    double chain_score = 0;
-    bool chain_scored = true;
-    for (const std::string& id : ids) {
-      Pick p = pick_for(id);
-      LM_CHECK_MSG(p.artifact != nullptr, "no artifact at all for " << id);
-      chain_scored = chain_scored && p.score >= 0;
-      if (p.score >= 0) chain_score += p.score;
-      chain.push_back(p);
-    }
-
-    // Fused plan: the whole segment, if its seed beats the chain's sum.
-    Pick fused;
-    if (ids.size() > 1 && config_.allow_fusion) {
-      fused = pick_for(ArtifactStore::segment_id(ids));
-    }
-
-    std::string joined;
-    for (size_t k = 0; k < ids.size(); ++k) {
-      if (k) joined += "+";
-      joined += ids[k];
-    }
-
-    const bool fuse =
-        fused.artifact &&
-        (fused.score >= 0
-             ? (!chain_scored || fused.score <= chain_score)
-             : !chain_scored);  // neither scored → prefer larger (§4.2)
-
-    if (fuse) {
-      RtNode dev;
-      dev.kind = RtNode::Kind::kDevice;
-      dev.artifact = fused.artifact;
-      dev.arity = fused.artifact->manifest().arity;
-      dev.label = fused.artifact->manifest().task_id;
-      out.push_back(std::move(dev));
-      SubstitutionRecord rec{joined, fused.artifact->manifest().device,
-                             /*fused=*/true, fused.score,
-                             /*calibrated=*/false};
-      if (fused.score >= 0) rec.source = "static";
-      std::string extra;
-      if (tracing) {
-        JsonArgs e;
-        if (fused.score >= 0) e.add("fused_static_us", fused.score);
-        if (chain_scored) e.add("chain_static_us", chain_score);
-        extra = std::move(e).str();
-      }
-      record_substitution(std::move(rec), std::move(extra));
-    } else {
-      for (size_t k = 0; k < chain.size(); ++k) {
-        const Pick& p = chain[k];
-        Artifact* a = p.artifact;
-        if (a->manifest().device == DeviceKind::kCpu) {
-          out.push_back(g.nodes[i + k]);  // keep as interpreter filter
-        } else {
-          RtNode dev;
-          dev.kind = RtNode::Kind::kDevice;
-          dev.artifact = a;
-          dev.arity = a->manifest().arity;
-          dev.label = a->manifest().task_id;
-          out.push_back(std::move(dev));
-        }
-        SubstitutionRecord rec{ids[k], a->manifest().device, /*fused=*/false,
-                               p.score, /*calibrated=*/false};
-        if (p.score >= 0) rec.source = "static";
-        std::string extra;
-        if (tracing) {
-          extra = JsonArgs()
-                      .add_raw("candidates",
-                               "[" + seed_entry(ids[k], a, p.score) + "]")
-                      .str();
-        }
-        record_substitution(std::move(rec), std::move(extra));
-      }
-    }
-    i = j;
-  }
   g.nodes = std::move(out);
 }
-
-// ---------------------------------------------------------------------------
-// Execution (§4.1: thread per task, FIFO connections)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void validate_shape(const std::vector<LiquidRuntime::RtNode>& nodes) {
-  using Kind = LiquidRuntime::RtNode::Kind;
-  if (nodes.size() < 2 || nodes.front().kind != Kind::kSource ||
-      nodes.back().kind != Kind::kSink) {
-    throw RuntimeError(
-        "task graph must be source => filters... => sink to execute");
-  }
-  for (size_t i = 1; i + 1 < nodes.size(); ++i) {
-    if (nodes[i].kind != Kind::kFilter && nodes[i].kind != Kind::kDevice) {
-      throw RuntimeError("interior task-graph nodes must be filters");
-    }
-  }
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // DeviceRun: per-device-node batch driver (§7 online profiling)
@@ -1513,11 +1199,15 @@ class LiquidRuntime::DeviceRun {
   int trace_node_ = -1;
 };
 
+// ---------------------------------------------------------------------------
+// Execution (§4.1: tasks over the shared executor, FIFO connections)
+// ---------------------------------------------------------------------------
+
 void LiquidRuntime::start(Value graph) {
   auto g = graph_of(graph);
   if (g->started || g->executed) return;
-  substitute(*g);
   validate_shape(g->nodes);
+  substitute(*g);
   if (!config_.use_threads) {
     // Inline mode has no asynchrony; run to completion now.
     execute(*g);
@@ -1543,8 +1233,8 @@ void LiquidRuntime::finish(Value graph) {
   auto g = graph_of(graph);
   if (g->executed) return;
   if (!g->started) {
-    substitute(*g);
     validate_shape(g->nodes);
+    substitute(*g);
     execute(*g);
     return;
   }

@@ -16,9 +16,10 @@
 //    kernel for the method and the placement policy allows it, the whole
 //    data-parallel operation runs on the device.
 //
-// The substitution algorithm follows §4.2: "it prefers a larger
-// substitution to a smaller one. It also favors GPU and FPGA artifacts to
-// bytecode although that choice can be manually directed as well."
+// Substitution makes one decision per maximal run of relocated filters:
+// the fused segment or each member on its own, and on which artifact.
+// Every policy shares one candidate order and one ranking rule
+// (runtime/placement.h) and differs only in where costs come from.
 #pragma once
 
 #include <atomic>
@@ -34,24 +35,12 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "runtime/liquid_compiler.h"
+#include "runtime/placement.h"
 #include "runtime/store.h"
 
 namespace lm::runtime {
 
 class Executor;
-
-/// Manual direction of placement (§4.2).
-enum class Placement {
-  kAuto,      // prefer larger, prefer accelerators (the paper's default)
-  kCpuOnly,   // bytecode everywhere (the always-available baseline)
-  kGpuOnly,   // substitute only GPU artifacts
-  kFpgaOnly,  // substitute only FPGA artifacts
-  /// §7 future work, implemented here: "runtime introspection and
-  /// adaptation of the task-graph partitioning so that tasks run where
-  /// they are best suited." Each candidate artifact is profiled on a
-  /// prefix of the actual stream and the fastest plan wins.
-  kAdaptive,
-};
 
 struct RuntimeConfig {
   Placement placement = Placement::kAuto;
@@ -128,10 +117,6 @@ struct RuntimeConfig {
   /// Re-send attempts (each on a fresh connection) before a remote batch
   /// fails over to the local fallback artifact.
   int remote_retries = 1;
-  /// kAuto/kGpuOnly/kFpgaOnly: when a device has both a local and a remote
-  /// artifact, prefer the remote one (the point of attaching a server).
-  /// kAdaptive ignores this and lets calibration measurements decide.
-  bool prefer_remote = true;
 };
 
 /// One substitution decision, for logs, tests and the E2 experiment.
@@ -139,19 +124,17 @@ struct SubstitutionRecord {
   std::string task_ids;  // "P.a+P.b" for a fused segment
   DeviceKind device = DeviceKind::kCpu;
   bool fused = false;
-  /// kAdaptive: the winning candidate's measured calibration score in µs
-  /// per stream element; negative when no measurement backs the choice.
+  /// kAdaptive: the winner's cost in µs per stream element, measured on
+  /// the calibration prefix or seeded by the compiler; negative when
+  /// nothing costed it.
   double score_us_per_elem = -1.0;
-  /// kAdaptive: false when the calibration prefix could not feed any
-  /// candidate (fewer elements than the artifact's arity) and the choice
-  /// fell back to the static §4.2 preference order.
-  bool calibrated = false;
   /// True when the winning artifact runs out-of-process (src/net/).
   bool remote = false;
   /// "host:port" of the serving lmdev when `remote` is set.
   std::string endpoint;
   /// What ranked the winner: "measured" (calibration prefix), "static"
-  /// (compiler cost seeds, cold start), or empty (§4.2 preference order).
+  /// (compiler cost seeds, cold start), or empty (§4.2 preference order,
+  /// including a kAdaptive prefix too short to run any candidate).
   std::string source;
 };
 
@@ -245,7 +228,6 @@ class LiquidRuntime : public bc::TaskGraphHost, public bc::AccelHooks {
   /// workload; intended as a TelemetryHub gauge collector.
   void collect_telemetry(std::vector<obs::GaugeSample>& out) const;
   const RuntimeConfig& config() const { return config_; }
-  void set_placement(Placement p) { config_.placement = p; }
 
   /// Registers an out-of-process substitution candidate (a net::RemoteArtifact
   /// proxy). Called by net::attach_remote_devices before the first run; the
@@ -274,22 +256,15 @@ class LiquidRuntime : public bc::TaskGraphHost, public bc::AccelHooks {
   struct HotCounters;
 
   std::shared_ptr<RtGraph> graph_of(const bc::Value& v);
-  /// The best artifact for (id, device) across the program store and the
-  /// remote store: remote wins over local per config_.prefer_remote (never
-  /// for kCpu — a bytecode hop across the wire is strictly worse).
-  Artifact* find_candidate(const std::string& id, DeviceKind d) const;
   /// The local artifact a remote substitution falls back to when the
   /// transport dies mid-stream: the CPU artifact for a single task, or a
   /// lazily built (and cached) ChainArtifact for a fused segment.
   Artifact* fallback_for(const Artifact* chosen,
                          const std::vector<std::string>& task_ids);
-  /// §4.2 substitution: rewrites the node list in place.
+  /// Task substitution (§4.2, runtime/placement.h): rewrites the node list
+  /// of a validated source => filters => sink graph in place, one decision
+  /// per maximal run of relocated filters.
   void substitute(RtGraph& g);
-  /// The kAdaptive policy: profiles candidates on a stream prefix.
-  void substitute_adaptive(RtGraph& g);
-  /// kAdaptive with enable_calibration=false: ranks candidates by the
-  /// static cost seeds instead of measuring (cold-start placement).
-  void substitute_static_seeded(RtGraph& g);
   void execute(RtGraph& g);
   /// Builds the graph's task objects, wires FIFO wakers and submits
   /// everything to the shared executor (replaces thread-per-task).

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <thread>
 
 #include "runtime/liquid_runtime.h"
 #include "tests/fake_artifact_test_util.h"
@@ -190,7 +191,7 @@ TEST(Adaptive, UnrunnableCandidateCannotWinCalibration) {
   ASSERT_EQ(rt.stats().substitutions.size(), 2u);
   for (const auto& s : rt.stats().substitutions) {
     EXPECT_EQ(s.device, DeviceKind::kCpu);
-    EXPECT_TRUE(s.calibrated);
+    EXPECT_EQ(s.source, "measured");
     EXPECT_GT(s.score_us_per_elem, 0.0);
   }
   // The un-runnable candidate never counted as a profiled measurement:
@@ -224,7 +225,7 @@ TEST(Adaptive, UncalibratableRunFallsBackToStaticPreference) {
   ASSERT_EQ(rt.stats().substitutions.size(), 2u);
   bool saw_scale = false;
   for (const auto& s : rt.stats().substitutions) {
-    EXPECT_FALSE(s.calibrated);
+    EXPECT_EQ(s.source, "");
     EXPECT_LT(s.score_us_per_elem, 0.0);  // no fabricated measurement
     if (s.task_ids == "P.scale") {
       saw_scale = true;
@@ -233,6 +234,78 @@ TEST(Adaptive, UncalibratableRunFallsBackToStaticPreference) {
     }
   }
   EXPECT_TRUE(saw_scale);
+}
+
+/// A chain whose later member the prefix cannot feed. Fused segments need
+/// unary stages, so no backend builds this one: a pretend-GPU segment
+/// chains the members' own CPU artifacts and stalls on every call, so any
+/// measured member beats it. With a one-element prefix the pair filter
+/// stays unmeasured, and an unmeasured member could cost anything, so the
+/// larger substitution wins. The fused time is never compared with the sum
+/// of only the measured members.
+TEST(Adaptive, PartiallyCalibratedChainDefersToFusedSegment) {
+  CompileOptions opts;
+  opts.enable_gpu = false;
+  opts.enable_fpga = false;
+  auto cp = compile(R"(
+    class Q {
+      local static int quantize(int s) { return s / 4 * 4; }
+      local static int smoothPair(int a, int b) { return (a + b) / 2; }
+      static int[[]] run(int[[]] samples) {
+        int[] out = new int[samples.length / 2];
+        var g = samples.source(1)
+          => ([ task quantize ]) => ([ task smoothPair ])
+          => out.<int>sink();
+        g.finish();
+        return new int[[]](out);
+      }
+    }
+  )", opts);
+  ASSERT_TRUE(cp->ok()) << cp->diags.to_string();
+
+  class SlowSegment final : public Artifact {
+   public:
+    SlowSegment(ArtifactManifest m, std::vector<Artifact*> stages)
+        : Artifact(m), chain_(m, std::move(stages)) {}
+    std::vector<Value> process(std::span<const Value> in) override {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      return chain_.process(in);
+    }
+
+   private:
+    ChainArtifact chain_;
+  };
+  ArtifactManifest m;
+  m.task_id = "seg:Q.quantize:Q.smoothPair";
+  m.device = DeviceKind::kGpu;
+  cp->store.add(std::make_unique<SlowSegment>(
+      m, std::vector<Artifact*>{
+             cp->store.find("Q.quantize", DeviceKind::kCpu),
+             cp->store.find("Q.smoothPair", DeviceKind::kCpu)}));
+
+  RuntimeConfig rc;
+  rc.placement = Placement::kAdaptive;
+  rc.calibration_elements = 1;
+  rc.use_threads = false;  // one device batch: the pairs stay aligned
+  LiquidRuntime rt(*cp, rc);
+  std::vector<int32_t> input(64);
+  for (size_t i = 0; i < input.size(); ++i) {
+    input[i] = static_cast<int32_t>(i * 7);
+  }
+  Value out = rt.call("Q.run", {Value::array(bc::make_i32_array(input, true))});
+  ASSERT_EQ(out.as_array()->size(), input.size() / 2);
+  for (size_t i = 0; i < input.size() / 2; ++i) {
+    int32_t a = input[2 * i] / 4 * 4, b = input[2 * i + 1] / 4 * 4;
+    EXPECT_EQ(bc::array_get(*out.as_array(), i).as_i32(), (a + b) / 2);
+  }
+
+  ASSERT_EQ(rt.stats().substitutions.size(), 1u);
+  const SubstitutionRecord& s = rt.stats().substitutions[0];
+  EXPECT_EQ(s.task_ids, "Q.quantize+Q.smoothPair");
+  EXPECT_TRUE(s.fused);
+  EXPECT_EQ(s.device, DeviceKind::kGpu);
+  EXPECT_EQ(s.source, "measured");
+  EXPECT_GT(s.score_us_per_elem, 0.0);
 }
 
 }  // namespace

@@ -21,28 +21,40 @@ using runtime::LiquidRuntime;
 using runtime::Placement;
 using runtime::RuntimeConfig;
 
-constexpr Placement kAllPlacements[] = {Placement::kCpuOnly,
-                                        Placement::kGpuOnly, Placement::kAuto,
-                                        Placement::kAdaptive};
+/// Every placement policy. Seed-ranked kAdaptive (enable_calibration off)
+/// ranks by a different cost source, so it counts as a policy of its own.
+struct Policy {
+  Placement placement;
+  bool calibrate;
+};
+constexpr Policy kAllPlacements[] = {
+    {Placement::kCpuOnly, true}, {Placement::kGpuOnly, true},
+    {Placement::kFpgaOnly, true}, {Placement::kAuto, true},
+    {Placement::kAdaptive, true}, {Placement::kAdaptive, false}};
 
-const char* placement_label(Placement p) {
-  switch (p) {
+const char* placement_label(Policy p) {
+  switch (p.placement) {
     case Placement::kCpuOnly: return "cpu";
     case Placement::kGpuOnly: return "gpu";
     case Placement::kFpgaOnly: return "fpga";
     case Placement::kAuto: return "auto";
-    case Placement::kAdaptive: return "adaptive";
+    case Placement::kAdaptive:
+      return p.calibrate ? "adaptive" : "adaptive (seed-ranked)";
   }
   return "?";
 }
 
-Value run_under(const Workload& w, Placement placement, size_t n,
-                uint64_t seed) {
+RuntimeConfig config_for(Policy p) {
+  RuntimeConfig rc;
+  rc.placement = p.placement;
+  rc.enable_calibration = p.calibrate;
+  return rc;
+}
+
+Value run_under(const Workload& w, Policy policy, size_t n, uint64_t seed) {
   auto cp = runtime::compile(w.lime_source);
   EXPECT_TRUE(cp->ok()) << w.name << ":\n" << cp->diags.to_string();
-  RuntimeConfig rc;
-  rc.placement = placement;
-  LiquidRuntime rt(*cp, rc);
+  LiquidRuntime rt(*cp, config_for(policy));
   return rt.call(w.entry, w.make_args(n, seed));
 }
 
@@ -71,7 +83,7 @@ TEST_P(PlacementDifferential, AllPoliciesAgreeWithReference) {
   const double tol = w.name == "sumreduce" ? 1e-5 : 0.0;
 
   Value expected = w.reference(w.make_args(n, seed));
-  for (Placement p : kAllPlacements) {
+  for (Policy p : kAllPlacements) {
     Value got = run_under(w, p, n, seed);
     EXPECT_TRUE(results_match(got, expected, tol))
         << w.name << " diverged under placement " << placement_label(p);
@@ -102,12 +114,10 @@ TEST_P(PlacementDifferentialNative, AllPoliciesAgreeWithReference) {
   runtime::CompileOptions copts;
   copts.use_native_kernels = true;
   Value expected = w.reference(w.make_args(n, seed));
-  for (Placement p : kAllPlacements) {
+  for (Policy p : kAllPlacements) {
     auto cp = runtime::compile(w.lime_source, copts);
     ASSERT_TRUE(cp->ok()) << w.name;
-    RuntimeConfig rc;
-    rc.placement = p;
-    LiquidRuntime rt(*cp, rc);
+    LiquidRuntime rt(*cp, config_for(p));
     Value got = rt.call(w.entry, w.make_args(n, seed));
     EXPECT_TRUE(results_match(got, expected, tol))
         << w.name << " (native) diverged under placement "
@@ -130,11 +140,10 @@ TEST(PlacementDifferential, InlineSchedulingMatchesThreaded) {
     const size_t n = 512;
     const uint64_t seed = 31;
     Value expected = w.reference(w.make_args(n, seed));
-    for (Placement p : kAllPlacements) {
+    for (Policy p : kAllPlacements) {
       auto cp = runtime::compile(w.lime_source);
       ASSERT_TRUE(cp->ok()) << w.name;
-      RuntimeConfig rc;
-      rc.placement = p;
+      RuntimeConfig rc = config_for(p);
       rc.use_threads = false;
       LiquidRuntime rt(*cp, rc);
       Value got = rt.call(w.entry, w.make_args(n, seed));
@@ -228,7 +237,7 @@ TEST(PlacementDifferential, DriftSwapsDeviceMidRunAndKeepsOutputExact) {
   // The calibration decision chose the (then-fast) scripted GPU artifact.
   ASSERT_EQ(rt.stats().substitutions.size(), 1u);
   EXPECT_EQ(rt.stats().substitutions[0].device, runtime::DeviceKind::kGpu);
-  EXPECT_TRUE(rt.stats().substitutions[0].calibrated);
+  EXPECT_EQ(rt.stats().substitutions[0].source, "measured");
 
   // The drift check swapped it to the CPU artifact at the first interval.
   ASSERT_EQ(rt.stats().resubstitutions.size(), 1u);
