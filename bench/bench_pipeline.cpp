@@ -1,7 +1,7 @@
 // E6 — pipeline parallelism (§2.2) and scheduler ablations:
 //
-//   * throughput vs pipeline depth (1–3 filters) under threaded executor
-//     scheduling vs inline execution,
+//   * throughput vs pipeline depth (1–3 filters) on the threaded executor
+//     vs the zero-thread seeded scheduler,
 //   * FIFO capacity sweep (backpressure cost),
 //   * fused-segment substitution vs per-filter substitution (the "prefers
 //     a larger substitution" design choice of §4.2, ablated),
@@ -57,20 +57,23 @@ void BM_DepthAndScheduling(benchmark::State& state) {
   auto args = make_input(n);
   runtime::RuntimeConfig rc;
   rc.placement = runtime::Placement::kCpuOnly;  // isolate scheduling effects
-  rc.use_threads = threads;
+  rc.scheduler_seed = threads ? 0 : 1;
   for (auto _ : state) {
     runtime::LiquidRuntime rt(*cp, rc);
     benchmark::DoNotOptimize(rt.call("Pipe.run", args));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
-  state.SetLabel((threads ? "threads" : "inline") + std::string("/depth=") +
+  state.SetLabel((threads ? "threads" : "seeded") + std::string("/depth=") +
                  std::to_string(depth));
 }
+// Real time: the work runs on workers, and the main thread's CPU time is a
+// sliver of each call.
 BENCHMARK(BM_DepthAndScheduling)
     ->Args({1, 0})->Args({1, 1})
     ->Args({2, 0})->Args({2, 1})
     ->Args({3, 0})->Args({3, 1})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_FifoCapacity(benchmark::State& state) {
@@ -89,6 +92,7 @@ void BM_FifoCapacity(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_FifoCapacity)->Arg(2)->Arg(16)->Arg(256)->Arg(4096)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_FusionAblation(benchmark::State& state) {
@@ -108,22 +112,23 @@ void BM_FusionAblation(benchmark::State& state) {
                           static_cast<int64_t>(n));
   state.SetLabel(fusion ? "fused-segment" : "per-filter");
 }
-BENCHMARK(BM_FusionAblation)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FusionAblation)->Arg(1)->Arg(0)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void print_summary() {
   std::printf("\n=== E6: pipeline scheduling summary (n = 32768) ===\n");
-  lm::bench::Table table({"depth", "inline (ms)", "threads (ms)",
+  lm::bench::Table table({"depth", "seeded (ms)", "threads (ms)",
                           "gpu fused (ms)", "gpu per-filter (ms)"});
   lm::bench::JsonReport json("pipeline");
   size_t n = 1u << 15;
   for (int depth : {1, 2, 3}) {
     auto cp = runtime::compile(pipeline_source(depth));
     auto args = make_input(n);
-    auto run = [&](const char* label, runtime::Placement p, bool threads,
+    auto run = [&](const char* label, runtime::Placement p, uint64_t seed,
                    bool fusion) {
       runtime::RuntimeConfig rc;
       rc.placement = p;
-      rc.use_threads = threads;
+      rc.scheduler_seed = seed;
       rc.allow_fusion = fusion;
       lm::bench::SampleStats st = lm::bench::time_stats([&] {
         runtime::LiquidRuntime rt(*cp, rc);
@@ -139,14 +144,13 @@ void print_summary() {
     table.row(
         {std::to_string(depth),
          lm::bench::fmt(
-             run("inline", runtime::Placement::kCpuOnly, false, true) * 1e3),
+             run("seeded", runtime::Placement::kCpuOnly, 1, true) * 1e3),
          lm::bench::fmt(
-             run("threads", runtime::Placement::kCpuOnly, true, true) * 1e3),
+             run("threads", runtime::Placement::kCpuOnly, 0, true) * 1e3),
          lm::bench::fmt(
-             run("gpu-fused", runtime::Placement::kGpuOnly, true, true) *
-             1e3),
-         lm::bench::fmt(run("gpu-per-filter", runtime::Placement::kGpuOnly,
-                            true, false) *
+             run("gpu-fused", runtime::Placement::kGpuOnly, 0, true) * 1e3),
+         lm::bench::fmt(run("gpu-per-filter", runtime::Placement::kGpuOnly, 0,
+                            false) *
                         1e3)});
   }
   table.print();

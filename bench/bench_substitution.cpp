@@ -54,6 +54,7 @@ BENCHMARK(BM_Placement)
     ->Args({static_cast<long>(runtime::Placement::kGpuOnly), 16384})
     ->Args({static_cast<long>(runtime::Placement::kFpgaOnly), 16384})
     ->Args({static_cast<long>(runtime::Placement::kAuto), 16384})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// The substitution decision itself: construct + substitute + execute a
@@ -63,7 +64,7 @@ void BM_DecisionOverhead(benchmark::State& state) {
   auto cp = runtime::compile(intpipe().lime_source);
   auto args = intpipe().make_args(1, 1);
   runtime::RuntimeConfig rc;
-  rc.use_threads = false;  // isolate decision cost from thread spawn
+  rc.scheduler_seed = 1;  // isolate decision cost from thread spawn
   for (auto _ : state) {
     runtime::LiquidRuntime rt(*cp, rc);
     benchmark::DoNotOptimize(rt.call(intpipe().entry, args));
@@ -71,18 +72,17 @@ void BM_DecisionOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_DecisionOverhead);
 
-/// Thread-per-task spawn/join overhead on a trivial graph.
+/// Worker-pool start and dispatch overhead on a trivial graph.
 void BM_ThreadScheduleOverhead(benchmark::State& state) {
   auto cp = runtime::compile(intpipe().lime_source);
   auto args = intpipe().make_args(1, 1);
   runtime::RuntimeConfig rc;
-  rc.use_threads = true;
   for (auto _ : state) {
     runtime::LiquidRuntime rt(*cp, rc);
     benchmark::DoNotOptimize(rt.call(intpipe().entry, args));
   }
 }
-BENCHMARK(BM_ThreadScheduleOverhead);
+BENCHMARK(BM_ThreadScheduleOverhead)->UseRealTime();
 
 void print_summary() {
   workloads::register_native_kernels();

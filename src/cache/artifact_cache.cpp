@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -31,6 +32,15 @@ void trace_event(const char* what, uint64_t key, const std::string& backend,
                      .add("bytes", bytes)
                      .str());
   }
+}
+
+/// `<path>.tmp.<pid>.<n>`, unique per writer: two threads or two caches of
+/// one process never share a temp file, so one cannot truncate or remove
+/// the file the other is about to publish.
+std::string temp_path(const std::string& path) {
+  static std::atomic<uint64_t> next{0};
+  return path + ".tmp." + std::to_string(static_cast<long>(::getpid())) + "." +
+         std::to_string(next.fetch_add(1, std::memory_order_relaxed));
 }
 
 std::optional<std::vector<uint8_t>> read_file(const std::string& path) {
@@ -202,8 +212,7 @@ bool ArtifactCache::store(uint64_t key, const std::string& backend,
   w.raw(payload.data(), payload.size());
 
   const std::string path = entry_path(key);
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+  const std::string tmp = temp_path(path);
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
@@ -276,8 +285,7 @@ void ArtifactCache::evict_locked() {
 
 void ArtifactCache::write_index_locked() {
   // Best-effort human-readable listing; the .art files are authoritative.
-  const std::string tmp =
-      dir_ + "/index.txt.tmp." + std::to_string(static_cast<long>(::getpid()));
+  const std::string tmp = temp_path(dir_ + "/index.txt");
   std::ofstream out(tmp, std::ios::trunc);
   if (!out) return;
   for (const auto& [key, e] : entries_) {

@@ -86,7 +86,7 @@ struct GpuDeviceConfig {
 };
 
 /// Atomic: one GpuDevice is shared by every GPU artifact of a program, so
-/// concurrent device-node threads (use_threads=true) launch — and bump
+/// device nodes stepping on different executor workers launch — and bump
 /// these — from different threads at once.
 struct GpuStats {
   std::atomic<uint64_t> launches{0};

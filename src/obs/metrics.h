@@ -1,8 +1,8 @@
 // Structured runtime metrics.
 //
 // Replaces the ad-hoc plain-integer RuntimeStats counters: every counter is
-// an atomic, so task threads (use_threads=true), device-node threads and
-// the calling thread can all bump metrics without synchronization bugs.
+// an atomic, so executor workers, poll-loop threads and the calling thread
+// can all bump metrics without synchronization bugs.
 // The registry hands out stable Counter/MaxGauge pointers (instruments are
 // never deallocated before the registry), so hot paths pay one relaxed
 // atomic RMW per increment and never touch the name map.

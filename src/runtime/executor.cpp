@@ -71,6 +71,13 @@ void Executor::submit(ExecTask* t) {
 }
 
 void Executor::wake(ExecTask* t) {
+  // Pairs with the fence after run_task's kRunning store. A waker may
+  // publish readiness with a plain atomic store (no FIFO lock) and then
+  // load the state here, while the worker stores kRunning and then reads
+  // readiness in step(). Without a fence on both sides both loads may see
+  // the old values: this wake returns on a stale kQueued, the step parks,
+  // and nothing runs the task again.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   for (;;) {
     int s = t->state_.load(std::memory_order_acquire);
     switch (s) {
@@ -190,6 +197,7 @@ void Executor::run_task(ExecTask* t) {
     ++t->run_steps_;
   }
   t->state_.store(ExecTask::kRunning, std::memory_order_release);
+  std::atomic_thread_fence(std::memory_order_seq_cst);  // see wake()
   t->block_reason_ = ExecTask::BlockReason::kNone;
   ExecTask::StepResult r = t->step();
   if (c_steps_) c_steps_->add();

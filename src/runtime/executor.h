@@ -166,7 +166,10 @@ class Executor {
 
   /// Readiness event: enqueue a parked task, or flag a running one for
   /// re-enqueue. Idempotent; safe from any thread, including completion
-  /// callbacks and the task's own step().
+  /// callbacks and the task's own step(). Readiness published before the
+  /// call by any atomic store, not only under a FIFO lock, is never lost:
+  /// wake() and step entry are fenced, so either the step sees it or the
+  /// wake sees the task running and re-queues it.
   void wake(ExecTask* t);
 
   /// Brackets work in flight *outside* the executor (an async RPC whose

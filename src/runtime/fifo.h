@@ -5,8 +5,10 @@
 //
 //  * the blocking API (push/pop/pop_batch) — the original thread-per-task
 //    interface, kept for direct users and tests;
-//  * the nonblocking try-API (try_push/try_pop/try_pop_batch) returning
-//    FifoSignal — what executor tasks use, paired with *wakers*.
+//  * the nonblocking try-API (try_push/try_push_batch/try_pop/
+//    try_pop_batch) returning FifoSignal — what executor tasks use, paired
+//    with *wakers*. Tasks move a batch per call: one lock and at most one
+//    wake per batch on each edge.
 //
 // Wakers are edge-triggered callbacks wired once before execution starts:
 // the consumer waker fires on empty→nonempty, finish() and close(); the
@@ -25,6 +27,7 @@
 // immediately.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -32,6 +35,8 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "bytecode/value.h"
 
@@ -78,6 +83,35 @@ class ValueFifo {
       q_.push_back(std::move(v));
       if (q_.size() > high_water_) high_water_ = q_.size();
       not_empty_.notify_one();
+    }
+    if (fire && consumer_waker_) consumer_waker_();
+    return FifoSignal::kOk;
+  }
+
+  /// Nonblocking batch push: moves values from the front of `vals` until
+  /// the queue is full and stores how many moved in `*moved`. kOk when at
+  /// least one moved, kWouldBlock when the queue was full, kShutdown when
+  /// closed. One lock and at most one consumer-waker fire per call; the
+  /// accounting matches the equivalent run of try_push calls.
+  FifoSignal try_push_batch(std::span<bc::Value> vals, size_t* moved) {
+    *moved = 0;
+    if (vals.empty()) return FifoSignal::kOk;
+    bool fire;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (closed_) return FifoSignal::kShutdown;
+      if (q_.size() >= capacity_) {
+        mark_blocked_locked(prod_blocked_since_);
+        return FifoSignal::kWouldBlock;
+      }
+      settle_blocked_locked(prod_blocked_since_, prod_blocked_ns_);
+      fire = q_.empty();
+      if (fire) settle_blocked_locked(cons_blocked_since_, cons_blocked_ns_);
+      size_t n = std::min(vals.size(), capacity_ - q_.size());
+      for (size_t i = 0; i < n; ++i) q_.push_back(std::move(vals[i]));
+      *moved = n;
+      if (q_.size() > high_water_) high_water_ = q_.size();
+      not_empty_.notify_all();
     }
     if (fire && consumer_waker_) consumer_waker_();
     return FifoSignal::kOk;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <thread>
 
 #include "obs/flight_recorder.h"
@@ -915,24 +914,22 @@ void LiquidRuntime::substitute(RtGraph& g) {
 /// Drives one device node's drains: times every batch into the node's
 /// (task, device) cost model, accounts marshaling traffic, feeds the flight
 /// recorder, and — when the node carries calibrated alternatives — runs the
-/// periodic drift check that may swap the artifact mid-run. Used by both
-/// the threaded and the inline scheduler so they profile identically.
+/// periodic drift check that may swap the artifact mid-run.
 class LiquidRuntime::DeviceRun {
  public:
-  DeviceRun(LiquidRuntime& rt, RtNode& node, TraceRecorder* rec)
-      : rt_(rt), node_(node), rec_(rec) {
+  /// `gid` and `node_index` are stamped into drain spans so the
+  /// attribution engine can bind them to the owning graph's task lane.
+  DeviceRun(LiquidRuntime& rt, RtNode& node, TraceRecorder* rec, uint64_t gid,
+            int node_index)
+      : rt_(rt),
+        node_(node),
+        rec_(rec),
+        trace_gid_(gid),
+        trace_node_(node_index) {
     bind(node.artifact);
   }
 
   size_t arity() const { return static_cast<size_t>(cur_->manifest().arity); }
-
-  /// Identity stamped into drain spans so the attribution engine can bind
-  /// them to the owning graph's task lane (executor mode only; inline runs
-  /// keep gid 0 and are skipped by the engine).
-  void set_trace_ids(uint64_t gid, int node) {
-    trace_gid_ = gid;
-    trace_node_ = node;
-  }
 
   std::vector<Value> process(std::span<const Value> batch) {
     const TransferStats& ts = cur_->transfer_stats();
@@ -1189,14 +1186,14 @@ class LiquidRuntime::DeviceRun {
   LiquidRuntime& rt_;
   RtNode& node_;
   TraceRecorder* rec_;
+  const uint64_t trace_gid_;
+  const int trace_node_;
   Artifact* cur_ = nullptr;
   obs::CostEntry* cost_ = nullptr;
   std::unique_ptr<Async> async_;
   uint64_t batches_ = 0, elements_ = 0, bytes_to_ = 0, bytes_from_ = 0;
   uint64_t since_check_ = 0;
   bool swapped_ = false;
-  uint64_t trace_gid_ = 0;
-  int trace_node_ = -1;
 };
 
 // ---------------------------------------------------------------------------
@@ -1208,14 +1205,6 @@ void LiquidRuntime::start(Value graph) {
   if (g->started || g->executed) return;
   validate_shape(g->nodes);
   substitute(*g);
-  if (!config_.use_threads) {
-    // Inline mode has no asynchrony; run to completion now.
-    execute(*g);
-    return;
-  }
-  if (TraceRecorder* rec = TraceRecorder::current()) {
-    g->trace_start_us = rec->now_us();
-  }
   run_executor(*g);  // submits tasks; finish() waits on the latch
   {
     // Expose the running graph to the telemetry plane (live FIFO depths).
@@ -1235,34 +1224,9 @@ void LiquidRuntime::finish(Value graph) {
   if (!g->started) {
     validate_shape(g->nodes);
     substitute(*g);
-    execute(*g);
-    return;
+    run_executor(*g);
   }
-  // Started earlier: join.
   finalize_graph(*g);
-}
-
-void LiquidRuntime::execute(RtGraph& g) {
-  if (config_.use_threads) {
-    if (TraceRecorder* rec = TraceRecorder::current()) {
-      g.trace_start_us = rec->now_us();
-    }
-    run_executor(g);
-    finalize_graph(g);
-  } else {
-    TraceSpan span("runtime", "graph.run");
-    try {
-      run_inline(g);
-    } catch (...) {
-      g.note_error(std::current_exception());
-    }
-    g.executed = true;
-    hot_->graphs_executed->add();
-    if (g.error) {
-      dump_flight("task-fault");
-      std::rethrow_exception(g.error);
-    }
-  }
 }
 
 /// Waits for every task to retire (deterministic mode: actually runs the
@@ -1319,84 +1283,16 @@ void LiquidRuntime::finalize_graph(RtGraph& g) {
   }
 }
 
-void LiquidRuntime::run_inline(RtGraph& g) {
-  TraceRecorder* rec = TraceRecorder::current();
-  const bc::ArrayRef& src = g.nodes.front().array.as_array();
-  std::vector<Value> stream;
-  stream.reserve(src->size());
-  for (size_t i = 0; i < src->size(); ++i) {
-    stream.push_back(bc::array_get(*src, i));
-  }
-  hot_->elements_streamed->add(stream.size());
-
-  for (size_t ni = 1; ni + 1 < g.nodes.size(); ++ni) {
-    RtNode& n = g.nodes[ni];
-    if (n.kind == RtNode::Kind::kDevice) {
-      TraceSpan span;
-      if (rec) span.begin(rec, "task", "device:" + n.label);
-      DeviceRun run(*this, n, rec);
-      size_t k = run.arity();
-      size_t usable = (stream.size() / k) * k;
-      // Chunked like the threaded path: the cost model sees the same batch
-      // granularity and the drift check can fire mid-stream.
-      size_t chunk = std::max<size_t>(config_.device_batch, 1) * k;
-      std::vector<Value> next;
-      next.reserve(usable / k);
-      for (size_t off = 0; off < usable; off += chunk) {
-        size_t len = std::min(chunk, usable - off);
-        std::vector<Value> produced =
-            run.process(std::span<const Value>(stream.data() + off, len));
-        next.insert(next.end(), std::make_move_iterator(produced.begin()),
-                    std::make_move_iterator(produced.end()));
-      }
-      stream = std::move(next);
-      if (span.active()) {
-        span.set_args(JsonArgs()
-                          .add("batches", run.batches())
-                          .add("elements", run.elements())
-                          .add("bytes_to_device", run.bytes_to_device())
-                          .add("bytes_from_device", run.bytes_from_device())
-                          .str());
-      }
-    } else {
-      TraceSpan span;
-      if (rec) span.begin(rec, "task", "filter:" + n.task_id);
-      size_t k = static_cast<size_t>(n.arity);
-      std::vector<Value> next;
-      next.reserve(stream.size() / k + 1);
-      std::vector<Value> args(k);
-      for (size_t i = 0; i + k <= stream.size(); i += k) {
-        for (size_t j = 0; j < k; ++j) args[j] = stream[i + j];
-        next.push_back(interp_.call(n.method_index, args));
-      }
-      if (span.active()) {
-        span.set_args(JsonArgs()
-                          .add("fires", static_cast<uint64_t>(next.size()))
-                          .str());
-      }
-      stream = std::move(next);
-    }
-  }
-
-  const bc::ArrayRef& dst = g.nodes.back().array.as_array();
-  if (stream.size() > dst->size()) {
-    throw RuntimeError("sink array too small: produced " +
-                       std::to_string(stream.size()) + " elements into " +
-                       std::to_string(dst->size()));
-  }
-  for (size_t i = 0; i < stream.size(); ++i) {
-    bc::array_set(*dst, i, stream[i]);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Executor tasks: one cooperative state machine per graph node
 // ---------------------------------------------------------------------------
 
 namespace {
-/// Work budget per step: FIFO transfers / firings a task performs before
-/// yielding kReady. Bounds step latency so workers interleave tasks fairly
-/// and the deterministic scheduler gets frequent decision points.
+/// The one batch bound. Per step a source stages at most this many values,
+/// a sink pops at most this many, and a filter fires at most this many
+/// times (popping up to kStepQuantum × arity values). Bounds step latency
+/// so workers interleave tasks fairly and the deterministic scheduler gets
+/// frequent decision points.
 constexpr size_t kStepQuantum = 256;
 }  // namespace
 
@@ -1443,12 +1339,35 @@ class LiquidRuntime::NodeTask : public ExecTask {
   virtual StepResult run_slice() = 0;
   virtual std::string span_args() const { return {}; }
 
+  /// Moves the outbox downstream, a batch per FIFO call. kOk once it is
+  /// empty; kWouldBlock (block reason set) after a failed try on a full
+  /// queue, with the rest still staged; kShutdown when downstream closed.
+  FifoSignal flush_outbox() {
+    while (sent_ < outbox_.size()) {
+      size_t moved = 0;
+      FifoSignal s = out_->try_push_batch(
+          std::span<Value>(outbox_).subspan(sent_), &moved);
+      if (s == FifoSignal::kWouldBlock) set_block_reason(BlockReason::kPush);
+      if (s != FifoSignal::kOk) return s;
+      sent_ += moved;
+      pushed_ += moved;
+    }
+    outbox_.clear();
+    sent_ = 0;
+    return FifoSignal::kOk;
+  }
+
   LiquidRuntime& rt_;
   RtGraph* graph_;
   std::shared_ptr<ValueFifo> in_, out_;
   /// Captured once at construction: the recorder must stay installed for
   /// the graph's lifetime (install/uninstall around whole runs).
   TraceRecorder* rec_;
+  /// Values staged for the output FIFO in stream order, kept across a
+  /// kWouldBlock park; the first `sent_` have already moved.
+  std::vector<Value> outbox_;
+  size_t sent_ = 0;
+  uint64_t pushed_ = 0;
 
  private:
   void emit_span() {
@@ -1470,31 +1389,21 @@ class LiquidRuntime::SourceTask final : public NodeTask {
  protected:
   StepResult run_slice() override {
     const bc::ArrayRef& src = node_->array.as_array();
-    for (size_t budget = kStepQuantum; budget > 0; --budget) {
-      if (i_ >= src->size()) {
-        out_->finish();
-        return StepResult::kDone;
-      }
-      // The element is staged across a kWouldBlock park: try_push consumes
-      // it only on kOk, so nothing is lost or duplicated.
-      if (!staged_) {
-        v_ = bc::array_get(*src, i_);
-        staged_ = true;
-      }
-      switch (out_->try_push(v_)) {
-        case FifoSignal::kOk:
-          staged_ = false;
-          ++i_;
-          ++pushed_;
-          break;
-        case FifoSignal::kWouldBlock:
-          set_block_reason(BlockReason::kPush);
-          return StepResult::kBlocked;
-        default:  // kShutdown: downstream died, nothing left to do here
-          return StepResult::kDone;
-      }
+    if (outbox_.empty()) {
+      size_t end = std::min(src->size(), i_ + kStepQuantum);
+      for (; i_ < end; ++i_) outbox_.push_back(bc::array_get(*src, i_));
     }
-    return StepResult::kReady;
+    switch (flush_outbox()) {
+      case FifoSignal::kOk:
+        break;
+      case FifoSignal::kWouldBlock:
+        return StepResult::kBlocked;
+      default:  // kShutdown: downstream died, nothing left to do here
+        return StepResult::kDone;
+    }
+    if (i_ < src->size()) return StepResult::kReady;
+    out_->finish();
+    return StepResult::kDone;
   }
 
   std::string span_args() const override {
@@ -1504,9 +1413,6 @@ class LiquidRuntime::SourceTask final : public NodeTask {
  private:
   RtNode* node_;
   size_t i_ = 0;
-  Value v_;
-  bool staged_ = false;
-  uint64_t pushed_ = 0;
 };
 
 class LiquidRuntime::SinkTask final : public NodeTask {
@@ -1518,20 +1424,22 @@ class LiquidRuntime::SinkTask final : public NodeTask {
  protected:
   StepResult run_slice() override {
     const bc::ArrayRef& dst = node_->array.as_array();
-    for (size_t budget = kStepQuantum; budget > 0; --budget) {
-      Value v;
-      switch (in_->try_pop(&v)) {
+    for (size_t budget = kStepQuantum; budget > 0; budget -= batch_.size()) {
+      batch_.clear();
+      switch (in_->try_pop_batch(budget, &batch_)) {
         case FifoSignal::kOk:
-          if (i_ >= dst->size()) {
-            throw RuntimeError("sink array too small");
-          }
-          bc::array_set(*dst, i_++, v);
           break;
         case FifoSignal::kWouldBlock:
           set_block_reason(BlockReason::kPop);
           return StepResult::kBlocked;
         default:  // kEndOfStream (complete) or kShutdown (error unwind)
           return StepResult::kDone;
+      }
+      for (const Value& v : batch_) {
+        if (i_ >= dst->size()) {
+          throw RuntimeError("sink array too small");
+        }
+        bc::array_set(*dst, i_++, v);
       }
     }
     return StepResult::kReady;
@@ -1544,6 +1452,7 @@ class LiquidRuntime::SinkTask final : public NodeTask {
  private:
   RtNode* node_;
   size_t i_ = 0;
+  std::vector<Value> batch_;
 };
 
 class LiquidRuntime::FilterTask final : public NodeTask {
@@ -1559,49 +1468,46 @@ class LiquidRuntime::FilterTask final : public NodeTask {
  protected:
   StepResult run_slice() override {
     const size_t k = args_.size();
-    for (size_t budget = kStepQuantum; budget > 0; --budget) {
-      // Flush the staged result before computing another.
-      if (staged_) {
-        switch (out_->try_push(result_)) {
-          case FifoSignal::kOk:
-            staged_ = false;
-            ++fires_;
-            continue;
-          case FifoSignal::kWouldBlock:
-            set_block_reason(BlockReason::kPush);
-            return StepResult::kBlocked;
-          default:
-            // Downstream dead: become a dead consumer of our own input,
-            // unwinding the producer blocked above us.
-            in_->close();
-            return StepResult::kDone;
-        }
+    for (size_t budget = kStepQuantum;;) {
+      // Flush staged results before computing more, and before finish().
+      switch (flush_outbox()) {
+        case FifoSignal::kOk:
+          break;
+        case FifoSignal::kWouldBlock:
+          return StepResult::kBlocked;
+        default:
+          // Downstream dead: become a dead consumer of our own input,
+          // unwinding the producer blocked above us.
+          in_->close();
+          return StepResult::kDone;
       }
-      // Gather one firing's worth of arguments (resumes across parks).
-      while (got_ < k) {
-        Value v;
-        FifoSignal s = in_->try_pop(&v);
-        if (s == FifoSignal::kOk) {
-          args_[got_++] = std::move(v);
-          continue;
-        }
-        if (s == FifoSignal::kWouldBlock) {
+      if (budget == 0) return StepResult::kReady;
+      // Top up to `budget` firings; inbuf_ holds fewer than k values (a
+      // partial firing carried over from the last pop).
+      switch (in_->try_pop_batch(budget * k - inbuf_.size(), &inbuf_)) {
+        case FifoSignal::kOk:
+          break;
+        case FifoSignal::kWouldBlock:
           set_block_reason(BlockReason::kPop);
           return StepResult::kBlocked;
-        }
-        // End of stream (a trailing partial firing is dropped) or shutdown.
-        out_->finish();
-        return StepResult::kDone;
+        default:
+          // End of stream (a trailing partial firing is dropped) or shutdown.
+          out_->finish();
+          return StepResult::kDone;
       }
-      result_ = interp_.call(node_->method_index, args_);
-      got_ = 0;
-      staged_ = true;
+      const size_t fires = inbuf_.size() / k;
+      for (size_t f = 0; f < fires; ++f) {
+        for (size_t j = 0; j < k; ++j) args_[j] = std::move(inbuf_[f * k + j]);
+        outbox_.push_back(interp_.call(node_->method_index, args_));
+      }
+      inbuf_.erase(inbuf_.begin(),
+                   inbuf_.begin() + static_cast<long>(fires * k));
+      budget -= fires;
     }
-    return StepResult::kReady;
   }
 
   std::string span_args() const override {
-    return JsonArgs().add("fires", fires_).str();
+    return JsonArgs().add("fires", pushed_).str();
   }
 
  private:
@@ -1610,49 +1516,39 @@ class LiquidRuntime::FilterTask final : public NodeTask {
   /// two steps of the same task never run concurrently.
   bc::Interpreter interp_;
   std::vector<Value> args_;
-  size_t got_ = 0;
-  Value result_;
-  bool staged_ = false;
-  uint64_t fires_ = 0;
+  std::vector<Value> inbuf_;
 };
 
 class LiquidRuntime::DeviceTask final : public NodeTask {
  public:
-  DeviceTask(LiquidRuntime& rt, RtGraph* g, RtNode* node,
+  DeviceTask(LiquidRuntime& rt, RtGraph* g, RtNode* node, int node_index,
              std::shared_ptr<ValueFifo> in, std::shared_ptr<ValueFifo> out)
       : NodeTask(rt, g, std::move(in), std::move(out),
                  "device:" + node->label),
-        run_(rt, *node, TraceRecorder::current()) {}
-
-  /// Forwards the owning graph's identity into this node's drain spans.
-  void bind_trace_ids(uint64_t gid, int node) { run_.set_trace_ids(gid, node); }
+        run_(rt, *node, TraceRecorder::current(), g->gid, node_index) {}
 
  protected:
   StepResult run_slice() override {
     // 1. Resolve a completed asynchronous batch — or keep waiting on it
     //    (a close() waker may fire while the RPC is still in flight; the
-    //    reply or its deadline will wake us again).
+    //    reply or its deadline will wake us again). The outbox is empty
+    //    whenever a batch drains: every drain follows a complete flush.
     if (run_.async_in_flight()) {
       if (!run_.async_ready()) {
         set_block_reason(BlockReason::kRpc);
         return StepResult::kBlocked;
       }
-      std::vector<Value> produced = run_.collect_async();
-      for (auto& v : produced) outbuf_.push_back(std::move(v));
+      outbox_ = run_.collect_async();
     }
     // 2. Flush buffered results downstream.
-    while (!outbuf_.empty()) {
-      switch (out_->try_push(outbuf_.front())) {
-        case FifoSignal::kOk:
-          outbuf_.pop_front();
-          break;
-        case FifoSignal::kWouldBlock:
-          set_block_reason(BlockReason::kPush);
-          return StepResult::kBlocked;
-        default:
-          in_->close();  // hop-by-hop unwind
-          return StepResult::kDone;
-      }
+    switch (flush_outbox()) {
+      case FifoSignal::kOk:
+        break;
+      case FifoSignal::kWouldBlock:
+        return StepResult::kBlocked;
+      default:
+        in_->close();  // hop-by-hop unwind
+        return StepResult::kDone;
     }
     if (eof_) {
       out_->finish();
@@ -1708,11 +1604,9 @@ class LiquidRuntime::DeviceTask final : public NodeTask {
       set_block_reason(BlockReason::kRpc);
       return StepResult::kBlocked;  // woken by the completion callback
     }
-    std::vector<Value> produced =
-        run_.process(std::span<const Value>(pending_.data(), usable));
+    outbox_ = run_.process(std::span<const Value>(pending_.data(), usable));
     pending_.erase(pending_.begin(),
                    pending_.begin() + static_cast<long>(usable));
-    for (auto& v : produced) outbuf_.push_back(std::move(v));
     return StepResult::kReady;  // flush (and refill) next step
   }
 
@@ -1728,7 +1622,6 @@ class LiquidRuntime::DeviceTask final : public NodeTask {
  private:
   DeviceRun run_;
   std::vector<Value> pending_;
-  std::deque<Value> outbuf_;
   bool eof_ = false;
 };
 
@@ -1739,6 +1632,9 @@ std::atomic<uint64_t> g_next_gid{1};
 }  // namespace
 
 void LiquidRuntime::run_executor(RtGraph& g) {
+  if (TraceRecorder* rec = TraceRecorder::current()) {
+    g.trace_start_us = rec->now_us();
+  }
   std::shared_ptr<Executor> ex = ensure_executor();
   g.executor = ex;
   g.gid = g_next_gid.fetch_add(1, std::memory_order_relaxed);
@@ -1765,13 +1661,11 @@ void LiquidRuntime::run_executor(RtGraph& g) {
         g.tasks.push_back(std::make_unique<FilterTask>(
             *this, &g, node, std::move(in), std::move(out)));
         break;
-      case RtNode::Kind::kDevice: {
-        auto dev = std::make_unique<DeviceTask>(*this, &g, node,
-                                                std::move(in), std::move(out));
-        dev->bind_trace_ids(g.gid, static_cast<int>(ni));
-        g.tasks.push_back(std::move(dev));
+      case RtNode::Kind::kDevice:
+        g.tasks.push_back(std::make_unique<DeviceTask>(
+            *this, &g, node, static_cast<int>(ni), std::move(in),
+            std::move(out)));
         break;
-      }
     }
     // Stamp identity so the executor's coalesced "exec" dispatch spans can
     // be bound back to this graph's node lane by the attribution engine.

@@ -49,8 +49,6 @@ struct RuntimeConfig {
   /// Elements a device node drains per batch (device launches amortize the
   /// marshaling cost over this many elements).
   size_t device_batch = 4096;
-  /// false → single-threaded inline execution (debugging / determinism).
-  bool use_threads = true;
   /// Executor worker threads shared by all graphs this runtime executes.
   /// 0 → hardware concurrency. Fixed at the first executed graph (the
   /// worker pool is created lazily and lives for the runtime's lifetime).
@@ -59,7 +57,8 @@ struct RuntimeConfig {
   /// every task step serialized on the finishing thread in an order drawn
   /// from this seed. The same seed replays the same interleaving, making
   /// schedule-dependent bugs reproducible. Graphs execute inside finish()
-  /// (or at handle destruction) instead of concurrently with start().
+  /// (or at handle destruction) instead of concurrently with start(). This
+  /// is the zero-thread mode for debugging and deterministic tests.
   uint64_t scheduler_seed = 0;
   /// false → maps/reduces always interpret (isolates pipeline effects).
   bool accelerate_maps = true;
@@ -160,9 +159,9 @@ struct ResubstitutionRecord {
 
 /// Point-in-time view of the runtime's counters. This is a *snapshot*
 /// assembled from the thread-safe MetricsRegistry (the live counters are
-/// atomics, so task threads under use_threads=true may bump them while
-/// another thread snapshots — the old plain-uint64_t version of this struct
-/// was the live store, a latent data race).
+/// atomics, so executor workers may bump them while another thread
+/// snapshots — the old plain-uint64_t version of this struct was the live
+/// store, a latent data race).
 struct RuntimeStats {
   std::vector<SubstitutionRecord> substitutions;
   std::vector<ResubstitutionRecord> resubstitutions;
@@ -265,11 +264,9 @@ class LiquidRuntime : public bc::TaskGraphHost, public bc::AccelHooks {
   /// of a validated source => filters => sink graph in place, one decision
   /// per maximal run of relocated filters.
   void substitute(RtGraph& g);
-  void execute(RtGraph& g);
   /// Builds the graph's task objects, wires FIFO wakers and submits
   /// everything to the shared executor (replaces thread-per-task).
   void run_executor(RtGraph& g);
-  void run_inline(RtGraph& g);
   /// The lazily created executor shared by every graph this runtime runs.
   std::shared_ptr<Executor> ensure_executor();
   /// Joins, drains FIFO/marshaling observability, rethrows graph errors.

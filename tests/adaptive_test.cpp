@@ -286,7 +286,7 @@ TEST(Adaptive, PartiallyCalibratedChainDefersToFusedSegment) {
   RuntimeConfig rc;
   rc.placement = Placement::kAdaptive;
   rc.calibration_elements = 1;
-  rc.use_threads = false;  // one device batch: the pairs stay aligned
+  rc.scheduler_seed = 1;  // one device batch: the pairs stay aligned
   LiquidRuntime rt(*cp, rc);
   std::vector<int32_t> input(64);
   for (size_t i = 0; i < input.size(); ++i) {

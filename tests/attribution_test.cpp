@@ -514,7 +514,9 @@ TEST(TraceThreadNames, ExecutorWorkersAreNamedInChromeTraces) {
   rec.install();
   {
     RuntimeConfig rc;
-    rc.worker_threads = 2;
+    // One worker runs every step, so "worker-0" names a thread that traced
+    // whatever the schedule; with two, worker 1 may run them all.
+    rc.worker_threads = 1;
     LiquidRuntime rt(*cp, rc);
     rt.call(w.entry, w.make_args(256, 3));
   }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <fstream>
 #include <mutex>
@@ -56,6 +57,11 @@ struct Latch {
   bool reached(size_t n) {
     std::lock_guard<std::mutex> lock(mu);
     return count >= n;
+  }
+  /// False when `timeout` passes first.
+  bool wait_for(size_t n, std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, timeout, [&] { return count >= n; });
   }
 };
 
@@ -232,6 +238,62 @@ TEST(Executor, WakeDuringStepIsNotLost) {
     t.latch.wait_for(1);
   }
   SUCCEED();
+}
+
+TEST(Executor, LockFreeReadinessNeverLosesAWake) {
+  // Readiness published by a plain atomic store, not under a FIFO lock (an
+  // async RPC completion sets its `ready` flag this way). The waker stores
+  // the flag then loads the task state inside wake(); the worker stores
+  // kRunning then loads the flag inside step(). Without a full fence on
+  // both sides both loads may read the old value: the wake sees a stale
+  // kQueued and returns, the step sees no flag and parks, and nothing ever
+  // runs the task again. A watchdog counts such lost wakes and re-wakes
+  // the task to unwedge the loop.
+  struct FlagTask final : public ExecTask {
+    std::atomic<bool> flag{false};
+    std::atomic<bool> started{false};
+    Latch latch;
+
+    StepResult step() override {
+      // The first step re-queues at once, so the second one starts while
+      // the waker below is mid-flight. No read-modify-write here: a locked
+      // instruction would act as the very fence under test.
+      if (!started.load(std::memory_order_relaxed)) {
+        started.store(true, std::memory_order_release);
+        return StepResult::kReady;
+      }
+      return flag.load(std::memory_order_acquire) ? StepResult::kDone
+                                                  : StepResult::kBlocked;
+    }
+    void retired() override { latch.arrive(); }
+  };
+
+  Executor::Options opts;
+  opts.workers = 2;
+  Executor ex(opts);
+  // Bounded by time as well as count, so a sanitizer build stays inside
+  // the ctest TIMEOUT.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(8);
+  int iterations = 0, lost = 0;
+  while (iterations < 100000 && std::chrono::steady_clock::now() < deadline) {
+    FlagTask t;
+    ex.submit(&t);
+    while (!t.started.load(std::memory_order_acquire)) {
+    }
+    // Sweep the waker's offset across the second step's dispatch.
+    volatile int spin = 0;
+    while (spin < iterations % 128) spin = spin + 1;
+    t.flag.store(true, std::memory_order_release);
+    ex.wake(&t);
+    if (!t.latch.wait_for(1, std::chrono::milliseconds(200))) {
+      ++lost;
+      ex.wake(&t);
+      t.latch.wait_for(1);
+    }
+    ++iterations;
+  }
+  EXPECT_EQ(lost, 0) << "over " << iterations << " iterations";
 }
 
 TEST(Executor, DeterministicDriveCompletesPipelines) {
@@ -468,6 +530,31 @@ TEST(ExecutorSoak, RuntimeGraphsReuseTheWorkerPool) {
   EXPECT_LE(after_many, after_first)
       << "worker pool grew across sequential graphs";
   EXPECT_EQ(rt.stats().graphs_executed, 51u);
+}
+
+TEST(ExecutorSoak, BatchedStepsWakeOncePerBatch) {
+  // Tasks move FIFO traffic a batch at a time, so a parked task is woken
+  // about once per batch on each edge, not once per element. crc8pipe's
+  // filter is slow next to its source and sink, so per-element handoff
+  // would wake the sink for almost every result it pushes.
+  const Workload* w = nullptr;
+  for (const Workload& c : pipeline_suite()) {
+    if (c.name == "crc8pipe") w = &c;
+  }
+  ASSERT_NE(w, nullptr);
+  auto cp = runtime::compile(w->lime_source);
+  ASSERT_TRUE(cp->ok());
+  RuntimeConfig rc;
+  rc.placement = Placement::kCpuOnly;
+  rc.worker_threads = 4;
+  LiquidRuntime rt(*cp, rc);
+  const size_t n = 4096;
+  Value got = rt.call(w->entry, w->make_args(n, 5));
+  EXPECT_TRUE(results_match(got, w->reference(w->make_args(n, 5)), 0.0));
+  const double per_kelem =
+      static_cast<double>(rt.metrics().value("executor.wakeups")) * 1000.0 /
+      static_cast<double>(n);
+  EXPECT_LE(per_kelem, 16.0);
 }
 
 }  // namespace

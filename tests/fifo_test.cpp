@@ -363,6 +363,119 @@ TEST(Fifo, WakersFireOnEdgesOnly) {
   EXPECT_EQ(producer_wakes, 2);
 }
 
+std::vector<Value> i32s(std::initializer_list<int> xs) {
+  std::vector<Value> out;
+  for (int x : xs) out.push_back(Value::i32(x));
+  return out;
+}
+
+TEST(Fifo, TryPushBatchMovesUntilFull) {
+  ValueFifo q(4);
+  std::vector<Value> first = i32s({1, 2, 3});
+  size_t moved = 99;
+  EXPECT_EQ(q.try_push_batch(first, &moved), FifoSignal::kOk);
+  EXPECT_EQ(moved, 3u);
+
+  // Room for one: a partial push moves the front value and leaves the
+  // rest with the caller.
+  std::vector<Value> rest = i32s({4, 5, 6});
+  EXPECT_EQ(q.try_push_batch(rest, &moved), FifoSignal::kOk);
+  EXPECT_EQ(moved, 1u);
+  EXPECT_EQ(rest[1].as_i32(), 5);
+  EXPECT_EQ(rest[2].as_i32(), 6);
+
+  // Full: nothing moves.
+  EXPECT_EQ(q.try_push_batch(std::span<Value>(rest).subspan(1), &moved),
+            FifoSignal::kWouldBlock);
+  EXPECT_EQ(moved, 0u);
+  EXPECT_EQ(rest[1].as_i32(), 5);
+
+  std::vector<Value> got;
+  EXPECT_EQ(q.try_pop_batch(8, &got), FifoSignal::kOk);
+  ASSERT_EQ(got.size(), 4u);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(got[i].as_i32(), i + 1);
+
+  q.close();
+  EXPECT_EQ(q.try_push_batch(std::span<Value>(rest).subspan(1), &moved),
+            FifoSignal::kShutdown);
+  EXPECT_EQ(moved, 0u);
+}
+
+TEST(Fifo, TryPushBatchFiresConsumerWakerOncePerEdge) {
+  ValueFifo q(8);
+  int consumer_wakes = 0;
+  int producer_wakes = 0;
+  q.set_consumer_waker([&] { ++consumer_wakes; });
+  q.set_producer_waker([&] { ++producer_wakes; });
+  size_t moved = 0;
+
+  std::vector<Value> a = i32s({1, 2, 3});
+  EXPECT_EQ(q.try_push_batch(a, &moved), FifoSignal::kOk);  // one edge
+  EXPECT_EQ(consumer_wakes, 1);
+  std::vector<Value> b = i32s({4, 5});
+  EXPECT_EQ(q.try_push_batch(b, &moved), FifoSignal::kOk);  // nonempty
+  EXPECT_EQ(consumer_wakes, 1);
+
+  std::vector<Value> got;
+  EXPECT_EQ(q.try_pop_batch(8, &got), FifoSignal::kOk);
+  std::vector<Value> c = i32s({6, 7, 8, 9, 10, 11, 12, 13, 14});
+  EXPECT_EQ(q.try_push_batch(c, &moved), FifoSignal::kOk);  // fills it
+  EXPECT_EQ(moved, 8u);
+  EXPECT_EQ(consumer_wakes, 2);
+  EXPECT_EQ(producer_wakes, 0);  // pushes never fire the producer side
+}
+
+TEST(Fifo, TryPushBatchAccountsLikeTryPush) {
+  // The same traffic through try_push and through try_push_batch leaves
+  // the same high-water mark and opens and settles the same blocked
+  // windows.
+  using std::chrono::milliseconds;
+  ValueFifo one(4), many(4);
+  Value got;
+  EXPECT_EQ(one.try_pop(&got), FifoSignal::kWouldBlock);
+  EXPECT_EQ(many.try_pop(&got), FifoSignal::kWouldBlock);
+  std::this_thread::sleep_for(milliseconds(5));
+
+  // The empty→nonempty push settles the consumer's window.
+  for (int i = 0; i < 3; ++i) {
+    Value v = Value::i32(i);
+    ASSERT_EQ(one.try_push(v), FifoSignal::kOk);
+  }
+  std::vector<Value> three = i32s({0, 1, 2});
+  size_t moved = 0;
+  ASSERT_EQ(many.try_push_batch(three, &moved), FifoSignal::kOk);
+  for (ValueFifo* q : {&one, &many}) {
+    double settled = q->consumer_blocked_us();
+    EXPECT_GE(settled, 5000.0);
+    std::this_thread::sleep_for(milliseconds(2));
+    EXPECT_EQ(q->consumer_blocked_us(), settled);
+  }
+
+  // Filling to capacity opens no producer window; the failed try does.
+  Value v = Value::i32(3);
+  ASSERT_EQ(one.try_push(v), FifoSignal::kOk);
+  std::vector<Value> two = i32s({3, 4});
+  ASSERT_EQ(many.try_push_batch(two, &moved), FifoSignal::kOk);
+  ASSERT_EQ(moved, 1u);
+  EXPECT_EQ(one.producer_blocked_us(), 0.0);
+  EXPECT_EQ(many.producer_blocked_us(), 0.0);
+  v = Value::i32(4);
+  ASSERT_EQ(one.try_push(v), FifoSignal::kWouldBlock);
+  ASSERT_EQ(many.try_push_batch(std::span<Value>(two).subspan(1), &moved),
+            FifoSignal::kWouldBlock);
+  std::this_thread::sleep_for(milliseconds(5));
+
+  // The full→not-full pop settles it.
+  for (ValueFifo* q : {&one, &many}) {
+    ASSERT_EQ(q->try_pop(&got), FifoSignal::kOk);
+    double settled = q->producer_blocked_us();
+    EXPECT_GE(settled, 5000.0);
+    std::this_thread::sleep_for(milliseconds(2));
+    EXPECT_EQ(q->producer_blocked_us(), settled);
+    EXPECT_EQ(q->high_water(), 4u);
+  }
+}
+
 /// The FIFO occupancy metric surfaced by the runtime must agree with what
 /// the FIFOs themselves observed: a tiny capacity forces the high-water
 /// mark to exactly that capacity on a long stream.
@@ -458,7 +571,6 @@ void expect_fault_unwinds(const char* failing_task, uint64_t ok_calls) {
   rc.placement = Placement::kGpuOnly;
   rc.fifo_capacity = 1;  // guarantee upstream producers block mid-stream
   rc.device_batch = 4;
-  rc.use_threads = true;
   LiquidRuntime rt(*cp, rc);
 
   // Long enough that the source cannot possibly fit in the queues: without

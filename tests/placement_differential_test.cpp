@@ -133,9 +133,10 @@ INSTANTIATE_TEST_SUITE_P(
              (all_cases()[info.param].is_pipeline ? "_pipe" : "");
     });
 
-/// Inline (single-threaded) execution is another equivalent configuration:
-/// the pipeline suite must not depend on thread-per-task scheduling.
-TEST(PlacementDifferential, InlineSchedulingMatchesThreaded) {
+/// The zero-thread seeded scheduler is another equivalent configuration:
+/// the pipeline suite must not depend on how the worker pool interleaves
+/// task steps.
+TEST(PlacementDifferential, SeededSchedulingMatchesReference) {
   for (const auto& w : pipeline_suite()) {
     const size_t n = 512;
     const uint64_t seed = 31;
@@ -144,11 +145,11 @@ TEST(PlacementDifferential, InlineSchedulingMatchesThreaded) {
       auto cp = runtime::compile(w.lime_source);
       ASSERT_TRUE(cp->ok()) << w.name;
       RuntimeConfig rc = config_for(p);
-      rc.use_threads = false;
+      rc.scheduler_seed = 31;
       LiquidRuntime rt(*cp, rc);
       Value got = rt.call(w.entry, w.make_args(n, seed));
       EXPECT_TRUE(results_match(got, expected, 0.0))
-          << w.name << " inline diverged under placement "
+          << w.name << " seeded run diverged under placement "
           << placement_label(p);
     }
   }
@@ -163,12 +164,12 @@ TEST(PlacementDifferential, ResubstitutionEnabledMatchesReference) {
     const size_t n = 1024;
     const uint64_t seed = 777;
     Value expected = w.reference(w.make_args(n, seed));
-    for (bool threads : {false, true}) {
+    for (uint64_t sched_seed : {uint64_t{0}, uint64_t{7}}) {
       auto cp = runtime::compile(w.lime_source);
       ASSERT_TRUE(cp->ok()) << w.name;
       RuntimeConfig rc;
       rc.placement = Placement::kAdaptive;
-      rc.use_threads = threads;
+      rc.scheduler_seed = sched_seed;
       rc.enable_resubstitution = true;
       rc.resubstitution_interval = 1;
       rc.resubstitution_drift = 0.0;
@@ -176,7 +177,7 @@ TEST(PlacementDifferential, ResubstitutionEnabledMatchesReference) {
       LiquidRuntime rt(*cp, rc);
       Value got = rt.call(w.entry, w.make_args(n, seed));
       EXPECT_TRUE(results_match(got, expected, 0.0))
-          << w.name << (threads ? " threaded" : " inline")
+          << w.name << (sched_seed == 0 ? " threaded" : " seeded")
           << " diverged with re-substitution enabled";
     }
   }
@@ -214,7 +215,7 @@ TEST(PlacementDifferential, DriftSwapsDeviceMidRunAndKeepsOutputExact) {
 
   RuntimeConfig rc;
   rc.placement = Placement::kAdaptive;
-  rc.use_threads = false;  // deterministic batch numbering
+  rc.scheduler_seed = 1;  // deterministic batch numbering
   rc.enable_resubstitution = true;
   rc.calibration_elements = 16;
   rc.device_batch = 16;

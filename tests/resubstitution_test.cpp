@@ -253,13 +253,13 @@ TEST(FlightRecorderIntegration, TaskFaultDumpsSnapshotWithReason) {
   std::remove(path.c_str());
 }
 
-TEST(FlightRecorderIntegration, InlineFaultAlsoDumps) {
-  const std::string path = "flight_fault_inline_test.json";
+TEST(FlightRecorderIntegration, SeededSchedulerFaultAlsoDumps) {
+  const std::string path = "flight_fault_seeded_test.json";
   std::remove(path.c_str());
   auto cp = compile(kOverflowSink);
   ASSERT_TRUE(cp->ok());
   RuntimeConfig rc;
-  rc.use_threads = false;
+  rc.scheduler_seed = 1;
   rc.flight_dump_path = path;
   LiquidRuntime rt(*cp, rc);
   EXPECT_THROW(rt.call("F.run", make_i32_args(32)), std::exception);
