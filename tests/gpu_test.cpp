@@ -321,6 +321,10 @@ struct DiffCase {
   const char* method;
 };
 
+// Prints the case name for a stable test name; the default byte dump would
+// print the string literals' addresses, which change on every run.
+void PrintTo(const DiffCase& tc, std::ostream* os) { *os << tc.name; }
+
 class GpuVsVmDifferential : public ::testing::TestWithParam<DiffCase> {};
 
 TEST_P(GpuVsVmDifferential, AgreeOnRandomInputs) {
