@@ -5,8 +5,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -71,8 +73,11 @@ inline SampleStats time_stats(const std::function<void()>& fn,
 
 /// Accumulates named rows of numeric fields and writes the machine-readable
 /// BENCH_<suite>.json files (one object per benchmark) that trend tooling
-/// diffs across runs. Names come from the benchmarks themselves, so no
-/// JSON escaping is attempted.
+/// diffs across runs. Each file opens with the environment its numbers were
+/// taken in, the fields lmbench prints: the commit (from LMBENCH_COMMIT,
+/// as bench/e2e/run.sh sets it), the build type and compiler (compile
+/// definitions from bench/CMakeLists.txt) and nproc. Names come from the
+/// benchmarks themselves, so no JSON escaping is attempted.
 class JsonReport {
  public:
   explicit JsonReport(std::string suite) : suite_(std::move(suite)) {}
@@ -85,7 +90,14 @@ class JsonReport {
   bool write(const std::string& path) const {
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (!f) return false;
-    std::fprintf(f, "{\"suite\":\"%s\",\"benchmarks\":[", suite_.c_str());
+    const char* commit = std::getenv("LMBENCH_COMMIT");
+    std::fprintf(f,
+                 "{\"suite\":\"%s\",\"env\":{\"commit\":\"%s\","
+                 "\"build_type\":\"%s\",\"compiler\":\"%s\",\"nproc\":%u},"
+                 "\"benchmarks\":[",
+                 suite_.c_str(), commit ? commit : "unknown",
+                 LM_BENCH_BUILD_TYPE, LM_BENCH_COMPILER,
+                 std::thread::hardware_concurrency());
     for (size_t i = 0; i < entries_.size(); ++i) {
       const auto& [name, fields] = entries_[i];
       std::fprintf(f, "%s{\"name\":\"%s\"", i ? "," : "", name.c_str());

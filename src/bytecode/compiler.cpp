@@ -192,10 +192,16 @@ class ConstEval {
           case BinOp::kAdd: return Value::i32(a + b);
           case BinOp::kSub: return Value::i32(a - b);
           case BinOp::kMul: return Value::i32(a * b);
-          case BinOp::kDiv: return b ? std::optional<Value>(Value::i32(a / b))
-                                     : std::nullopt;
-          case BinOp::kRem: return b ? std::optional<Value>(Value::i32(a % b))
-                                     : std::nullopt;
+          // Java: MIN_VALUE / -1 wraps to MIN_VALUE and MIN_VALUE % -1 is
+          // 0 (C++ traps on both). Division by zero is left to run time.
+          case BinOp::kDiv:
+            if (b == 0) return std::nullopt;
+            return Value::i32(b == -1 ? static_cast<int32_t>(
+                                            0u - static_cast<uint32_t>(a))
+                                      : a / b);
+          case BinOp::kRem:
+            if (b == 0) return std::nullopt;
+            return Value::i32(b == -1 ? 0 : a % b);
           case BinOp::kShl: return Value::i32(a << (b & 31));
           case BinOp::kShr: return Value::i32(a >> (b & 31));
           case BinOp::kAnd: return Value::i32(a & b);

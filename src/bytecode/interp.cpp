@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <deque>
+#include <type_traits>
 
 #include "util/error.h"
 
@@ -12,6 +13,21 @@ namespace {
 constexpr int kMaxCallDepth = 512;
 
 [[noreturn]] void fail(const std::string& msg) { throw RuntimeError(msg); }
+
+/// Integer division or remainder with Java's semantics: MIN_VALUE / -1
+/// wraps to MIN_VALUE and MIN_VALUE % -1 is 0, where C++ traps on both.
+template <typename T>
+T div_rem(ArithOp op, T x, T y) {
+  if (y == 0) {
+    fail(op == ArithOp::kDiv ? "integer division by zero"
+                             : "integer remainder by zero");
+  }
+  if (y == -1) {
+    using U = std::make_unsigned_t<T>;
+    return op == ArithOp::kDiv ? static_cast<T>(U{0} - static_cast<U>(x)) : 0;
+  }
+  return op == ArithOp::kDiv ? x / y : x % y;
+}
 
 Value arith(ArithOp op, NumType t, const Value& a, const Value& b) {
   switch (t) {
@@ -26,11 +42,7 @@ Value arith(ArithOp op, NumType t, const Value& a, const Value& b) {
         case ArithOp::kSub: return Value::i32(static_cast<int32_t>(ux - uy));
         case ArithOp::kMul: return Value::i32(static_cast<int32_t>(ux * uy));
         case ArithOp::kDiv:
-          if (y == 0) fail("integer division by zero");
-          return Value::i32(x / y);
-        case ArithOp::kRem:
-          if (y == 0) fail("integer remainder by zero");
-          return Value::i32(x % y);
+        case ArithOp::kRem: return Value::i32(div_rem(op, x, y));
         case ArithOp::kAnd: return Value::i32(x & y);
         case ArithOp::kOr: return Value::i32(x | y);
         case ArithOp::kXor: return Value::i32(x ^ y);
@@ -50,11 +62,7 @@ Value arith(ArithOp op, NumType t, const Value& a, const Value& b) {
         case ArithOp::kSub: return Value::i64(static_cast<int64_t>(ux - uy));
         case ArithOp::kMul: return Value::i64(static_cast<int64_t>(ux * uy));
         case ArithOp::kDiv:
-          if (y == 0) fail("integer division by zero");
-          return Value::i64(x / y);
-        case ArithOp::kRem:
-          if (y == 0) fail("integer remainder by zero");
-          return Value::i64(x % y);
+        case ArithOp::kRem: return Value::i64(div_rem(op, x, y));
         case ArithOp::kAnd: return Value::i64(x & y);
         case ArithOp::kOr: return Value::i64(x | y);
         case ArithOp::kXor: return Value::i64(x ^ y);

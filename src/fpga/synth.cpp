@@ -410,6 +410,13 @@ class Synthesizer {
           if (r->value == 0) throw Exclude{"constant division by zero"};
           int64_t a = rtl::sign_extend(l->value, l->width);
           int64_t b = rtl::sign_extend(r->value, r->width);
+          // Java: MIN_VALUE / -1 wraps to MIN_VALUE and MIN_VALUE % -1 is
+          // 0; at 64 bits C++ traps on both.
+          if (b == -1) {
+            return h_const(l->width, op == BinOp::kDiv
+                                         ? 0u - static_cast<uint64_t>(a)
+                                         : 0u);
+          }
           return h_const(l->width, static_cast<uint64_t>(
                                        op == BinOp::kDiv ? a / b : a % b));
         }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <thread>
+#include <type_traits>
 
 #include "obs/trace.h"
 #include "util/error.h"
@@ -65,6 +66,23 @@ inline void store_elem(CValue& cv, size_t i, NumType t, KReg v) {
   }
 }
 
+/// Integer division or remainder with Java's semantics: MIN_VALUE / -1
+/// wraps to MIN_VALUE and MIN_VALUE % -1 is 0, where C++ traps on both.
+/// Out of line, so do_arith stays small enough to inline into the
+/// per-element loop.
+template <typename T>
+[[gnu::noinline]] T div_rem(ArithOp op, T a, T b) {
+  if (b == 0) {
+    throw RuntimeError(op == ArithOp::kDiv ? "kernel division by zero"
+                                           : "kernel remainder by zero");
+  }
+  if (b == -1) {
+    using U = std::make_unsigned_t<T>;
+    return op == ArithOp::kDiv ? static_cast<T>(U{0} - static_cast<U>(a)) : 0;
+  }
+  return op == ArithOp::kDiv ? a / b : a % b;
+}
+
 inline KReg do_arith(ArithOp op, NumType t, KReg a, KReg b) {
   KReg r{};
   switch (t) {
@@ -84,13 +102,7 @@ inline KReg do_arith(ArithOp op, NumType t, KReg a, KReg b) {
                                        static_cast<uint32_t>(b.i32));
           break;
         case ArithOp::kDiv:
-          if (b.i32 == 0) throw RuntimeError("kernel division by zero");
-          r.i32 = a.i32 / b.i32;
-          break;
-        case ArithOp::kRem:
-          if (b.i32 == 0) throw RuntimeError("kernel remainder by zero");
-          r.i32 = a.i32 % b.i32;
-          break;
+        case ArithOp::kRem: r.i32 = div_rem(op, a.i32, b.i32); break;
         case ArithOp::kAnd: r.i32 = a.i32 & b.i32; break;
         case ArithOp::kOr: r.i32 = a.i32 | b.i32; break;
         case ArithOp::kXor: r.i32 = a.i32 ^ b.i32; break;
@@ -119,13 +131,7 @@ inline KReg do_arith(ArithOp op, NumType t, KReg a, KReg b) {
                                        static_cast<uint64_t>(b.i64));
           break;
         case ArithOp::kDiv:
-          if (b.i64 == 0) throw RuntimeError("kernel division by zero");
-          r.i64 = a.i64 / b.i64;
-          break;
-        case ArithOp::kRem:
-          if (b.i64 == 0) throw RuntimeError("kernel remainder by zero");
-          r.i64 = a.i64 % b.i64;
-          break;
+        case ArithOp::kRem: r.i64 = div_rem(op, a.i64, b.i64); break;
         case ArithOp::kAnd: r.i64 = a.i64 & b.i64; break;
         case ArithOp::kOr: r.i64 = a.i64 | b.i64; break;
         case ArithOp::kXor: r.i64 = a.i64 ^ b.i64; break;

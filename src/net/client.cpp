@@ -21,6 +21,10 @@ std::string trace_id_hex(uint64_t id) {
   return buf;
 }
 
+/// Idle blocking connections kept for reuse (beyond this they are
+/// closed). Only list() and heartbeat pings borrow them.
+constexpr size_t kMaxIdleConnections = 4;
+
 std::string error_message(const Frame& f) {
   try {
     ByteReader r(f.payload);
@@ -31,6 +35,25 @@ std::string error_message(const Frame& f) {
 }
 
 }  // namespace
+
+void wait_for_completion(
+    const std::function<void(std::function<void()>)>& issue) {
+  // Shared with the callback, which may still be unlocking when the
+  // waiter wakes and returns.
+  struct Waiter {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+  };
+  auto w = std::make_shared<Waiter>();
+  issue([w] {
+    std::lock_guard<std::mutex> lock(w->mu);
+    w->done = true;
+    w->cv.notify_all();
+  });
+  std::unique_lock<std::mutex> lock(w->mu);
+  w->cv.wait(lock, [&] { return w->done; });
+}
 
 void parse_endpoint(const std::string& spec, std::string* host,
                     uint16_t* port) {
@@ -149,13 +172,13 @@ Socket RemoteSession::acquire(Deadline deadline) {
 
 void RemoteSession::release(Socket s) {
   std::lock_guard<std::mutex> lock(pool_mu_);
-  if (pool_.size() < opts_.pool_size) pool_.push_back(std::move(s));
+  if (pool_.size() < kMaxIdleConnections) pool_.push_back(std::move(s));
   // else: s destructs, closing the surplus connection.
 }
 
 Frame RemoteSession::roundtrip(Socket& s, FrameType type,
                                std::vector<uint8_t> payload,
-                               Deadline deadline, ExchangeInfo* info) {
+                               Deadline deadline) {
   Frame req;
   req.type = type;
   req.request_id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
@@ -174,7 +197,7 @@ Frame RemoteSession::roundtrip(Socket& s, FrameType type,
                          std::to_string(reply.request_id) + ", expected " +
                          std::to_string(req.request_id) + ")");
   }
-  handle_reply_telemetry(reply, t0, t1, info);
+  handle_reply_telemetry(reply, t0, t1, nullptr);
   return reply;
 }
 
@@ -262,47 +285,12 @@ void RemoteSession::mark_down(const std::string& why) {
 
 std::vector<uint8_t> RemoteSession::process(const std::string& task_id,
                                             runtime::DeviceKind device,
-                                            std::span<const uint8_t> batch,
-                                            ExchangeInfo* info) {
-  if (down_.load(std::memory_order_acquire)) {
-    if (c_failures_) c_failures_->add();
-    throw TransportError(endpoint_ + " is down (heartbeat)");
-  }
-  if (c_requests_) c_requests_->add();
-  ProcessRequest p;
-  p.task_id = task_id;
-  p.device = device;
-  p.batch.assign(batch.begin(), batch.end());
-  std::vector<uint8_t> encoded = encode_process(p);
-
-  const int attempts = 1 + std::max(0, opts_.max_retries);
-  std::string last_error;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0 && c_retries_) c_retries_->add();
-    Deadline dl = deadline_in_ms(opts_.request_timeout_ms);
-    try {
-      Socket s = acquire(dl);
-      auto t0 = std::chrono::steady_clock::now();
-      Frame reply = roundtrip(s, FrameType::kProcess, encoded, dl, info);
-      auto t1 = std::chrono::steady_clock::now();
-      if (reply.type != FrameType::kProcessOk) {
-        if (c_failures_) c_failures_->add();
-        throw RemoteError(endpoint_ + ": " + error_message(reply));
-      }
-      note_success(std::chrono::duration<double, std::micro>(t1 - t0).count());
-      release(std::move(s));
-      return std::move(reply.payload);
-    } catch (const RemoteError&) {
-      throw;  // the server answered; retrying cannot change the outcome
-    } catch (const TransportError& e) {
-      last_error = e.what();
-    }
-  }
-  if (c_failures_) c_failures_->add();
-  mark_down(last_error);
-  throw TransportError("request to " + endpoint_ + " failed after " +
-                       std::to_string(attempts) + " attempt(s): " +
-                       last_error);
+                                            std::span<const uint8_t> batch) {
+  std::shared_ptr<PendingRpc> rpc;
+  wait_for_completion([&](std::function<void()> on_done) {
+    rpc = process_async(task_id, device, batch, std::move(on_done));
+  });
+  return take(*rpc);
 }
 
 std::shared_ptr<PendingRpc> RemoteSession::process_async(
@@ -310,8 +298,8 @@ std::shared_ptr<PendingRpc> RemoteSession::process_async(
     std::span<const uint8_t> batch, std::function<void()> on_done) {
   auto rpc = std::make_shared<PendingRpc>();
   if (down_.load(std::memory_order_acquire)) {
-    // Fast-fail like process(), but through the pending handle so the
-    // caller's completion path is the same as for in-flight failures.
+    // Fast-fail through the pending handle, so the caller's completion
+    // path is the same as for in-flight failures.
     if (c_failures_) c_failures_->add();
     rpc->error = std::make_exception_ptr(
         TransportError(endpoint_ + " is down (heartbeat)"));
@@ -357,62 +345,11 @@ std::vector<uint8_t> RemoteSession::take(PendingRpc& rpc,
   }
   note_success(
       std::chrono::duration<double, std::micro>(rpc.t1 - rpc.t0).count());
-  // Telemetry is handled here — on the worker that collects the batch —
-  // rather than on the poll thread, so span import sees the worker's
-  // installed TraceRecorder just like the blocking path.
+  // Telemetry is handled here — on the thread that collects the batch —
+  // rather than on the poll thread, so span import sees that thread's
+  // installed TraceRecorder.
   handle_reply_telemetry(rpc.reply, rpc.t0, rpc.t1, info);
   return std::move(rpc.reply.payload);
-}
-
-std::vector<std::vector<uint8_t>> RemoteSession::process_pipelined(
-    const std::string& task_id, runtime::DeviceKind device,
-    const std::vector<std::vector<uint8_t>>& batches) {
-  Deadline dl = deadline_in_ms(opts_.request_timeout_ms);
-  Socket s = acquire(dl);
-  uint64_t trace_id = 0;
-  if (obs::TraceRecorder* rec = obs::TraceRecorder::current()) {
-    trace_id = rec->trace_id();
-  }
-  std::vector<uint64_t> ids;
-  std::vector<std::chrono::steady_clock::time_point> sent_at;
-  ids.reserve(batches.size());
-  sent_at.reserve(batches.size());
-  for (const auto& b : batches) {
-    ProcessRequest p;
-    p.task_id = task_id;
-    p.device = device;
-    p.batch = b;
-    Frame req;
-    req.type = FrameType::kProcess;
-    req.request_id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
-    req.trace_id = trace_id;
-    req.payload = encode_process(p);
-    sent_at.push_back(std::chrono::steady_clock::now());
-    write_frame(s, req, dl);
-    if (c_bytes_sent_) c_bytes_sent_->add(wire_size(req));
-    ids.push_back(req.request_id);
-  }
-  std::vector<std::vector<uint8_t>> out;
-  out.reserve(batches.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    Frame reply = read_frame(s, dl);
-    auto t1 = std::chrono::steady_clock::now();
-    if (c_bytes_recv_) c_bytes_recv_->add(wire_size(reply));
-    if (reply.request_id != ids[i]) {
-      throw TransportError(endpoint_ + ": pipelined response out of order");
-    }
-    if (reply.type != FrameType::kProcessOk) {
-      throw RemoteError(endpoint_ + ": " + error_message(reply));
-    }
-    // The exchange window of a pipelined request is its own write → its
-    // own read: later requests were written before this reply arrived, so
-    // each reply still brackets its server spans.
-    handle_reply_telemetry(reply, sent_at[i], t1, nullptr);
-    out.push_back(std::move(reply.payload));
-  }
-  if (c_requests_) c_requests_->add(ids.size());
-  release(std::move(s));
-  return out;
 }
 
 void RemoteSession::collect_telemetry(

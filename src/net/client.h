@@ -2,20 +2,23 @@
 //
 // One session per endpoint, shared by every RemoteArtifact proxying to it.
 // Provides:
-//   * a connection pool — process() borrows a connection, uses it
-//     exclusively for one request/response exchange, and returns it;
+//   * one data path — process_async() hands each batch to the session's
+//     poll loop, which pipelines every exchange down one connection;
+//     process() is a thin waiter on it (issue, wait, take);
 //   * per-request deadlines — every exchange (send + receive, however many
-//     syscalls) shares one absolute deadline;
-//   * retry with reconnect — a transport failure discards the borrowed
-//     connection and retries the request on a freshly dialed one
-//     (artifacts are pure functions of their input batch, so at-least-once
-//     re-execution is safe);
+//     syscalls) shares one deadline per attempt;
+//   * retry with reconnect — a transport failure discards the connection
+//     and retries the request on a freshly dialed one (artifacts are pure
+//     functions of their input batch, so at-least-once re-execution is
+//     safe); after the last attempt the endpoint is marked down;
 //   * exponential-backoff dialing — reconnect attempts back off
 //     10ms → 20ms → … → backoff_max_ms;
-//   * heartbeat liveness — a background thread pings the endpoint; after
-//     `heartbeat_misses` consecutive failures the endpoint is marked down
-//     and process() fails fast with TransportError instead of waiting out
-//     a full request timeout. A later successful ping revives it.
+//   * heartbeat liveness — a background thread pings the endpoint on a
+//     pooled connection of its own, so a ping never queues behind a data
+//     batch; after `heartbeat_misses` consecutive failures the endpoint is
+//     marked down and requests fail fast with TransportError instead of
+//     waiting out a full request timeout. A later successful ping revives
+//     it. The blocking pool also serves list().
 //
 // Failures always surface as lm::TransportError — the one exception type
 // the runtime's drain loop converts into bytecode fallback.
@@ -75,8 +78,6 @@ struct SessionOptions {
   int backoff_max_ms = 500;
   int heartbeat_interval_ms = 250;
   int heartbeat_misses = 2;
-  /// Idle connections kept for reuse (beyond this they are closed).
-  size_t pool_size = 4;
   std::string client_name = "lm-client";
 };
 
@@ -107,36 +108,30 @@ class RemoteSession {
   };
 
   /// One batch through (task_id, device) on the server: sends the packed
-  /// input batch, returns the packed output batch. `info`, when non-null,
-  /// receives the server-side telemetry of the successful exchange.
+  /// input batch, returns the packed output batch. Blocking: issues the
+  /// exchange with process_async(), waits for it, then take()s it.
   std::vector<uint8_t> process(const std::string& task_id,
                                runtime::DeviceKind device,
-                               std::span<const uint8_t> batch,
-                               ExchangeInfo* info = nullptr);
+                               std::span<const uint8_t> batch);
 
-  /// Asynchronous process(): encodes the request, hands it to the
-  /// session's poll loop (started lazily) and returns immediately.
-  /// `on_done` fires exactly once — from the poll thread on completion,
-  /// or inline when the endpoint is already marked down — after which
-  /// take() resolves the exchange. Transport failures never throw from
-  /// here; they surface from take() so callers keep one fallback path.
+  /// Issues one exchange: encodes the request, hands it to the session's
+  /// poll loop (started lazily) and returns immediately. Any number may be
+  /// in flight; they pipeline down the loop's one connection. `on_done`
+  /// fires exactly once — from the poll thread on completion, or inline
+  /// when the endpoint is already marked down — after which take()
+  /// resolves the exchange. Transport failures never throw from here; they
+  /// surface from take() so callers keep one fallback path.
   std::shared_ptr<PendingRpc> process_async(const std::string& task_id,
                                             runtime::DeviceKind device,
                                             std::span<const uint8_t> batch,
                                             std::function<void()> on_done);
 
-  /// Resolves a completed async exchange: rethrows its transport failure,
-  /// or validates the reply and feeds RTT/clock/telemetry exactly like
-  /// process(), returning the packed output batch. Only call after the
-  /// exchange's on_done has fired (and with ordering to that callback).
+  /// Resolves a completed exchange: rethrows its transport failure, or
+  /// validates the reply and feeds RTT/clock/telemetry, returning the
+  /// packed output batch. `info`, when non-null, receives the server-side
+  /// telemetry. Only call after the exchange's on_done has fired (and
+  /// with ordering to that callback).
   std::vector<uint8_t> take(PendingRpc& rpc, ExchangeInfo* info = nullptr);
-
-  /// Pipelined variant: all requests are written down one connection
-  /// before any reply is read (request ids sequence them). Used by the RPC
-  /// bench to measure what batching buys over lock-step request/response.
-  std::vector<std::vector<uint8_t>> process_pipelined(
-      const std::string& task_id, runtime::DeviceKind device,
-      const std::vector<std::vector<uint8_t>>& batches);
 
   /// Starts the background liveness pinger (idempotent).
   void start_heartbeat();
@@ -173,14 +168,15 @@ class RemoteSession {
 
   /// Starts the poll thread on first use (idempotent).
   PollLoop* ensure_poll_loop();
-  /// Borrows a connection: pooled if available, freshly dialed otherwise.
+  /// Borrows a blocking connection (list, heartbeat): pooled if
+  /// available, freshly dialed otherwise.
   Socket acquire(Deadline deadline);
   void release(Socket s);
   /// Dials + hellos with exponential backoff until `deadline`.
   Socket dial(Deadline deadline);
-  /// One request/response on a borrowed connection.
+  /// One request/response on a blocking connection.
   Frame roundtrip(Socket& s, FrameType type, std::vector<uint8_t> payload,
-                  Deadline deadline, ExchangeInfo* info = nullptr);
+                  Deadline deadline);
   /// Decodes a reply's aux block: feeds the clock-offset estimator,
   /// imports server spans into the installed recorder's per-endpoint lane
   /// (aligned with this exchange's own midpoint offset) and fills `info`.
@@ -237,6 +233,12 @@ class RemoteSession {
   obs::MetricsRegistry::Counter* c_endpoint_down_ = nullptr;
   obs::MetricsRegistry::Counter* c_heartbeat_misses_ = nullptr;
 };
+
+/// Calls `issue` with a completion callback and blocks the calling thread
+/// until that callback fires (from any thread, or inline from `issue`).
+/// The blocking remote calls are this wrapped around an asynchronous one.
+void wait_for_completion(
+    const std::function<void(std::function<void()>)>& issue);
 
 /// Parses "host:port" (host may be a dotted quad or "localhost"). Throws
 /// TransportError on malformed input.

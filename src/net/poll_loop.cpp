@@ -133,8 +133,8 @@ void PollLoop::flush_writes() {
       writing_ = std::move(to_write_.front());
       to_write_.pop_front();
       writing_->written = 0;
-      // The attempt's deadline starts at write start, mirroring the
-      // fresh per-attempt deadline of the blocking retry loop.
+      // The attempt's deadline starts at write start: each attempt gets
+      // a fresh request_timeout_ms.
       writing_->t0 = std::chrono::steady_clock::now();
       writing_->deadline = deadline_in_ms(session_.opts_.request_timeout_ms);
     }

@@ -1,6 +1,6 @@
-// PollLoop: the nonblocking half of the remote transport.
+// PollLoop: the data path of the remote transport.
 //
-// One poll thread per RemoteSession services asynchronous exchanges. Ops
+// One poll thread per RemoteSession services every batch exchange. Ops
 // arrive pre-encoded with a completion callback; the loop dials lazily
 // (blocking dial + hello, then O_NONBLOCK), pipelines writes down a single
 // connection, reassembles replies with FrameParser, and matches them to
@@ -10,14 +10,13 @@
 // thread: the executor keeps stepping other tasks on the same pool while
 // the reply is in flight.
 //
-// Failure semantics mirror the blocking path (RemoteSession::process):
-// a connection error — hard socket error, malformed stream, peer EOF, or
-// an expired per-op deadline — poisons the connection and charges one
-// attempt to every op written on it; survivors are re-sent on a freshly
-// dialed connection (artifacts are pure, so at-least-once re-execution is
-// safe), and exhausted ops complete with TransportError and mark the
-// endpoint down. A dial failure additionally charges the ops queued
-// behind it, matching the sync path where acquire() is part of the
+// Failure semantics (DESIGN.md §9): a connection error — hard socket
+// error, malformed stream, peer EOF, or an expired per-op deadline —
+// poisons the connection and charges one attempt to every op written on
+// it; survivors are re-sent on a freshly dialed connection (artifacts are
+// pure, so at-least-once re-execution is safe), and exhausted ops complete
+// with TransportError and mark the endpoint down. A dial failure
+// additionally charges the ops queued behind it: dialing is part of the
 // attempt. kError replies complete normally — the caller raises
 // RemoteError, and a deterministic refusal is never retried.
 #pragma once

@@ -19,58 +19,11 @@ RemoteArtifact::RemoteArtifact(runtime::ArtifactManifest manifest,
 }
 
 std::vector<Value> RemoteArtifact::process(std::span<const Value> inputs) {
-  size_t k = static_cast<size_t>(manifest_.arity);
-  LM_CHECK(inputs.size() % k == 0);
-  ++transfer_.batches;
-  transfer_.elements_in += inputs.size();
-
-  obs::TraceSpan span;
-  std::string trace_id_hex;
-  if (obs::TraceRecorder* rec = obs::TraceRecorder::current()) {
-    span.begin(rec, "net", "rpc:" + manifest_.task_id);
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(rec->trace_id()));
-    trace_id_hex = buf;
-    // Set identifying args up front so an exchange that throws still leaves
-    // an attributable span in the trace (the crash casualty keeps its
-    // endpoint and trace id; only the byte counts are success-path data).
-    span.set_args(obs::JsonArgs()
-                      .add("endpoint", session_->endpoint())
-                      .add("trace_id", trace_id_hex)
-                      .str());
-  }
-
-  // Stream elements all share one type (only values of the upstream
-  // element type flow through a connection). The encode buffer is recycled
-  // through the wire pool — one RPC per firing makes this a hot path.
-  auto wire =
-      serde::pack_batch(inputs, manifest_.param_types[0], serde::wire_pool());
-  const size_t wire_bytes = wire.size();
-  transfer_.bytes_to_device += wire_bytes;
-
-  RemoteSession::ExchangeInfo info;
-  auto reply =
-      session_->process(manifest_.task_id, manifest_.device, wire, &info);
-  serde::wire_pool().release(std::move(wire));
-  transfer_.bytes_from_device += reply.size();
-  if (info.server_execute_us > 0) {
-    server_exec_.record_ns(
-        static_cast<uint64_t>(info.server_execute_us * 1e3));
-  }
-
-  auto out = serde::unpack_batch(reply, manifest_.return_type);
-  transfer_.elements_out += out.size();
-  if (span.active()) {
-    span.set_args(obs::JsonArgs()
-                      .add("endpoint", session_->endpoint())
-                      .add("trace_id", trace_id_hex)
-                      .add("elements", static_cast<uint64_t>(inputs.size()))
-                      .add("bytes_out", static_cast<uint64_t>(wire_bytes))
-                      .add("bytes_in", static_cast<uint64_t>(reply.size()))
-                      .str());
-  }
-  return out;
+  std::unique_ptr<runtime::AsyncBatch> batch;
+  wait_for_completion([&](std::function<void()> on_done) {
+    batch = process_async(inputs, std::move(on_done));
+  });
+  return batch->take_results();
 }
 
 /// The pending half of RemoteArtifact::process_async. Captures the
@@ -147,8 +100,9 @@ std::vector<Value> RemoteArtifact::resolve_async(RemoteAsyncBatch& b) {
   try {
     reply = session_->take(*b.rpc_, &info);
   } catch (...) {
-    // A failed exchange still leaves an attributable span, like the
-    // crash-casualty span of the blocking path.
+    // A failed exchange still leaves an attributable span (the crash
+    // casualty keeps its endpoint and trace id; only the byte counts are
+    // success-path data).
     emit_span(nullptr);
     throw;
   }

@@ -1,4 +1,4 @@
-// RemoteArtifact: a device artifact whose process() crosses a socket.
+// RemoteArtifact: a device artifact whose batches cross a socket.
 //
 // The proxy satisfies the exact Artifact contract the runtime substitutes
 // against — consume n*arity stream elements, return n outputs — so a GPU
@@ -26,12 +26,12 @@ class RemoteArtifact final : public runtime::Artifact {
   RemoteArtifact(runtime::ArtifactManifest manifest,
                  std::shared_ptr<RemoteSession> session);
 
+  /// Blocking: issues the batch, waits for its completion, takes it.
   std::vector<bc::Value> process(std::span<const bc::Value> inputs) override;
 
-  /// The async path: the batch is packed here (on the issuing worker) and
-  /// handed to the session's poll loop; decoding and telemetry accounting
-  /// run in take_results() on whichever worker collects the batch.
-  bool supports_async() const override { return true; }
+  /// The batch is packed here (on the issuing thread) and handed to the
+  /// session's poll loop; decoding and telemetry accounting run in
+  /// take_results() on whichever thread collects the batch.
   std::unique_ptr<runtime::AsyncBatch> process_async(
       std::span<const bc::Value> inputs,
       std::function<void()> on_done) override;

@@ -29,6 +29,11 @@ Frame error_frame(uint64_t request_id, const std::string& message) {
 DeviceServer::DeviceServer(const runtime::CompiledProgram& program,
                            Options opts)
     : program_(program), opts_(std::move(opts)) {
+  // Serve threads recycle reply buffers into the process-wide wire pool.
+  // Constructing the pool first makes it outlive a server owned by a
+  // static object, whose threads would otherwise race its exit-time
+  // destruction.
+  serde::wire_pool();
   fingerprint_ = program_fingerprint(program_.store);
   listing_ = store_listing(program_.store);
   for (const auto& l : listing_) {
@@ -258,8 +263,8 @@ Frame DeviceServer::handle(const Frame& req, ReplyTelemetry& tele) {
   }
 }
 
-void DeviceServer::collect_telemetry(std::vector<obs::GaugeSample>& out,
-                                     bool compat) const {
+void DeviceServer::collect_telemetry(
+    std::vector<obs::GaugeSample>& out) const {
   out.emplace_back("server.active_connections",
                    static_cast<double>(active_connections()));
   out.emplace_back("server.requests_served",
@@ -268,10 +273,6 @@ void DeviceServer::collect_telemetry(std::vector<obs::GaugeSample>& out,
                    static_cast<double>(listing_.size()));
   out.emplace_back("server.exec_batches",
                    static_cast<double>(exec_hist_.count()));
-  if (compat) {
-    out.emplace_back("server.exec_p50_us", exec_hist_.percentile_us(50));
-    out.emplace_back("server.exec_p99_us", exec_hist_.percentile_us(99));
-  }
 }
 
 void DeviceServer::collect_histograms(

@@ -63,11 +63,11 @@ struct TransferStats {
   std::atomic<uint64_t> bytes_from_device{0};
 };
 
-/// An in-flight asynchronous batch (remote artifacts only): issued with
-/// Artifact::process_async, resolved with take_results() once the
-/// completion callback has fired. Decoding — and any transport error — is
-/// deferred to take_results() so it happens on an executor worker, never
-/// on the I/O thread that delivered the reply.
+/// An issued batch: returned by Artifact::process_async, resolved with
+/// take_results() once the completion callback has fired. A remote batch
+/// defers decoding — and any transport error — to take_results() so it
+/// happens on an executor worker, never on the I/O thread that delivered
+/// the reply.
 class AsyncBatch {
  public:
   virtual ~AsyncBatch() = default;
@@ -87,15 +87,14 @@ class Artifact {
   virtual std::vector<bc::Value> process(
       std::span<const bc::Value> inputs) = 0;
 
-  /// True when this artifact can overlap a batch with other work via
-  /// process_async (remote proxies backed by the nonblocking poll loop).
-  virtual bool supports_async() const { return false; }
-
-  /// Starts a batch without blocking. `on_done` fires exactly once, from
-  /// an arbitrary thread, when the result (or failure) is available; the
-  /// caller then resolves it with AsyncBatch::take_results(). `inputs`
-  /// must stay alive until take_results() returns. Artifacts that report
-  /// supports_async() must override this; the default refuses.
+  /// Issues a batch: the one way a device node runs one. `on_done` fires
+  /// exactly once, from an arbitrary thread, when the result (or failure)
+  /// is available; the caller then resolves it with
+  /// AsyncBatch::take_results(). `inputs` must stay alive until
+  /// take_results() returns. The base runs process() here, fires `on_done`
+  /// and returns a completed batch, so a local artifact completes at issue
+  /// and an exception from process() propagates from this call. Remote
+  /// proxies override it to complete later, off the caller's thread.
   virtual std::unique_ptr<AsyncBatch> process_async(
       std::span<const bc::Value> inputs, std::function<void()> on_done);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <optional>
 #include <thread>
 
 #include "obs/flight_recorder.h"
@@ -915,6 +916,12 @@ void LiquidRuntime::substitute(RtGraph& g) {
 /// (task, device) cost model, accounts marshaling traffic, feeds the flight
 /// recorder, and — when the node carries calibrated alternatives — runs the
 /// periodic drift check that may swap the artifact mid-run.
+///
+/// Every batch takes one path: issue() hands it to the bound artifact's
+/// process_async, ready() says whether it completed, and collect()
+/// resolves it. A local artifact completes at issue; a remote one
+/// completes later, from the poll thread, and wake_on_completion() has it
+/// wake the parked task then.
 class LiquidRuntime::DeviceRun {
  public:
   /// `gid` and `node_index` are stamped into drain spans so the
@@ -931,153 +938,126 @@ class LiquidRuntime::DeviceRun {
 
   size_t arity() const { return static_cast<size_t>(cur_->manifest().arity); }
 
-  std::vector<Value> process(std::span<const Value> batch) {
-    const TransferStats& ts = cur_->transfer_stats();
-    uint64_t to0 = ts.bytes_to_device, from0 = ts.bytes_from_device;
-    double t0_us = rec_ ? rec_->now_us() : 0;
-    auto t0 = std::chrono::steady_clock::now();
-    // In-flight bracket on the entry bound at batch start: invoke() may
-    // rebind cost_ mid-batch (remote fallback), and the end must land on
-    // the same entry the begin did.
-    struct InFlight {
-      obs::CostEntry* e;
-      explicit InFlight(obs::CostEntry* entry) : e(entry) {
-        e->begin_batch();
-      }
-      ~InFlight() { e->end_batch(); }
-    };
-    std::vector<Value> out;
-    {
-      InFlight guard(cost_);
-      out = invoke(batch);
-    }
-    auto t1 = std::chrono::steady_clock::now();
-    double dt = std::chrono::duration<double>(t1 - t0).count();
-    if (rec_) {
-      rec_->complete("task", "drain:" + cur_->manifest().task_id, t0_us,
-                     dt * 1e6,
-                     JsonArgs()
-                         .add("elements", static_cast<uint64_t>(batch.size()))
-                         .add("gid", trace_gid_)
-                         .add("node", trace_node_)
-                         .add("device", cur_->cost_label())
-                         .str());
-    }
-    uint64_t dto = ts.bytes_to_device - to0;
-    uint64_t dfrom = ts.bytes_from_device - from0;
-    cost_->record_batch(dt, batch.size(), rt_.config_.cost_ewma_alpha);
-    cost_->record_transfer(dto, dfrom);
-    rt_.hot_->device_batches->add();
-    rt_.hot_->bytes_to_device->add(dto);
-    rt_.hot_->bytes_from_device->add(dfrom);
-    ++batches_;
-    elements_ += batch.size();
-    bytes_to_ += dto;
-    bytes_from_ += dfrom;
-    obs::FlightRecorder::instance().record("task", "drain",
-                                           cur_->manifest().task_id, dt * 1e6,
-                                           batch.size(), dto + dfrom);
-    maybe_resubstitute();
-    return out;
-  }
-
   uint64_t batches() const { return batches_; }
   uint64_t elements() const { return elements_; }
   uint64_t bytes_to_device() const { return bytes_to_; }
   uint64_t bytes_from_device() const { return bytes_from_; }
 
-  // -- asynchronous batches (remote artifacts over the poll loop) --
-
-  bool can_issue_async() const { return cur_->supports_async(); }
-  bool async_in_flight() const { return async_ != nullptr; }
-  bool async_ready() const {
-    return async_ && async_->ready->load(std::memory_order_acquire);
+  bool in_flight() const { return batch_.has_value(); }
+  bool ready() const {
+    return batch_->completion->state.load(std::memory_order_acquire) ==
+           Completion::kDone;
   }
 
-  /// Starts one batch without blocking; `on_done` fires (from an arbitrary
-  /// thread) when the reply or failure arrives, after which collect_async()
-  /// resolves it. At most one batch in flight per node.
-  void issue_async(std::vector<Value> batch, std::function<void()> on_done) {
-    LM_CHECK_MSG(!async_, "device node already has a batch in flight");
-    auto a = std::make_unique<Async>();
-    a->inputs = std::move(batch);
-    a->artifact = cur_;
-    a->cost = cost_;
-    a->ts = &cur_->transfer_stats();
-    a->to0 = a->ts->bytes_to_device;
-    a->from0 = a->ts->bytes_from_device;
-    a->t0_us = rec_ ? rec_->now_us() : 0;
-    a->t0 = std::chrono::steady_clock::now();
-    a->ready = std::make_shared<std::atomic<bool>>(false);
+  /// Starts one batch on the bound artifact. `inputs` must stay untouched
+  /// until collect() returns: a remote batch reads them until it
+  /// completes, and a failed one is replayed from them. At most one batch
+  /// in flight per node. An exception from a local artifact propagates
+  /// from here.
+  void issue(std::span<const Value> inputs) {
+    LM_CHECK_MSG(!batch_, "device node already has a batch in flight");
+    Batch b;
+    b.inputs = inputs;
+    b.artifact = cur_;
+    b.cost = cost_;
+    b.ts = &cur_->transfer_stats();
+    b.to0 = b.ts->bytes_to_device;
+    b.from0 = b.ts->bytes_from_device;
+    b.t0_us = rec_ ? rec_->now_us() : 0;
+    b.t0 = std::chrono::steady_clock::now();
+    b.completion = std::make_shared<Completion>();
     cost_->begin_batch();
-    auto ready = a->ready;
-    std::function<void()> cb = [ready, done = std::move(on_done)] {
-      ready->store(true, std::memory_order_release);
-      done();
-    };
     try {
-      a->op = cur_->process_async(
-          std::span<const Value>(a->inputs.data(), a->inputs.size()),
-          std::move(cb));
+      b.op = cur_->process_async(inputs, [c = b.completion] {
+        if (c->state.exchange(Completion::kDone, std::memory_order_acq_rel) ==
+            Completion::kArmed) {
+          c->ex->wake(c->task);
+          c->ex->note_external_end();
+        }
+      });
     } catch (...) {
       cost_->end_batch();
       throw;
     }
-    async_ = std::move(a);
+    batch_ = std::move(b);
   }
 
-  /// Resolves a completed async batch on the calling worker thread: decodes
-  /// the reply and runs the same accounting as process(). On a transport
+  /// Asks for `task` to be woken when the in-flight batch completes. False
+  /// when it completed meanwhile: collect() now instead of parking. Call
+  /// at most once per batch. The external-pending bracket opens only here,
+  /// so a batch that completed at issue never touches the executor: no
+  /// park, no step, no wake-up of idle workers. It opens before arming and
+  /// closes after the completion's wake, so it covers the whole window in
+  /// which that wake is the only thing that can run this task, and
+  /// deterministic drive() never mistakes the wait for a deadlock.
+  bool wake_on_completion(ExecTask* task) {
+    Completion& c = *batch_->completion;
+    c.task = task;
+    c.ex = task->executor();
+    c.ex->note_external_begin();
+    int expected = Completion::kPending;
+    if (c.state.compare_exchange_strong(expected, Completion::kArmed,
+                                        std::memory_order_acq_rel)) {
+      return true;
+    }
+    c.ex->note_external_end();
+    return false;
+  }
+
+  /// Resolves the completed batch on the calling worker thread and charges
+  /// it to the entry and artifact that served it. On a remote transport
   /// failure it swaps to the node's local fallback and replays the batch
-  /// synchronously — artifacts are pure functions of their input batch, so
-  /// at-least-once is safe (mirrors invoke()'s degradation path).
-  std::vector<Value> collect_async() {
-    std::unique_ptr<Async> a = std::move(async_);
+  /// through issue() — artifacts are pure functions of their input batch,
+  /// so at-least-once is safe.
+  std::vector<Value> collect() {
+    Batch b = std::move(*batch_);
+    batch_.reset();
     std::vector<Value> out;
     try {
-      out = a->op->take_results();
+      out = b.op->take_results();
     } catch (const TransportError& e) {
-      a->cost->end_batch();
-      if (node_.fallback == nullptr) throw;
+      b.cost->end_batch();
+      if (!b.artifact->is_remote() || node_.fallback == nullptr) throw;
       obs::FlightRecorder::instance().record("fault", "remote-transport",
                                              e.what());
       ResubstitutionRecord rec;
-      rec.task_ids = a->artifact->manifest().task_id;
-      rec.from = a->artifact->manifest().device;
+      rec.task_ids = b.artifact->manifest().task_id;
+      rec.from = b.artifact->manifest().device;
       rec.to = node_.fallback->manifest().device;
-      rec.live_us_per_elem = a->cost->ewma_us_per_elem();
-      rec.before_p50_us = a->cost->batch_latency().percentile_us(50);
-      rec.before_p99_us = a->cost->batch_latency().percentile_us(99);
+      rec.live_us_per_elem = b.cost->ewma_us_per_elem();
+      rec.before_p50_us = b.cost->batch_latency().percentile_us(50);
+      rec.before_p99_us = b.cost->batch_latency().percentile_us(99);
       rec.at_batch = batches_;
       rec.reason = "remote-failure";
       rt_.metrics_.counter("net.remote_fallbacks").add();
       bind(node_.fallback);
-      swapped_ = true;  // the fallback is final
+      swapped_ = true;  // the fallback is final; no drift swaps after this
       rt_.record_resubstitution(std::move(rec));
-      return process(
-          std::span<const Value>(a->inputs.data(), a->inputs.size()));
+      issue(b.inputs);
+      LM_CHECK_MSG(ready(), "a local fallback completes at issue");
+      return collect();
     } catch (...) {
-      a->cost->end_batch();
+      b.cost->end_batch();
       throw;
     }
     auto t1 = std::chrono::steady_clock::now();
-    double dt = std::chrono::duration<double>(t1 - a->t0).count();
-    a->cost->end_batch();
-    size_t n = a->inputs.size();
+    double dt = std::chrono::duration<double>(t1 - b.t0).count();
+    b.cost->end_batch();
+    size_t n = b.inputs.size();
     if (rec_) {
-      rec_->complete("task", "drain:" + a->artifact->manifest().task_id,
-                     a->t0_us, dt * 1e6,
+      rec_->complete("task", "drain:" + b.artifact->manifest().task_id,
+                     b.t0_us, dt * 1e6,
                      JsonArgs()
                          .add("elements", static_cast<uint64_t>(n))
                          .add("gid", trace_gid_)
                          .add("node", trace_node_)
-                         .add("device", a->artifact->cost_label())
+                         .add("device", b.artifact->cost_label())
                          .str());
     }
-    uint64_t dto = a->ts->bytes_to_device - a->to0;
-    uint64_t dfrom = a->ts->bytes_from_device - a->from0;
-    a->cost->record_batch(dt, n, rt_.config_.cost_ewma_alpha);
-    a->cost->record_transfer(dto, dfrom);
+    uint64_t dto = b.ts->bytes_to_device - b.to0;
+    uint64_t dfrom = b.ts->bytes_from_device - b.from0;
+    b.cost->record_batch(dt, n, rt_.config_.cost_ewma_alpha);
+    b.cost->record_transfer(dto, dfrom);
     rt_.hot_->device_batches->add();
     rt_.hot_->bytes_to_device->add(dto);
     rt_.hot_->bytes_from_device->add(dfrom);
@@ -1086,7 +1066,7 @@ class LiquidRuntime::DeviceRun {
     bytes_to_ += dto;
     bytes_from_ += dfrom;
     obs::FlightRecorder::instance().record("task", "drain",
-                                           a->artifact->manifest().task_id,
+                                           b.artifact->manifest().task_id,
                                            dt * 1e6, n, dto + dfrom);
     maybe_resubstitute();
     return out;
@@ -1099,38 +1079,6 @@ class LiquidRuntime::DeviceRun {
     // GPU's: the remote entry absorbs round-trip and wire time, so scores
     // compared across the two are wire-cost-aware by construction.
     cost_ = &rt_.cost_models_.entry(a->manifest().task_id, a->cost_label());
-  }
-
-  /// cur_->process with graceful degradation: when a *remote* artifact's
-  /// transport dies (endpoint down, timeout, connection killed mid-batch),
-  /// swap to the node's local fallback and replay the same batch — artifacts
-  /// are pure functions of their input batch, so at-least-once is safe. The
-  /// failed attempt's time is charged to the fallback's first batch; an
-  /// acceptable smear given the swap happens at most once per node.
-  std::vector<Value> invoke(std::span<const Value> batch) {
-    if (!cur_->is_remote() || node_.fallback == nullptr) {
-      return cur_->process(batch);
-    }
-    try {
-      return cur_->process(batch);
-    } catch (const TransportError& e) {
-      obs::FlightRecorder::instance().record("fault", "remote-transport",
-                                             e.what());
-      ResubstitutionRecord rec;
-      rec.task_ids = cur_->manifest().task_id;
-      rec.from = cur_->manifest().device;
-      rec.to = node_.fallback->manifest().device;
-      rec.live_us_per_elem = cost_->ewma_us_per_elem();
-      rec.before_p50_us = cost_->batch_latency().percentile_us(50);
-      rec.before_p99_us = cost_->batch_latency().percentile_us(99);
-      rec.at_batch = batches_;
-      rec.reason = "remote-failure";
-      rt_.metrics_.counter("net.remote_fallbacks").add();
-      bind(node_.fallback);
-      swapped_ = true;  // the fallback is final; no drift swaps after this
-      rt_.record_resubstitution(std::move(rec));
-      return cur_->process(batch);
-    }
   }
 
   /// Every `resubstitution_interval` batches: if the live per-element cost
@@ -1167,14 +1115,25 @@ class LiquidRuntime::DeviceRun {
     rt_.record_resubstitution(std::move(rec));
   }
 
-  /// State of the (single) in-flight asynchronous batch. Everything the
-  /// issue side measured is pinned here so collect_async() charges the
-  /// batch to the entry and artifact that actually served it, even if the
-  /// node rebinds in between.
-  struct Async {
+  /// Handshake between the completion callback and the task. The callback
+  /// moves kPending or kArmed to kDone; the task moves kPending to kArmed
+  /// only when it is about to park. The callback wakes the task only when
+  /// it finds kArmed, so a batch that completes at issue wakes nobody.
+  struct Completion {
+    enum : int { kPending, kArmed, kDone };
+    std::atomic<int> state{kPending};
+    // Written before the kArmed CAS, read after the exchange that sees it.
+    ExecTask* task = nullptr;
+    Executor* ex = nullptr;
+  };
+
+  /// The in-flight batch. Everything the issue side measured is pinned
+  /// here so collect() charges the batch to the entry and artifact that
+  /// actually served it, even if the node rebinds in between.
+  struct Batch {
     std::unique_ptr<AsyncBatch> op;
-    std::shared_ptr<std::atomic<bool>> ready;
-    std::vector<Value> inputs;  // kept for fallback replay
+    std::shared_ptr<Completion> completion;
+    std::span<const Value> inputs;  // replayed on a remote failure
     Artifact* artifact = nullptr;
     obs::CostEntry* cost = nullptr;
     const TransferStats* ts = nullptr;
@@ -1190,7 +1149,7 @@ class LiquidRuntime::DeviceRun {
   const int trace_node_;
   Artifact* cur_ = nullptr;
   obs::CostEntry* cost_ = nullptr;
-  std::unique_ptr<Async> async_;
+  std::optional<Batch> batch_;
   uint64_t batches_ = 0, elements_ = 0, bytes_to_ = 0, bytes_from_ = 0;
   uint64_t since_check_ = 0;
   bool swapped_ = false;
@@ -1529,16 +1488,16 @@ class LiquidRuntime::DeviceTask final : public NodeTask {
 
  protected:
   StepResult run_slice() override {
-    // 1. Resolve a completed asynchronous batch — or keep waiting on it
-    //    (a close() waker may fire while the RPC is still in flight; the
-    //    reply or its deadline will wake us again). The outbox is empty
-    //    whenever a batch drains: every drain follows a complete flush.
-    if (run_.async_in_flight()) {
-      if (!run_.async_ready()) {
+    // 1. Resolve the in-flight batch — or keep waiting on it (a close()
+    //    waker may fire while an RPC is still in flight; its completion
+    //    will wake us again). The outbox is empty whenever a batch drains:
+    //    every issue follows a complete flush.
+    if (run_.in_flight()) {
+      if (!run_.ready()) {
         set_block_reason(BlockReason::kRpc);
         return StepResult::kBlocked;
       }
-      outbox_ = run_.collect_async();
+      collect();
     }
     // 2. Flush buffered results downstream.
     switch (flush_outbox()) {
@@ -1577,36 +1536,17 @@ class LiquidRuntime::DeviceTask final : public NodeTask {
       set_block_reason(BlockReason::kPop);
       return StepResult::kBlocked;  // parked after the failed try above
     }
-    // 4. One batch per step. Remote artifacts go asynchronous: the RPC
-    //    parks this task, not a worker thread.
-    if (run_.can_issue_async()) {
-      std::vector<Value> chunk(
-          std::make_move_iterator(pending_.begin()),
-          std::make_move_iterator(pending_.begin() +
-                                  static_cast<long>(usable)));
-      pending_.erase(pending_.begin(),
-                     pending_.begin() + static_cast<long>(usable));
-      Executor* ex = executor();
-      // Begin-before-issue / end-after-wake: the external-pending bracket
-      // must cover the whole window in which the completion callback is
-      // the only thing that can wake this task, or deterministic drive()
-      // could mistake a live wait for a deadlock.
-      ex->note_external_begin();
-      try {
-        run_.issue_async(std::move(chunk), [this, ex] {
-          ex->wake(this);
-          ex->note_external_end();
-        });
-      } catch (...) {
-        ex->note_external_end();
-        throw;
-      }
+    // 4. One batch per step. A batch that completed at issue (every local
+    //    artifact) is collected in this step; one still in flight (an RPC)
+    //    parks this task, not a worker thread, until its completion wakes
+    //    it.
+    run_.issue(std::span<const Value>(pending_.data(), usable));
+    issued_ = usable;
+    if (!run_.ready() && run_.wake_on_completion(this)) {
       set_block_reason(BlockReason::kRpc);
-      return StepResult::kBlocked;  // woken by the completion callback
+      return StepResult::kBlocked;
     }
-    outbox_ = run_.process(std::span<const Value>(pending_.data(), usable));
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + static_cast<long>(usable));
+    collect();
     return StepResult::kReady;  // flush (and refill) next step
   }
 
@@ -1620,8 +1560,17 @@ class LiquidRuntime::DeviceTask final : public NodeTask {
   }
 
  private:
+  /// Takes the completed batch's results and drops its inputs, which stay
+  /// at the front of pending_ while it is in flight.
+  void collect() {
+    outbox_ = run_.collect();
+    pending_.erase(pending_.begin(),
+                   pending_.begin() + static_cast<long>(issued_));
+  }
+
   DeviceRun run_;
   std::vector<Value> pending_;
+  size_t issued_ = 0;
   bool eof_ = false;
 };
 

@@ -380,6 +380,16 @@ INSTANTIATE_TEST_SUITE_P(
         DiffCase{"shortcircuit",
                  "class C { local static int f(int x) { "
                  "return (x != 0 && 100 / x > 3) || x < -5 ? 1 : 0; } }",
+                 "C", "f"},
+        // Java: MIN_VALUE / -1 == MIN_VALUE and MIN_VALUE % -1 == 0, for
+        // int and long alike; C++ division traps on both.
+        DiffCase{"min_over_minus_one",
+                 "class C { local static int f(int x) { "
+                 "int m = (x & 1) == 0 ? -2147483647 - 1 : x; "
+                 "int d = (x & 2) == 0 ? -1 : 7; "
+                 "long lm = ((long) m) << 32; long ld = (long) d; "
+                 "return m / d + m % d + (int) ((lm / ld) >> 32) "
+                 "+ (int) (lm % ld); } }",
                  "C", "f"}),
     [](const ::testing::TestParamInfo<DiffCase>& info) {
       return info.param.name;

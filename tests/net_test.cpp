@@ -4,7 +4,9 @@
 // heartbeat liveness detector and fingerprint enforcement.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
 
 #include "net/client.h"
@@ -336,8 +338,20 @@ TEST_F(LoopbackTest, PipelinedRepliesComeBackInOrder) {
   for (int b = 0; b < 8; ++b) {
     batches.push_back(pack_ints({b, b + 10, b + 20}));
   }
-  auto replies =
-      s.process_pipelined("P.triple", DeviceKind::kGpu, batches);
+  // Every exchange is issued before any reply is taken, so all eight are
+  // in flight at once down the poll loop's one connection.
+  std::vector<std::shared_ptr<PendingRpc>> rpcs;
+  wait_for_completion([&](std::function<void()> all_done) {
+    auto left = std::make_shared<std::atomic<size_t>>(batches.size());
+    for (const auto& b : batches) {
+      rpcs.push_back(s.process_async("P.triple", DeviceKind::kGpu, b,
+                                     [left, all_done] {
+                                       if (left->fetch_sub(1) == 1) all_done();
+                                     }));
+    }
+  });
+  std::vector<std::vector<uint8_t>> replies;
+  for (auto& rpc : rpcs) replies.push_back(s.take(*rpc));
   ASSERT_EQ(replies.size(), batches.size());
   for (int b = 0; b < 8; ++b) {
     EXPECT_EQ(unpack_ints(replies[static_cast<size_t>(b)]),

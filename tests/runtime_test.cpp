@@ -2,6 +2,8 @@
 // all backends, task substitution, co-execution, and map/reduce offload.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "runtime/liquid_runtime.h"
 #include "tests/lime_test_util.h"
 #include "util/rng.h"
@@ -140,6 +142,64 @@ TEST(CoExecution, AllPlacementsAgree) {
       EXPECT_EQ(run_pipeline(p, seed, input), want)
           << "placement=" << static_cast<int>(p) << " sched_seed=" << seed;
     }
+  }
+}
+
+// Java defines MIN_VALUE / -1 == MIN_VALUE and MIN_VALUE % -1 == 0, where
+// C++ division traps. Every backend, and both constant folders (bytecode
+// and FPGA synthesis), must follow Java.
+TEST(CoExecution, MinValueOverMinusOneFollowsJava) {
+  auto cp = compile_ok(R"(
+    class M {
+      static final int FOLDED = (-2147483647 - 1) / -1;
+      static final int FOLDED_REM = (-2147483647 - 1) % -1;
+      local static int quot(int x) { return x / -1 + x % -1; }
+      local static int wide(int x) {
+        long w = ((long) x) << 32;
+        return (int) ((w / -1L) >> 32) + (int) (w % -1L) + 1;
+      }
+      local static int fold(int x) {
+        long m = ((long) 1) << 63;
+        return x + (int) ((m / -1L) >> 48) + (int) (m % -1L) + FOLDED
+          + FOLDED_REM;
+      }
+      static int[[]] run(int[[]] input) {
+        int[] result = new int[input.length];
+        var g = input.source(1) => ([ task quot ]) => ([ task wide ])
+          => ([ task fold ]) => result.<int>sink();
+        g.finish();
+        return new int[[]](result);
+      }
+    }
+  )");
+  const int32_t imin = std::numeric_limits<int32_t>::min();
+  const int32_t imax = std::numeric_limits<int32_t>::max();
+  const std::vector<int32_t> input = {5, imin, -1, 0, imax, imin + 1, -7};
+  // quot negates (MIN stays MIN), wide negates back and adds 1, fold adds
+  // (Long.MIN_VALUE / -1) >> 48 == -32768 and MIN_VALUE; all wrapping.
+  auto want = [&](int32_t x) {
+    return static_cast<int32_t>(static_cast<uint32_t>(x) + 1u - 32768u +
+                                static_cast<uint32_t>(imin));
+  };
+  for (Placement p :
+       {Placement::kCpuOnly, Placement::kGpuOnly, Placement::kFpgaOnly}) {
+    RuntimeConfig rc;
+    rc.placement = p;
+    LiquidRuntime rt(*cp, rc);
+    Value out = rt.call("M.run", {Value::array(bc::make_i32_array(input, true))});
+    for (size_t i = 0; i < input.size(); ++i) {
+      EXPECT_EQ(bc::array_get(*out.as_array(), i).as_i32(), want(input[i]))
+          << "placement=" << static_cast<int>(p) << " x=" << input[i];
+    }
+    if (p == Placement::kCpuOnly) continue;
+    // The device under test ran at least one stage.
+    const DeviceKind dev =
+        p == Placement::kGpuOnly ? DeviceKind::kGpu : DeviceKind::kFpga;
+    bool on_device = false;
+    for (const auto& rec : rt.stats().substitutions) {
+      on_device |= rec.device == dev;
+    }
+    EXPECT_TRUE(on_device) << "placement=" << static_cast<int>(p);
   }
 }
 

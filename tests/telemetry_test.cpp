@@ -429,26 +429,18 @@ TEST(TelemetryHub, NativeHistogramExposition) {
             10000.0);
 }
 
-TEST(TelemetryHub, CompatFlagGatesLegacyPercentileGauges) {
+TEST(TelemetryHub, ServerExportsHistogramNotLegacyPercentileGauges) {
   const workloads::Workload& w = pipeline_by_name("intpipe");
   auto prog = runtime::compile(w.lime_source);
   ASSERT_TRUE(prog->ok());
   net::DeviceServer server(*prog);
   std::vector<GaugeSample> gauges;
-  server.collect_telemetry(gauges, /*compat=*/false);
+  server.collect_telemetry(gauges);
   for (const GaugeSample& s : gauges) {
     EXPECT_NE(s.name, "server.exec_p50_us");
     EXPECT_NE(s.name, "server.exec_p99_us");
   }
-  gauges.clear();
-  server.collect_telemetry(gauges, /*compat=*/true);
-  bool p50 = false, p99 = false;
-  for (const GaugeSample& s : gauges) {
-    p50 |= s.name == "server.exec_p50_us";
-    p99 |= s.name == "server.exec_p99_us";
-  }
-  EXPECT_TRUE(p50 && p99);
-  // The native histogram is exported either way.
+  // Execute latency is exported as a native histogram instead.
   std::vector<obs::HistogramSample> hists;
   server.collect_histograms(hists);
   ASSERT_EQ(hists.size(), 1u);

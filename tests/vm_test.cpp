@@ -1,6 +1,8 @@
 // Unit and integration tests for the bytecode compiler + interpreter (S4).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "bytecode/compiler.h"
 #include "bytecode/interp.h"
 #include "tests/lime_test_util.h"
@@ -198,6 +200,23 @@ TEST(Vm, StaticFinalConstantsFolded) {
   Interpreter in(*c.module);
   EXPECT_EQ(in.call("C.f", {}).as_i32(), 42);
   EXPECT_FLOAT_EQ(in.call("C.g", {}).as_f32(), 2.5f);
+}
+
+TEST(Vm, MinValueOverMinusOneFoldsLikeJava) {
+  // Java defines MIN_VALUE / -1 == MIN_VALUE and MIN_VALUE % -1 == 0; the
+  // constant folder must not evaluate either with C++ division, which
+  // traps.
+  auto c = build(R"(
+    class C {
+      static final int Q = (-2147483647 - 1) / -1;
+      static final int R = (-2147483647 - 1) % -1;
+      static int q() { return Q; }
+      static int r() { return R; }
+    }
+  )");
+  Interpreter in(*c.module);
+  EXPECT_EQ(in.call("C.q", {}).as_i32(), std::numeric_limits<int32_t>::min());
+  EXPECT_EQ(in.call("C.r", {}).as_i32(), 0);
 }
 
 TEST(Vm, MathIntrinsics) {

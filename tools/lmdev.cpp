@@ -44,7 +44,6 @@ void on_signal(int) { g_stop.store(true); }
 int usage() {
   std::cerr << "usage: lmdev <file.lime> [--port N] [--no-gpu] [--no-fpga]\n"
                "             [--fail-after N] [--telemetry-port N] [--quiet]\n"
-               "             [--telemetry-compat]\n"
                "             [--cache[=off|ro|rw]] [--cache-dir=<dir>]\n";
   return 2;
 }
@@ -59,9 +58,6 @@ int main(int argc, char** argv) {
   runtime::CompileOptions copts;
   bool quiet = false;
   int telemetry_port = -1;  // <0 → exporter off; 0 → ephemeral port
-  // One release of overlap for the pre-ISSUE-10 exec_p50/p99 gauges; the
-  // native lm_server_exec_us histogram is always exported.
-  bool telemetry_compat = false;
 
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
@@ -80,8 +76,6 @@ int main(int argc, char** argv) {
       telemetry_port = static_cast<int>(std::stoul(next("--telemetry-port")));
     } else if (a.rfind("--telemetry-port=", 0) == 0) {
       telemetry_port = static_cast<int>(std::stoul(a.substr(17)));
-    } else if (a == "--telemetry-compat") {
-      telemetry_compat = true;
     } else if (a == "--no-gpu") {
       copts.enable_gpu = false;
     } else if (a == "--no-fpga") {
@@ -140,16 +134,15 @@ int main(int argc, char** argv) {
 
     // Telemetry exporter: the server's own registry, its live gauges
     // (active connections) and the native execute-latency histogram
-    // (lm_server_exec_us — --telemetry-compat re-adds the old p50/p99
-    // gauges); health goes degraded once a --fail-after crash fires.
+    // (lm_server_exec_us); health goes degraded once a --fail-after crash
+    // fires.
     obs::TelemetryHub hub;
     std::unique_ptr<net::TelemetryServer> telemetry;
     if (telemetry_port >= 0) {
       hub.add_metrics(&server.metrics());
-      hub.add_collector(
-          [&server, telemetry_compat](std::vector<obs::GaugeSample>& out) {
-            server.collect_telemetry(out, telemetry_compat);
-          });
+      hub.add_collector([&server](std::vector<obs::GaugeSample>& out) {
+        server.collect_telemetry(out);
+      });
       hub.add_histograms(
           [&server](std::vector<obs::HistogramSample>& out) {
             server.collect_histograms(out);
