@@ -36,8 +36,7 @@ struct Program {
 /// A synthesis-heavy pipeline: `stages` filters, each with an
 /// `unroll`-iteration loop the FPGA backend fully unrolls into a deep
 /// combinational datapath. Device compilation dominates this program's
-/// toolchain time, which is exactly the work a warm cache must skip —
-/// the ≥5× compile-phase acceptance number is measured here.
+/// toolchain time, so it is where a warm cache has the most to skip.
 std::string deep_unrolled_source(int stages, int unroll) {
   std::string src = "class Deep {\n";
   for (int i = 0; i < stages; ++i) {

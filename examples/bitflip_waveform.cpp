@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
     std::cerr << "synthesis declined: " << artifact.exclusion_reason << "\n";
     return 1;
   }
-  std::cout << "=== Verilog artifact ===\n" << artifact.verilog << "\n";
+  std::cout << "=== Verilog artifact ===\n"
+            << fpga::emit_verilog(*artifact.module) << "\n";
 
   fpga::FpgaFilter filter(std::move(artifact));
   filter.enable_waveform();

@@ -94,10 +94,10 @@ int main() {
 
   std::cout << "\n=== 6. The generated OpenCL artifact ===\n";
   auto* gpu = program->store.find("Bitflip.flip", runtime::DeviceKind::kGpu);
-  std::cout << gpu->manifest().artifact_text << "\n";
+  std::cout << gpu->text() << "\n";
 
   std::cout << "=== 7. The generated Verilog artifact ===\n";
   auto* fpga = program->store.find("Bitflip.flip", runtime::DeviceKind::kFpga);
-  std::cout << fpga->manifest().artifact_text;
+  std::cout << fpga->text();
   return 0;
 }

@@ -499,15 +499,43 @@ std::vector<rtl::HExprPtr> read_expr_table(ByteReader& r) {
   return nodes;
 }
 
+/// Rejects port metadata that does not describe its module. FpgaFilter and
+/// the simulator trust both, so a payload that fails here must become a
+/// cache miss, not a failed check on the compile or run path.
+void check_ports(const rtl::Module& m, const fpga::FpgaPortMeta& p) {
+  auto expect_port = [&m](const std::string& name, rtl::SigKind kind,
+                          int width) {
+    rtl::SigId id = m.find(name);
+    if (id < 0 || m.sig(id).kind != kind || m.sig(id).width != width ||
+        width < 1 || width > 64) {
+      throw RuntimeError("netlist payload port '" + name +
+                         "' does not match its module");
+    }
+  };
+  if (p.arity < 1 || static_cast<size_t>(p.arity) != p.in_data.size() ||
+      p.in_data.size() != p.in_widths.size()) {
+    throw RuntimeError("netlist payload arity disagrees with its inputs");
+  }
+  for (size_t i = 0; i < p.in_data.size(); ++i) {
+    expect_port(p.in_data[i], rtl::SigKind::kInput, p.in_widths[i]);
+  }
+  expect_port(p.out_data, rtl::SigKind::kOutput, p.out_width);
+  expect_port("inReady", rtl::SigKind::kInput, 1);
+  expect_port("inTake", rtl::SigKind::kOutput, 1);
+  expect_port("outReady", rtl::SigKind::kOutput, 1);
+  if (p.latency < 1 || p.initiation_interval < 1) {
+    throw RuntimeError("netlist payload declares a zero-cycle handshake");
+  }
+}
+
 }  // namespace
 
 std::vector<uint8_t> encode_fpga_result(const fpga::FpgaCompileResult& r) {
   LM_CHECK_MSG(r.module != nullptr, "cannot serialize an excluded result");
-  return encode_fpga_parts(*r.module, r.verilog, r.ports);
+  return encode_fpga_parts(*r.module, r.ports);
 }
 
 std::vector<uint8_t> encode_fpga_parts(const rtl::Module& m,
-                                       const std::string& verilog,
                                        const fpga::FpgaPortMeta& p) {
   ByteWriter w;
   w.str(m.name);
@@ -537,7 +565,6 @@ std::vector<uint8_t> encode_fpga_parts(const rtl::Module& m,
     w.i32(target);
     w.u32(id);
   }
-  w.str(verilog);
   w.u32(static_cast<uint32_t>(p.in_data.size()));
   for (const auto& s : p.in_data) w.str(s);
   w.u32(static_cast<uint32_t>(p.in_widths.size()));
@@ -573,22 +600,27 @@ fpga::FpgaCompileResult decode_fpga_result(std::span<const uint8_t> bytes) {
     }
     return exprs[id];
   };
+  auto target_at = [&](int32_t id) -> rtl::SigId {
+    if (id < 0 || static_cast<uint32_t>(id) >= nsignals) {
+      throw RuntimeError("netlist payload assigns a missing signal");
+    }
+    return id;
+  };
   uint32_t ncomb = r.u32();
   check_count(r, ncomb, 8);
   m->comb.reserve(ncomb);
   for (uint32_t i = 0; i < ncomb; ++i) {
-    int32_t target = r.i32();
+    rtl::SigId target = target_at(r.i32());
     m->comb.push_back({target, expr_at(r.u32())});
   }
   uint32_t nseq = r.u32();
   check_count(r, nseq, 8);
   m->seq.reserve(nseq);
   for (uint32_t i = 0; i < nseq; ++i) {
-    int32_t target = r.i32();
+    rtl::SigId target = target_at(r.i32());
     m->seq.push_back({target, expr_at(r.u32())});
   }
   fpga::FpgaCompileResult out;
-  out.verilog = r.str();
   fpga::FpgaPortMeta& p = out.ports;
   uint32_t nin = r.u32();
   check_count(r, nin, 4);
@@ -607,6 +639,7 @@ fpga::FpgaCompileResult decode_fpga_result(std::span<const uint8_t> bytes) {
   if (!r.done()) throw RuntimeError("netlist payload has trailing bytes");
   // Re-run the structural checks: a bit-rotted netlist is rejected outright.
   m->validate();
+  check_ports(*m, p);
   out.module = std::move(m);
   return out;
 }

@@ -7,7 +7,8 @@
 //    artifact bodies: the whole-program BytecodeModule, a GPU
 //    KernelProgram (including its OpenCL text and range facts, so a warm
 //    start skips the interval pass too), and an FPGA compile result
-//    (RTL netlist + Verilog text + port metadata). All layouts ride the
+//    (RTL netlist + port metadata; the Verilog text is printed from the
+//    netlist when someone reads it). All layouts ride the
 //    ByteWriter/ByteReader little-endian primitives — the same byte
 //    conventions as the serde wire format and the LMRP protocol.
 //
@@ -55,17 +56,19 @@ std::vector<uint8_t> encode_kernel_program(const gpu::KernelProgram& p);
 std::unique_ptr<gpu::KernelProgram> decode_kernel_program(
     std::span<const uint8_t> bytes);
 
-/// Serializes the synthesized module + Verilog + port metadata. The
-/// exclusion fields are not persisted: exclusions are never cached (the
-/// suitability check reruns each compile and is cheap).
+/// Serializes the synthesized module + port metadata. The exclusion fields
+/// are not persisted: exclusions are never cached (the suitability check
+/// reruns each compile and is cheap).
 std::vector<uint8_t> encode_fpga_result(const fpga::FpgaCompileResult& r);
 /// Same encoding from the parts an instantiated FpgaFilter exposes (the
 /// device server re-serializes live artifacts for the compile service).
 std::vector<uint8_t> encode_fpga_parts(const rtl::Module& module,
-                                       const std::string& verilog,
                                        const fpga::FpgaPortMeta& ports);
-/// The decoded module is validate()d before returning; a netlist that
-/// fails validation throws, which the cache layer treats as corruption.
+/// The decoded module is validate()d and its port metadata checked against
+/// it before returning: arity, the data ports' names, directions and
+/// widths (1..64), the 1-bit handshake ports, and a latency and initiation
+/// interval of at least one cycle. A payload that fails throws, which the
+/// cache layer and the compile-service client treat as a miss.
 fpga::FpgaCompileResult decode_fpga_result(std::span<const uint8_t> bytes);
 
 // -- canonical content bytes (cache keying) --------------------------------

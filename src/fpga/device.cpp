@@ -1,5 +1,6 @@
 #include "fpga/device.h"
 
+#include "fpga/verilog_emit.h"
 #include "util/error.h"
 
 namespace lm::fpga {
@@ -53,7 +54,6 @@ ElemCode out_elem_for_width(int width, ElemCode in_elem) {
 FpgaFilter::FpgaFilter(FpgaCompileResult artifact) {
   LM_CHECK_MSG(artifact.ok(), "cannot instantiate an excluded FPGA artifact");
   module_ = std::move(artifact.module);
-  verilog_ = std::move(artifact.verilog);
   ports_ = std::move(artifact.ports);
   compiled_ = std::make_shared<const rtl::CompiledModule>(*module_);
   auto port = [&](const std::string& name) {
@@ -74,6 +74,11 @@ std::string FpgaFilter::describe() const {
   return module_->name + " (arity " + std::to_string(ports_.arity) + ", II " +
          std::to_string(ports_.initiation_interval) + ", latency " +
          std::to_string(ports_.latency) + ")";
+}
+
+const std::string& FpgaFilter::verilog() const {
+  std::call_once(verilog_once_, [this] { verilog_ = emit_verilog(*module_); });
+  return verilog_;
 }
 
 void FpgaFilter::enable_waveform() { want_vcd_ = true; }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -49,11 +50,14 @@ class FpgaFilter {
   std::string describe() const;
   const FpgaPortMeta& ports() const { return ports_; }
   const rtl::Module& module() const { return *module_; }
-  const std::string& verilog() const { return verilog_; }
+  /// The Verilog artifact text (Fig. 2), printed from the module on the
+  /// first call and kept; safe to call from any thread.
+  const std::string& verilog() const;
 
  private:
   std::unique_ptr<rtl::Module> module_;
-  std::string verilog_;
+  mutable std::once_flag verilog_once_;
+  mutable std::string verilog_;
   FpgaPortMeta ports_;
   /// Built once; every process() call runs a simulator of its own over it,
   /// so concurrent calls (a device server's connections) share no state.

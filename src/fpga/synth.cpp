@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "bytecode/compiler.h"
-#include "fpga/verilog_emit.h"
 #include "util/error.h"
 
 namespace lm::fpga {
@@ -597,7 +596,6 @@ FpgaCompileResult wrap_datapath(
   }
 
   module->validate();
-  result.verilog = emit_verilog(*module);
   result.module = std::move(module);
   result.ports = std::move(ports);
   return result;

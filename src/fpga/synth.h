@@ -1,5 +1,6 @@
 // The FPGA device compiler (§3, §5): behavioural synthesis of relocated
-// filter tasks into RTL modules + Verilog artifacts.
+// filter tasks into RTL modules. The Verilog artifact text is a pure
+// function of the module (verilog_emit.h), printed only when read.
 //
 // Suitability filter (constructs excluded by this backend, per §3's
 // per-device exclusion rule):
@@ -53,7 +54,6 @@ struct FpgaPortMeta {
 
 struct FpgaCompileResult {
   std::unique_ptr<rtl::Module> module;  // null when excluded
-  std::string verilog;                  // the artifact text (Fig. 2)
   FpgaPortMeta ports;
   std::string exclusion_reason;
   /// Source position of the construct that triggered the exclusion (the

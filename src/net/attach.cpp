@@ -43,9 +43,6 @@ AttachResult attach_remote_devices(runtime::LiquidRuntime& rt,
         m.param_types = local->manifest().param_types;
         m.return_type = local->manifest().return_type;
         m.arity = l.arity;
-        m.artifact_text = std::string("// remote ") +
-                          runtime::to_string(l.device) + " @ " +
-                          session->endpoint();
         rt.add_remote_artifact(
             std::make_unique<RemoteArtifact>(std::move(m), session));
         ++added;

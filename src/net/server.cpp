@@ -69,8 +69,7 @@ DeviceServer::DeviceServer(const runtime::CompiledProgram& program,
         if (fa) {
           fpga::FpgaFilter& filt = fa->filter();
           artifact_payloads_[key] = {
-              backend, cache::encode_fpga_parts(filt.module(), filt.verilog(),
-                                                filt.ports())};
+              backend, cache::encode_fpga_parts(filt.module(), filt.ports())};
         }
       }
     } catch (const std::exception&) {

@@ -130,6 +130,17 @@ std::vector<Value> BytecodeArtifact::process(std::span<const Value> inputs) {
   return out;
 }
 
+std::string BytecodeArtifact::text() const {
+  const bc::CompiledMethod& m =
+      interp_.module().methods[static_cast<size_t>(method_index_)];
+  std::ostringstream os;
+  os << "// bytecode artifact for " << manifest_.task_id << "\n";
+  for (size_t pc = 0; pc < m.code.size(); ++pc) {
+    os << pc << ": " << bc::disassemble(m.code[pc]) << "\n";
+  }
+  return os.str();
+}
+
 Value BytecodeArtifact::apply(std::vector<Value> args) {
   return interp_.call(method_index_, std::move(args));
 }

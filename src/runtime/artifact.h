@@ -44,9 +44,6 @@ struct ArtifactManifest {
   /// Stream elements consumed per firing (the filter's arity; for fused
   /// segments, the arity of the first stage).
   int arity = 1;
-  /// The generated artifact text: OpenCL-C for GPU, Verilog for FPGA,
-  /// disassembly for bytecode. Kept for inspection and goldens.
-  std::string artifact_text;
 
   std::string to_string() const;
 };
@@ -81,6 +78,12 @@ class Artifact {
   virtual ~Artifact() = default;
 
   const ArtifactManifest& manifest() const { return manifest_; }
+
+  /// The generated artifact text (Fig. 2): disassembly for bytecode,
+  /// OpenCL-C for GPU, Verilog for FPGA; empty for artifacts that have
+  /// none (remote proxies, fallback chains). Rendered on each call from
+  /// what the artifact holds, so nothing on the run path pays for it.
+  virtual std::string text() const { return {}; }
 
   /// Processes a batch: `inputs` holds n*arity stream elements; returns n
   /// outputs, in order.
@@ -139,6 +142,7 @@ class BytecodeArtifact final : public Artifact {
                    int method_index);
 
   std::vector<bc::Value> process(std::span<const bc::Value> inputs) override;
+  std::string text() const override;
 
   /// Single-element convenience used by tests.
   bc::Value apply(std::vector<bc::Value> args);
@@ -157,6 +161,7 @@ class GpuKernelArtifact final : public Artifact {
                     std::shared_ptr<gpu::GpuDevice> device);
 
   std::vector<bc::Value> process(std::span<const bc::Value> inputs) override;
+  std::string text() const override { return program_->opencl_source; }
 
   const gpu::KernelProgram& program() const { return *program_; }
   gpu::GpuDevice& device() { return *device_; }
@@ -196,6 +201,7 @@ class FpgaModuleArtifact final : public Artifact {
   FpgaModuleArtifact(ArtifactManifest manifest, fpga::FpgaCompileResult rtl);
 
   std::vector<bc::Value> process(std::span<const bc::Value> inputs) override;
+  std::string text() const override { return filter_.verilog(); }
 
   fpga::FpgaFilter& filter() { return filter_; }
   uint64_t total_cycles() const {

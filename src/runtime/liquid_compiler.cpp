@@ -156,15 +156,13 @@ class MapMethodCollector {
   std::unordered_set<const lime::MethodDecl*> seen_;
 };
 
-ArtifactManifest manifest_for(const lime::MethodDecl& m, DeviceKind device,
-                              std::string text) {
+ArtifactManifest manifest_for(const lime::MethodDecl& m, DeviceKind device) {
   ArtifactManifest mf;
   mf.task_id = m.qualified_name();
   mf.device = device;
   for (const auto& p : m.params) mf.param_types.push_back(p.type);
   mf.return_type = m.return_type;
   mf.arity = static_cast<int>(m.params.size());
-  mf.artifact_text = std::move(text);
   return mf;
 }
 
@@ -273,10 +271,8 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
     if (!bytecode_done.insert(id).second) return;
     int idx = cp->bytecode->index_of(id);
     LM_CHECK_MSG(idx >= 0, "no bytecode for " << id);
-    std::string text = "bytecode:\n";  // disassembly as the artifact text
     cp->store.add(std::make_unique<BytecodeArtifact>(
-        manifest_for(*m, DeviceKind::kCpu, std::move(text)), *cp->bytecode,
-        idx));
+        manifest_for(*m, DeviceKind::kCpu), *cp->bytecode, idx));
     // Per-task CPU artifacts wrap the module; when the module itself came
     // from cache, no compilation happened here either.
     cp->backend_log.push_back("cpu: compiled " + id +
@@ -368,11 +364,10 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
         prog = std::move(r.program);
         store_gpu(key, *prog);
       }
-      ArtifactManifest mf =
-          manifest_for(*m, DeviceKind::kGpu, prog->opencl_source);
       wire_native(id);
       cp->store.add(std::make_unique<GpuKernelArtifact>(
-          std::move(mf), std::move(prog), cp->gpu_device));
+          manifest_for(*m, DeviceKind::kGpu), std::move(prog),
+          cp->gpu_device));
       cp->backend_log.push_back(from_cache ? "gpu: compiled " + id + " (cached)"
                                            : "gpu: compiled " + id);
     };
@@ -425,7 +420,6 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
             }
             mf.return_type = chain.back()->return_type;
             mf.arity = static_cast<int>(chain.front()->params.size());
-            mf.artifact_text = prog->opencl_source;
             wire_native(seg_id);
             cp->store.add(std::make_unique<GpuKernelArtifact>(
                 std::move(mf), std::move(prog), cp->gpu_device));
@@ -513,9 +507,8 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
         store_fpga(key, r);
         res = std::move(r);
       }
-      ArtifactManifest mf = manifest_for(*m, DeviceKind::kFpga, res->verilog);
-      cp->store.add(std::make_unique<FpgaModuleArtifact>(std::move(mf),
-                                                         std::move(*res)));
+      cp->store.add(std::make_unique<FpgaModuleArtifact>(
+          manifest_for(*m, DeviceKind::kFpga), std::move(*res)));
       cp->backend_log.push_back(from_cache
                                     ? "fpga: compiled " + id + " (cached)"
                                     : "fpga: compiled " + id);
@@ -566,7 +559,6 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
         }
         mf.return_type = chain.back()->return_type;
         mf.arity = static_cast<int>(chain.front()->params.size());
-        mf.artifact_text = res->verilog;
         cp->store.add(std::make_unique<FpgaModuleArtifact>(std::move(mf),
                                                            std::move(*res)));
         cp->backend_log.push_back(

@@ -281,7 +281,6 @@ Artifact* LiquidRuntime::fallback_for(
   m.param_types = stages.front()->manifest().param_types;
   m.return_type = stages.back()->manifest().return_type;
   m.arity = stages.front()->manifest().arity;
-  m.artifact_text = "// cpu fallback chain for " + seg;
   fallback_chains_.push_back(
       std::make_unique<ChainArtifact>(std::move(m), std::move(stages)));
   return fallback_chains_.back().get();

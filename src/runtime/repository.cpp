@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "util/error.h"
 #include "util/strings.h"
@@ -66,32 +65,17 @@ std::vector<BundleEntry> write_artifact_bundle(const CompiledProgram& program,
   }
 
   std::vector<BundleEntry> entries;
-  for (const auto* m : program.store.manifests()) {
+  for (const Artifact* a : program.store.artifacts()) {
+    const ArtifactManifest& m = a->manifest();
     BundleEntry e;
-    e.task_id = m->task_id;
-    e.device = m->device;
-    e.filename = bundle_filename(m->task_id, m->device);
-    e.signature = signature_of(*m);
+    e.task_id = m.task_id;
+    e.device = m.device;
+    e.filename = bundle_filename(m.task_id, m.device);
+    e.signature = signature_of(m);
 
-    std::string content = m->artifact_text;
-    if (m->device == DeviceKind::kCpu) {
-      // The bytecode artifact text is its disassembly, regenerated here so
-      // the repository is self-contained.
-      int idx = program.bytecode->index_of(m->task_id);
-      if (idx >= 0) {
-        const auto& cm =
-            program.bytecode->methods[static_cast<size_t>(idx)];
-        std::ostringstream os;
-        os << "// bytecode artifact for " << m->task_id << "\n";
-        for (size_t pc = 0; pc < cm.code.size(); ++pc) {
-          os << pc << ": " << bc::disassemble(cm.code[pc]) << "\n";
-        }
-        content = os.str();
-      }
-    }
     std::ofstream out(fs::path(dir) / e.filename);
     if (!out) throw RuntimeError("cannot write " + e.filename);
-    out << content;
+    out << a->text();
     entries.push_back(std::move(e));
   }
 

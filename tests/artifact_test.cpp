@@ -2,9 +2,14 @@
 // artifact kind's batch-processing contract.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
+#include "fpga/verilog_emit.h"
 #include "runtime/liquid_compiler.h"
 #include "runtime/store.h"
 #include "tests/lime_test_util.h"
+#include "workloads/workloads.h"
 
 namespace lm::runtime {
 namespace {
@@ -97,6 +102,38 @@ TEST(FpgaArtifactTest, ProcessAccumulatesCycles) {
   EXPECT_EQ(out[0].as_i32(), 15);
   EXPECT_EQ(out[1].as_i32(), -21);
   EXPECT_GE(a->total_cycles(), 6u);  // ≥ 3 cycles per element (Fig. 4)
+}
+
+TEST(FpgaArtifactTest, ConcurrentTextMatchesEmittedVerilog) {
+  // The Verilog text is printed on first read, so the first readers race
+  // to print it. crc8's module is the largest in the suite (~400 KB).
+  const workloads::Workload* crc = nullptr;
+  for (const auto& w : workloads::pipeline_suite()) {
+    if (w.name == "crc8pipe") crc = &w;
+  }
+  ASSERT_NE(crc, nullptr);
+  auto cp = compile_ok(crc->lime_source);
+  auto* a = dynamic_cast<FpgaModuleArtifact*>(
+      cp->store.find("Crc8.crc8", DeviceKind::kFpga));
+  ASSERT_NE(a, nullptr);
+
+  constexpr int kThreads = 8;
+  std::vector<std::string> texts(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      texts[static_cast<size_t>(t)] = a->text();
+    });
+  }
+  for (auto& th : threads) th.join();
+  const std::string want = fpga::emit_verilog(a->filter().module());
+  ASSERT_NE(want.find("module Crc8_crc8("), std::string::npos);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(texts[static_cast<size_t>(t)], want) << "thread " << t;
+  }
 }
 
 TEST(ArtifactEquivalence, AllDevicesComputeTheSameBatch) {

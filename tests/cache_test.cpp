@@ -6,8 +6,12 @@
 // differential, and the lmdev compile-service path end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 
 #include "bytecode/module.h"
@@ -17,6 +21,7 @@
 #include "net/server.h"
 #include "runtime/liquid_runtime.h"
 #include "util/error.h"
+#include "workloads/workloads.h"
 
 namespace lm::cache {
 namespace {
@@ -368,6 +373,134 @@ TEST(CodecTest, CanonicalBytesIgnoreUnrelatedEdits) {
   EXPECT_EQ(wa.bytes().size(), wb.bytes().size());
   EXPECT_TRUE(std::equal(wa.bytes().begin(), wa.bytes().end(),
                          wb.bytes().begin()));
+}
+
+// -- hostile FPGA payloads -------------------------------------------------
+
+const workloads::Workload& crc8_workload() {
+  for (const auto& w : workloads::pipeline_suite()) {
+    if (w.name == "crc8pipe") return w;
+  }
+  throw std::invalid_argument("no crc8pipe workload");
+}
+
+struct Spoiled {
+  const char* what;
+  std::function<void(rtl::Module&, fpga::FpgaPortMeta&)> spoil;
+};
+
+/// crc8's netlist and ports, each with one lie: a port that does not match
+/// the netlist, or an assignment to a signal the netlist does not have.
+std::vector<Spoiled> spoiled_variants() {
+  using fpga::FpgaPortMeta;
+  auto rename = [](rtl::Module& m, const char* from, const char* to) {
+    m.signals[static_cast<size_t>(m.find(from))].name = to;
+  };
+  return {
+      {"unknown input", [](rtl::Module&, FpgaPortMeta& p) {
+         p.in_data[0] = "noSuchPort";
+       }},
+      {"arity above inputs", [](rtl::Module&, FpgaPortMeta& p) {
+         p.arity = 3;
+       }},
+      {"zero arity", [](rtl::Module&, FpgaPortMeta& p) {
+         p.arity = 0;
+         p.in_data.clear();
+         p.in_widths.clear();
+       }},
+      {"widths disagree with inputs", [](rtl::Module&, FpgaPortMeta& p) {
+         p.in_widths.push_back(32);
+       }},
+      {"input width", [](rtl::Module&, FpgaPortMeta& p) {
+         p.in_widths[0] = 16;
+       }},
+      {"output is an input", [](rtl::Module&, FpgaPortMeta& p) {
+         p.out_data = p.in_data[0];
+       }},
+      {"output width 200", [](rtl::Module&, FpgaPortMeta& p) {
+         p.out_width = 200;
+       }},
+      {"output width", [](rtl::Module&, FpgaPortMeta& p) {
+         p.out_width = 8;
+       }},
+      {"no inReady", [rename](rtl::Module& m, FpgaPortMeta&) {
+         rename(m, "inReady", "inReadyX");
+       }},
+      {"no inTake", [rename](rtl::Module& m, FpgaPortMeta&) {
+         rename(m, "inTake", "inTakeX");
+       }},
+      {"no outReady", [rename](rtl::Module& m, FpgaPortMeta&) {
+         rename(m, "outReady", "outReadyX");
+       }},
+      {"zero latency", [](rtl::Module&, FpgaPortMeta& p) {
+         p.latency = 0;
+       }},
+      {"zero initiation interval", [](rtl::Module&, FpgaPortMeta& p) {
+         p.initiation_interval = 0;
+       }},
+      {"comb target past the signals", [](rtl::Module& m, FpgaPortMeta&) {
+         m.comb[0].target = static_cast<rtl::SigId>(m.signals.size());
+       }},
+      {"negative seq target", [](rtl::Module& m, FpgaPortMeta&) {
+         m.seq[0].target = -1;
+       }},
+  };
+}
+
+/// crc8's FPGA payload with one variant's lie applied.
+std::vector<uint8_t> spoiled_crc8_payload(const Spoiled& bad) {
+  auto cp = runtime::compile(crc8_workload().lime_source);
+  EXPECT_TRUE(cp->ok()) << cp->diags.to_string();
+  auto* fa = dynamic_cast<runtime::FpgaModuleArtifact*>(
+      cp->store.find("Crc8.crc8", runtime::DeviceKind::kFpga));
+  EXPECT_NE(fa, nullptr);
+  if (!fa) return {};
+  rtl::Module module = fa->filter().module();
+  fpga::FpgaPortMeta ports = fa->filter().ports();
+  bad.spoil(module, ports);
+  return encode_fpga_parts(module, ports);
+}
+
+TEST(CodecTest, FpgaPayloadsThatLieAboutTheNetlistAreRejected) {
+  EXPECT_NO_THROW(decode_fpga_result(
+      spoiled_crc8_payload({"intact", [](rtl::Module&, fpga::FpgaPortMeta&) {
+                            }})));
+  for (const Spoiled& bad : spoiled_variants()) {
+    EXPECT_THROW(decode_fpga_result(spoiled_crc8_payload(bad)),
+                 lm::RuntimeError)
+        << bad.what;
+  }
+}
+
+TEST(CodecTest, HostileFpgaPayloadIsAMissNotACrash) {
+  // A compile service that serves crc8's netlist with a lie in it: the
+  // compiler must synthesize locally, as for any miss (DESIGN.md §14).
+  const workloads::Workload& w = crc8_workload();
+  for (const Spoiled& bad : spoiled_variants()) {
+    SCOPED_TRACE(bad.what);
+    std::vector<uint8_t> payload = spoiled_crc8_payload(bad);
+    runtime::CompileOptions opts;
+    opts.remote_fetch = [&payload](uint64_t, const std::string& backend,
+                                   const std::string&)
+        -> std::optional<std::vector<uint8_t>> {
+      if (backend != kBackendFpga) return std::nullopt;
+      return payload;
+    };
+    auto cp = runtime::compile(w.lime_source, opts);
+    ASSERT_TRUE(cp->ok()) << cp->diags.to_string();
+    EXPECT_NE(std::find(cp->backend_log.begin(), cp->backend_log.end(),
+                        "fpga: compiled Crc8.crc8"),
+              cp->backend_log.end());
+
+    runtime::RuntimeConfig rc;
+    rc.placement = runtime::Placement::kFpgaOnly;
+    runtime::LiquidRuntime rt(*cp, rc);
+    std::vector<Value> args = w.make_args(64, 7);
+    Value got = rt.call(w.entry, args);
+    EXPECT_TRUE(workloads::results_match(got, w.reference(args), 0.0));
+    ASSERT_EQ(rt.stats().substitutions.size(), 1u);
+    EXPECT_EQ(rt.stats().substitutions[0].device, runtime::DeviceKind::kFpga);
+  }
 }
 
 // -- warm-start differential ----------------------------------------------

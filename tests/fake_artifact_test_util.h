@@ -54,7 +54,6 @@ class ScriptedArtifact final : public runtime::Artifact {
     m.task_id = std::move(task_id);
     m.device = device;
     m.arity = arity;
-    m.artifact_text = "// scripted test artifact";
     return m;
   }
 

@@ -534,7 +534,6 @@ class FailingArtifact final : public Artifact {
     m.task_id = std::move(task_id);
     m.device = device;
     m.arity = 1;
-    m.artifact_text = "// failing test artifact";
     return m;
   }
 

@@ -90,7 +90,7 @@ TEST(Synth, VerilogArtifactShape) {
   auto b = build(lime::testing::figure1_source());
   auto r = synthesize_filter(*method(b, "Bitflip", "flip"));
   ASSERT_TRUE(r.ok());
-  const std::string& v = r.verilog;
+  const std::string v = emit_verilog(*r.module);
   EXPECT_NE(v.find("module Bitflip_flip("), std::string::npos);
   EXPECT_NE(v.find("input wire clk"), std::string::npos);
   EXPECT_NE(v.find("input wire inReady"), std::string::npos);
@@ -388,6 +388,15 @@ TEST(FpgaCache, Crc8ArtifactRoundTripsThroughTheCodec) {
   EXPECT_EQ(got.cycles, want.cycles);
   EXPECT_EQ(got.first_output_latency, want.first_output_latency);
   EXPECT_EQ(got.outputs_produced, 256u);
+}
+
+TEST(FpgaCache, Crc8PayloadCarriesNoVerilog) {
+  // A payload holds the netlist and its ports. The Verilog is printed from
+  // the netlist when read (over 400 KB for crc8), so it is never stored.
+  auto b = build(pipeline_workload("crc8pipe").lime_source);
+  auto r = synthesize_filter(*method(b, "Crc8", "crc8"));
+  ASSERT_TRUE(r.ok()) << r.exclusion_reason;
+  EXPECT_LT(cache::encode_fpga_result(r).size(), 8u * 1024);
 }
 
 TEST(Fpga, ConcurrentProcessCallsShareNoState) {

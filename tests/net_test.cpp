@@ -514,9 +514,7 @@ TEST_F(LoopbackTest, RemoteArtifactMatchesLocalProcess) {
   runtime::Artifact* local =
       program_->store.find("P.triple", DeviceKind::kGpu);
   ASSERT_NE(local, nullptr);
-  runtime::ArtifactManifest m = local->manifest();
-  m.artifact_text = "// remote";
-  RemoteArtifact remote(std::move(m), session);
+  RemoteArtifact remote(local->manifest(), session);
   EXPECT_TRUE(remote.is_remote());
   EXPECT_EQ(remote.location(), session->endpoint());
   EXPECT_NE(remote.cost_label(),

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "fpga/verilog_emit.h"
 #include "runtime/repository.h"
 #include "tests/lime_test_util.h"
 
@@ -11,6 +12,40 @@ namespace lm::runtime {
 namespace {
 
 namespace fs = std::filesystem;
+
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// The text each bundle file must hold, rebuilt from the artifact's parts:
+/// the kernel's OpenCL source, the module's Verilog, the method's
+/// disassembly.
+std::string expected_text(const CompiledProgram& cp, const BundleEntry& e) {
+  Artifact* a = cp.store.find(e.task_id, e.device);
+  EXPECT_NE(a, nullptr) << e.task_id;
+  if (!a) return {};
+  switch (e.device) {
+    case DeviceKind::kGpu:
+      return dynamic_cast<GpuKernelArtifact&>(*a).program().opencl_source;
+    case DeviceKind::kFpga:
+      return fpga::emit_verilog(
+          dynamic_cast<FpgaModuleArtifact&>(*a).filter().module());
+    case DeviceKind::kCpu: {
+      const bc::CompiledMethod* m = cp.bytecode->find(e.task_id);
+      EXPECT_NE(m, nullptr) << e.task_id;
+      if (!m) return {};
+      std::string text = "// bytecode artifact for " + e.task_id + "\n";
+      for (size_t pc = 0; pc < m->code.size(); ++pc) {
+        text += std::to_string(pc) + ": " + bc::disassemble(m->code[pc]);
+        text += "\n";
+      }
+      return text;
+    }
+  }
+  return {};
+}
 
 class RepositoryTest : public ::testing::Test {
  protected:
@@ -46,6 +81,44 @@ TEST_F(RepositoryTest, WritesAllArtifactsAndManifest) {
   std::string bc_text((std::istreambuf_iterator<char>(bc_file)),
                       std::istreambuf_iterator<char>());
   EXPECT_NE(bc_text.find("bitflip"), std::string::npos);
+}
+
+TEST_F(RepositoryTest, FilesHoldTheArtifactTexts) {
+  auto cp = compile(lime::testing::figure1_source());
+  ASSERT_TRUE(cp->ok());
+  auto entries = write_artifact_bundle(*cp, dir_.string());
+  ASSERT_EQ(entries.size(), 3u);
+  for (const auto& e : entries) {
+    std::string text = read_file(dir_ / e.filename);
+    EXPECT_FALSE(text.empty()) << e.filename;
+    EXPECT_EQ(text, expected_text(*cp, e)) << e.filename;
+  }
+}
+
+TEST_F(RepositoryTest, FusedSegmentFilesHoldTheArtifactTexts) {
+  auto cp = compile(R"(
+    class P {
+      local static int scale(int x) { return 3 * x; }
+      local static int offset(int x) { return x + 7; }
+      static void run(int[[]] in, int[] out) {
+        var g = in.source(1) => ([ task scale ]) => ([ task offset ])
+          => out.<int>sink();
+        g.finish();
+      }
+    }
+  )");
+  ASSERT_TRUE(cp->ok()) << cp->diags.to_string();
+  auto entries = write_artifact_bundle(*cp, dir_.string());
+  int segment_files = 0;
+  for (const auto& e : entries) {
+    if (e.task_id == "seg:P.scale:P.offset") ++segment_files;
+    EXPECT_EQ(read_file(dir_ / e.filename), expected_text(*cp, e))
+        << e.filename;
+  }
+  // The fused segment has a GPU kernel and an FPGA module, no bytecode.
+  EXPECT_EQ(segment_files, 2);
+  EXPECT_TRUE(fs::exists(dir_ / "seg_P_scale_P_offset.cl"));
+  EXPECT_TRUE(fs::exists(dir_ / "seg_P_scale_P_offset.v"));
 }
 
 TEST_F(RepositoryTest, ManifestRoundTrips) {

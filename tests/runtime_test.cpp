@@ -58,12 +58,11 @@ TEST(Compiler, ManifestsDescribeArtifacts) {
   EXPECT_EQ(m.task_id, "Bitflip.flip");
   EXPECT_EQ(m.arity, 1);
   EXPECT_EQ(m.return_type->kind, lime::TypeKind::kBit);
-  EXPECT_NE(m.artifact_text.find("__kernel"), std::string::npos);
+  EXPECT_NE(gpu->text().find("__kernel"), std::string::npos);
 
   Artifact* fpga = cp->store.find("Bitflip.flip", DeviceKind::kFpga);
   ASSERT_NE(fpga, nullptr);
-  EXPECT_NE(fpga->manifest().artifact_text.find("module Bitflip_flip"),
-            std::string::npos);
+  EXPECT_NE(fpga->text().find("module Bitflip_flip"), std::string::npos);
 }
 
 TEST(Compiler, FusedSegmentKernelProduced) {

@@ -36,7 +36,9 @@
 #   9. artifact cache soak (DESIGN.md §14) — cold compile populates a
 #      fresh cache (stores, zero hits); a warm recompile must hit on every
 #      backend (cpu/gpu/fpga) with byte-identical run output and zero
-#      misses; corrupting one on-disk entry must be detected (cache.errors)
+#      misses; the cache-served netlists must print byte-identical Verilog
+#      (`--emit=verilog`) to freshly synthesized ones, since entries hold
+#      no text; corrupting one on-disk entry must be detected (cache.errors)
 #      and recovered from with identical output; finally an lmdev compiled
 #      with --cache=rw doubles as a compile service and a cache-off lmc
 #      --compile-from peer must fetch every artifact by content key and
@@ -66,6 +68,10 @@ step() { printf '\n== %s ==\n' "$*"; }
 
 # Extracts the result line ("[i32 value ...]{...}") from an lmc run.
 result_of() { grep '^\[' <<<"$1" | head -1; }
+
+# Extracts the artifact listing of an `lmc --emit=...` run: everything from
+# the first "// ==== <task id> ====" header on, past the backend log.
+emitted_of() { sed -n '/^\/\/ ==== /,$p' <<<"$1"; }
 
 # Remote loopback soak against the binaries in $1 ("$2" labels the step,
 # $3 is the element count — smaller under TSan).
@@ -210,7 +216,7 @@ soak() {
 cache_soak() {
   local bdir="$1" label="$2"
   local lmc="$bdir/tools/lmc" lmdev="$bdir/tools/lmdev"
-  local cdir ints expected cold warm out got victim log pid port
+  local cdir ints expected cold warm out got victim log pid port fresh
   cdir="$(mktemp -d)"
   ints="$(seq 1 256 | paste -sd, -)"
   step "artifact cache soak ($label)"
@@ -242,7 +248,21 @@ cache_soak() {
   grep -q 'cache.misses=0 ' <<<"$warm" || { echo "FAIL($label): warm start missed"; echo "$warm"; exit 1; }
   echo "ok: warm start served every backend from cache"
 
-  # 9c. corruption recovery: truncate one on-disk entry; the next run must
+  # 9c. the Verilog printed from cache-served netlists is byte-identical to
+  # the Verilog of a fresh synthesis: entries hold the netlist, not text.
+  fresh="$("$lmc" examples/intpipe.lime --emit=verilog)"
+  warm="$("$lmc" examples/intpipe.lime --emit=verilog --cache=ro \
+      --cache-dir="$cdir")"
+  grep -Eq 'fpga: .*\(cached\)' <<<"$warm" || { echo "FAIL($label): --emit=verilog did not hit the cache"; echo "$warm"; exit 1; }
+  if grep -E '^fpga: ' <<<"$warm" | grep -qv '(cached)'; then
+    echo "FAIL($label): --emit=verilog synthesized a module locally"; echo "$warm"; exit 1
+  fi
+  [[ -n "$(emitted_of "$fresh")" ]] || { echo "FAIL($label): no Verilog from a fresh synthesis"; echo "$fresh"; exit 1; }
+  diff <(emitted_of "$fresh") <(emitted_of "$warm") >/dev/null \
+      || { echo "FAIL($label): cache-served Verilog differs from a fresh synthesis"; diff <(emitted_of "$fresh") <(emitted_of "$warm") | head -20; exit 1; }
+  echo "ok: cache-served netlists print identical Verilog"
+
+  # 9d. corruption recovery: truncate one on-disk entry; the next run must
   # detect it (cache.errors), recompile, and produce identical output.
   victim="$(ls "$cdir"/objects/*.art | head -1)"
   [[ -n "$victim" ]] || { echo "FAIL($label): cache dir has no entries"; ls -R "$cdir"; exit 1; }
@@ -254,7 +274,7 @@ cache_soak() {
   grep -q 'cache.errors=[1-9]' <<<"$out" || { echo "FAIL($label): corrupted entry not detected"; echo "$out"; exit 1; }
   echo "ok: corrupt-entry recovery"
 
-  # 9d. compile-service loopback warm start: lmdev (compiled with caching)
+  # 9e. compile-service loopback warm start: lmdev (compiled with caching)
   # serves artifacts by content key; a cache-off lmc fetches all of them
   # instead of compiling, and the run output stays identical.
   log="$(mktemp)"

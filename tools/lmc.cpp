@@ -490,10 +490,10 @@ int main(int argc, char** argv) {
   if (emit == "opencl" || emit == "verilog") {
     auto want = emit == "opencl" ? runtime::DeviceKind::kGpu
                                  : runtime::DeviceKind::kFpga;
-    for (const auto* m : program->store.manifests()) {
-      if (m->device != want) continue;
-      std::cout << "// ==== " << m->task_id << " ====\n"
-                << m->artifact_text << "\n";
+    for (const runtime::Artifact* a : program->store.artifacts()) {
+      if (a->manifest().device != want) continue;
+      std::cout << "// ==== " << a->manifest().task_id << " ====\n"
+                << a->text() << "\n";
     }
     return 0;
   }
