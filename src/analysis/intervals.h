@@ -11,7 +11,6 @@
 // Consumers:
 //   * loop trip-count bounds       → static cost estimator (cost_estimate.h)
 //   * per-slot / return ranges     → deadlock verifier rate facts, lmc output
-//   * the same machinery over kernel IR lives in kernel_ranges.h.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "bytecode/interp.h"
 #include "util/error.h"
 
 namespace lm::bc {
@@ -29,14 +30,6 @@ NumType num_type_for(const TypeRef& t) {
       LM_UNREACHABLE("no NumType for " + t->to_string());
   }
 }
-
-namespace {
-
-/// Marker exception used internally to abandon a single method's lowering;
-/// the method is emitted as a trap instead.
-struct Unsupported {
-  std::string reason;
-};
 
 ArithOp arith_for(BinOp op) {
   switch (op) {
@@ -86,154 +79,112 @@ Intrinsic intrinsic_for(lime::CallExpr::Builtin b) {
   }
 }
 
-/// Compile-time evaluation of static-final initializers (a tiny constant
-/// interpreter over the annotated AST).
-class ConstEval {
- public:
-  std::optional<Value> eval(const lime::Expr& e) {
-    switch (e.kind) {
-      case ExprKind::kIntLit: {
-        const auto& l = as<lime::IntLitExpr>(e);
-        return l.is_long ? Value::i64(l.value)
-                         : Value::i32(static_cast<int32_t>(l.value));
-      }
-      case ExprKind::kFloatLit: {
-        const auto& l = as<lime::FloatLitExpr>(e);
-        return l.is_double ? Value::f64(l.value)
-                           : Value::f32(static_cast<float>(l.value));
-      }
-      case ExprKind::kBoolLit:
-        return Value::boolean(as<lime::BoolLitExpr>(e).value);
-      case ExprKind::kName: {
-        const auto& n = as<lime::NameExpr>(e);
-        if (n.ref == lime::NameRefKind::kEnumConst) {
-          return Value::i32(n.enum_ordinal);
-        }
-        if (n.ref == lime::NameRefKind::kField && n.field &&
-            n.field->is_static && n.field->is_final && n.field->init) {
-          return eval(*n.field->init);
-        }
-        return std::nullopt;
-      }
-      case ExprKind::kField: {
-        const auto& f = as<lime::FieldExpr>(e);
-        if (f.enum_ordinal >= 0) {
-          return f.enum_class ? Value::i32(f.enum_ordinal)
-                              : Value::bit(f.enum_ordinal == 1);
-        }
-        if (f.field && f.field->is_static && f.field->is_final &&
-            f.field->init) {
-          return eval(*f.field->init);
-        }
-        return std::nullopt;
-      }
-      case ExprKind::kCast: {
-        const auto& c = as<lime::CastExpr>(e);
-        auto v = eval(*c.operand);
-        if (!v) return std::nullopt;
-        return cast_const(*v, num_type_for(c.target));
-      }
-      case ExprKind::kUnary: {
-        const auto& u = as<lime::UnaryExpr>(e);
-        auto v = eval(*u.operand);
-        if (!v) return std::nullopt;
-        if (u.op == UnOp::kNeg) {
-          switch (v->kind()) {
-            case ValueKind::kInt: return Value::i32(-v->as_i32());
-            case ValueKind::kLong: return Value::i64(-v->as_i64());
-            case ValueKind::kFloat: return Value::f32(-v->as_f32());
-            case ValueKind::kDouble: return Value::f64(-v->as_f64());
-            default: return std::nullopt;
-          }
-        }
-        if (u.op == UnOp::kNot && v->kind() == ValueKind::kBool) {
-          return Value::boolean(!v->as_bool());
-        }
-        return std::nullopt;
-      }
-      case ExprKind::kBinary: {
-        const auto& b = as<lime::BinaryExpr>(e);
-        auto l = eval(*b.lhs);
-        auto r = eval(*b.rhs);
-        if (!l || !r) return std::nullopt;
-        return binary_const(b.op, *l, *r);
-      }
-      default:
-        return std::nullopt;
+/// The constant folder: the constant expressions of JLS §15.29 that the
+/// Lime subset has. Each operator runs through the VM's own functions
+/// (interp.h) with the NumType this compiler emits for the node, so a folded
+/// constant is what the VM computes at run time. A zero divisor leaves the
+/// expression unfolded.
+std::optional<Value> eval_const_expr(const lime::Expr& e) {
+  switch (e.kind) {
+    case ExprKind::kIntLit: {
+      const auto& l = as<lime::IntLitExpr>(e);
+      return l.is_long ? Value::i64(l.value)
+                       : Value::i32(static_cast<int32_t>(l.value));
     }
+    case ExprKind::kFloatLit: {
+      const auto& l = as<lime::FloatLitExpr>(e);
+      return l.is_double ? Value::f64(l.value)
+                         : Value::f32(static_cast<float>(l.value));
+    }
+    case ExprKind::kBoolLit:
+      return Value::boolean(as<lime::BoolLitExpr>(e).value);
+    case ExprKind::kName: {
+      const auto& n = as<lime::NameExpr>(e);
+      if (n.ref == lime::NameRefKind::kEnumConst) {
+        return Value::i32(n.enum_ordinal);
+      }
+      if (n.ref == lime::NameRefKind::kField && n.field &&
+          n.field->is_static && n.field->is_final && n.field->init) {
+        return eval_const_expr(*n.field->init);
+      }
+      return std::nullopt;
+    }
+    case ExprKind::kField: {
+      const auto& f = as<lime::FieldExpr>(e);
+      if (f.enum_ordinal >= 0) {
+        return f.enum_class ? Value::i32(f.enum_ordinal)
+                            : Value::bit(f.enum_ordinal == 1);
+      }
+      if (f.field && f.field->is_static && f.field->is_final &&
+          f.field->init) {
+        return eval_const_expr(*f.field->init);
+      }
+      return std::nullopt;
+    }
+    case ExprKind::kCast: {
+      const auto& c = as<lime::CastExpr>(e);
+      auto v = eval_const_expr(*c.operand);
+      if (!v) return std::nullopt;
+      NumType from = num_type_for(c.operand->type);
+      NumType to = num_type_for(c.target);
+      return from == to ? v : cast(from, to, *v);
+    }
+    case ExprKind::kUnary: {
+      const auto& u = as<lime::UnaryExpr>(e);
+      if (u.op == UnOp::kUserOp) return std::nullopt;
+      auto v = eval_const_expr(*u.operand);
+      if (!v) return std::nullopt;
+      NumType t = num_type_for(u.operand->type);
+      switch (u.op) {
+        case UnOp::kNeg: return arith(ArithOp::kNeg, t, *v, *v);
+        case UnOp::kNot: return Value::boolean(!v->as_bool());
+        case UnOp::kBitNot:
+          if (t == NumType::kBit) return Value::bit(!v->as_bit());
+          return arith(ArithOp::kXor, t, *v,
+                       t == NumType::kI64 ? Value::i64(-1) : Value::i32(-1));
+        case UnOp::kUserOp: break;
+      }
+      return std::nullopt;
+    }
+    case ExprKind::kBinary: {
+      const auto& b = as<lime::BinaryExpr>(e);
+      auto l = eval_const_expr(*b.lhs);
+      auto r = eval_const_expr(*b.rhs);
+      if (!l || !r) return std::nullopt;
+      if (b.op == BinOp::kLAnd || b.op == BinOp::kLOr) {
+        return Value::boolean(b.op == BinOp::kLAnd
+                                  ? l->as_bool() && r->as_bool()
+                                  : l->as_bool() || r->as_bool());
+      }
+      NumType t = num_type_for(b.lhs->type);
+      if (lime::is_comparison(b.op)) {
+        return Value::boolean(compare(cmp_for(b.op), t, *l, *r));
+      }
+      try {
+        return arith(arith_for(b.op), t, *l, *r);
+      } catch (const RuntimeError&) {
+        return std::nullopt;  // zero divisor: fails at run time instead
+      }
+    }
+    case ExprKind::kTernary: {
+      const auto& t = as<lime::TernaryExpr>(e);
+      auto c = eval_const_expr(*t.cond);
+      auto a = eval_const_expr(*t.then_expr);
+      auto b = eval_const_expr(*t.else_expr);
+      if (!c || !a || !b) return std::nullopt;
+      return c->as_bool() ? a : b;
+    }
+    default:
+      return std::nullopt;
   }
+}
 
- private:
-  static std::optional<Value> cast_const(const Value& v, NumType to) {
-    double d = 0;
-    switch (v.kind()) {
-      case ValueKind::kInt: d = v.as_i32(); break;
-      case ValueKind::kLong: d = static_cast<double>(v.as_i64()); break;
-      case ValueKind::kFloat: d = v.as_f32(); break;
-      case ValueKind::kDouble: d = v.as_f64(); break;
-      default: return std::nullopt;
-    }
-    switch (to) {
-      case NumType::kI32: return Value::i32(static_cast<int32_t>(d));
-      case NumType::kI64: return Value::i64(static_cast<int64_t>(d));
-      case NumType::kF32: return Value::f32(static_cast<float>(d));
-      case NumType::kF64: return Value::f64(d);
-      default: return std::nullopt;
-    }
-  }
+namespace {
 
-  static std::optional<Value> binary_const(BinOp op, const Value& l,
-                                           const Value& r) {
-    if (l.kind() != r.kind()) return std::nullopt;
-    switch (l.kind()) {
-      case ValueKind::kInt: {
-        int32_t a = l.as_i32(), b = r.as_i32();
-        switch (op) {
-          case BinOp::kAdd: return Value::i32(a + b);
-          case BinOp::kSub: return Value::i32(a - b);
-          case BinOp::kMul: return Value::i32(a * b);
-          // Java: MIN_VALUE / -1 wraps to MIN_VALUE and MIN_VALUE % -1 is
-          // 0 (C++ traps on both). Division by zero is left to run time.
-          case BinOp::kDiv:
-            if (b == 0) return std::nullopt;
-            return Value::i32(b == -1 ? static_cast<int32_t>(
-                                            0u - static_cast<uint32_t>(a))
-                                      : a / b);
-          case BinOp::kRem:
-            if (b == 0) return std::nullopt;
-            return Value::i32(b == -1 ? 0 : a % b);
-          case BinOp::kShl: return Value::i32(a << (b & 31));
-          case BinOp::kShr: return Value::i32(a >> (b & 31));
-          case BinOp::kAnd: return Value::i32(a & b);
-          case BinOp::kOr: return Value::i32(a | b);
-          case BinOp::kXor: return Value::i32(a ^ b);
-          default: return std::nullopt;
-        }
-      }
-      case ValueKind::kFloat: {
-        float a = l.as_f32(), b = r.as_f32();
-        switch (op) {
-          case BinOp::kAdd: return Value::f32(a + b);
-          case BinOp::kSub: return Value::f32(a - b);
-          case BinOp::kMul: return Value::f32(a * b);
-          case BinOp::kDiv: return Value::f32(a / b);
-          default: return std::nullopt;
-        }
-      }
-      case ValueKind::kDouble: {
-        double a = l.as_f64(), b = r.as_f64();
-        switch (op) {
-          case BinOp::kAdd: return Value::f64(a + b);
-          case BinOp::kSub: return Value::f64(a - b);
-          case BinOp::kMul: return Value::f64(a * b);
-          case BinOp::kDiv: return Value::f64(a / b);
-          default: return std::nullopt;
-        }
-      }
-      default:
-        return std::nullopt;
-    }
-  }
+/// Marker exception used internally to abandon a single method's lowering;
+/// the method is emitted as a trap instead.
+struct Unsupported {
+  std::string reason;
 };
 
 /// Per-method code generator.
@@ -284,8 +235,7 @@ class MethodCompiler {
     if (!f->init || f->init->kind != ExprKind::kNewArray) return nullptr;
     const auto& na = as<lime::NewArrayExpr>(*f->init);
     if (na.is_value_array || !na.length) return nullptr;
-    ConstEval ce;
-    auto len = ce.eval(*na.length);
+    auto len = eval_const_expr(*na.length);
     if (!len || len->kind() != ValueKind::kInt || len->as_i32() < 0) {
       return nullptr;
     }
@@ -559,8 +509,7 @@ class MethodCompiler {
       case lime::NameRefKind::kField: {
         const lime::FieldDecl* f = n.field;
         if (f->is_static && f->is_final && f->init) {
-          ConstEval ce;
-          if (auto v = ce.eval(*f->init)) {
+          if (auto v = eval_const_expr(*f->init)) {
             emit_const(*v);
             return true;
           }
@@ -595,8 +544,7 @@ class MethodCompiler {
     }
     if (f.field && f.field->is_static && f.field->is_final &&
         f.field->init) {
-      ConstEval ce;
-      if (auto v = ce.eval(*f.field->init)) {
+      if (auto v = eval_const_expr(*f.field->init)) {
         emit_const(*v);
         return true;
       }
@@ -779,11 +727,6 @@ class MethodCompiler {
 };
 
 }  // namespace
-
-std::optional<Value> eval_const_expr(const lime::Expr& e) {
-  ConstEval ce;
-  return ce.eval(e);
-}
 
 std::unique_ptr<BytecodeModule> compile_program(const lime::Program& program,
                                                 DiagnosticEngine& diags) {

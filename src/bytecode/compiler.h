@@ -24,10 +24,17 @@ std::unique_ptr<BytecodeModule> compile_program(const lime::Program& program,
 /// NumType for a Lime scalar type (enums lower to their int ordinal).
 NumType num_type_for(const lime::TypeRef& t);
 
-/// Compile-time constant evaluation over the checked AST: literals, enum
-/// constants, static-final field references, casts, and foldable unary /
-/// binary operators. Shared by all backends (the device compilers fold the
-/// same constants the bytecode backend does).
+/// The bytecode and kernel-IR operator for a Lime binary operator or Math
+/// builtin (both compilers emit the same selectors).
+ArithOp arith_for(lime::BinOp op);
+CmpOp cmp_for(lime::BinOp op);
+Intrinsic intrinsic_for(lime::CallExpr::Builtin b);
+
+/// Compile-time constant evaluation over the checked AST: the constant
+/// expressions of JLS §15.29 (literals, enum constants, static-final field
+/// references, casts, unary, binary and conditional operators), computed
+/// with the VM's operators. Shared by all backends (the device compilers
+/// fold the same constants the bytecode backend does).
 std::optional<Value> eval_const_expr(const lime::Expr& e);
 
 }  // namespace lm::bc

@@ -1,9 +1,6 @@
 #include "bytecode/interp.h"
 
-#include <cmath>
-#include <deque>
-#include <type_traits>
-
+#include "bytecode/ops.h"
 #include "util/error.h"
 
 namespace lm::bc {
@@ -14,234 +11,80 @@ constexpr int kMaxCallDepth = 512;
 
 [[noreturn]] void fail(const std::string& msg) { throw RuntimeError(msg); }
 
-/// Integer division or remainder with Java's semantics: MIN_VALUE / -1
-/// wraps to MIN_VALUE and MIN_VALUE % -1 is 0, where C++ traps on both.
-template <typename T>
-T div_rem(ArithOp op, T x, T y) {
-  if (y == 0) {
-    fail(op == ArithOp::kDiv ? "integer division by zero"
-                             : "integer remainder by zero");
-  }
-  if (y == -1) {
-    using U = std::make_unsigned_t<T>;
-    return op == ArithOp::kDiv ? static_cast<T>(U{0} - static_cast<U>(x)) : 0;
-  }
-  return op == ArithOp::kDiv ? x / y : x % y;
-}
-
-Value arith(ArithOp op, NumType t, const Value& a, const Value& b) {
-  switch (t) {
-    case NumType::kI32: {
-      int32_t x = a.as_i32(), y = b.as_i32();
-      // Wrapping two's-complement semantics (as Java int): compute in
-      // unsigned to avoid signed-overflow UB.
-      auto ux = static_cast<uint32_t>(x);
-      auto uy = static_cast<uint32_t>(y);
-      switch (op) {
-        case ArithOp::kAdd: return Value::i32(static_cast<int32_t>(ux + uy));
-        case ArithOp::kSub: return Value::i32(static_cast<int32_t>(ux - uy));
-        case ArithOp::kMul: return Value::i32(static_cast<int32_t>(ux * uy));
-        case ArithOp::kDiv:
-        case ArithOp::kRem: return Value::i32(div_rem(op, x, y));
-        case ArithOp::kAnd: return Value::i32(x & y);
-        case ArithOp::kOr: return Value::i32(x | y);
-        case ArithOp::kXor: return Value::i32(x ^ y);
-        case ArithOp::kShl:
-          return Value::i32(static_cast<int32_t>(ux << (y & 31)));
-        case ArithOp::kShr: return Value::i32(x >> (y & 31));
-        case ArithOp::kNeg: LM_UNREACHABLE("neg is unary");
-      }
-      break;
-    }
-    case NumType::kI64: {
-      int64_t x = a.as_i64(), y = b.as_i64();
-      auto ux = static_cast<uint64_t>(x);
-      auto uy = static_cast<uint64_t>(y);
-      switch (op) {
-        case ArithOp::kAdd: return Value::i64(static_cast<int64_t>(ux + uy));
-        case ArithOp::kSub: return Value::i64(static_cast<int64_t>(ux - uy));
-        case ArithOp::kMul: return Value::i64(static_cast<int64_t>(ux * uy));
-        case ArithOp::kDiv:
-        case ArithOp::kRem: return Value::i64(div_rem(op, x, y));
-        case ArithOp::kAnd: return Value::i64(x & y);
-        case ArithOp::kOr: return Value::i64(x | y);
-        case ArithOp::kXor: return Value::i64(x ^ y);
-        case ArithOp::kShl:
-          return Value::i64(static_cast<int64_t>(ux << (y & 63)));
-        case ArithOp::kShr: return Value::i64(x >> (y & 63));
-        case ArithOp::kNeg: LM_UNREACHABLE("neg is unary");
-      }
-      break;
-    }
-    case NumType::kF32: {
-      float x = a.as_f32(), y = b.as_f32();
-      switch (op) {
-        case ArithOp::kAdd: return Value::f32(x + y);
-        case ArithOp::kSub: return Value::f32(x - y);
-        case ArithOp::kMul: return Value::f32(x * y);
-        case ArithOp::kDiv: return Value::f32(x / y);
-        default: fail("bad float op");
-      }
-      break;
-    }
-    case NumType::kF64: {
-      double x = a.as_f64(), y = b.as_f64();
-      switch (op) {
-        case ArithOp::kAdd: return Value::f64(x + y);
-        case ArithOp::kSub: return Value::f64(x - y);
-        case ArithOp::kMul: return Value::f64(x * y);
-        case ArithOp::kDiv: return Value::f64(x / y);
-        default: fail("bad double op");
-      }
-      break;
-    }
-    case NumType::kBool: {
-      bool x = a.as_bool(), y = b.as_bool();
-      switch (op) {
-        case ArithOp::kAnd: return Value::boolean(x && y);
-        case ArithOp::kOr: return Value::boolean(x || y);
-        case ArithOp::kXor: return Value::boolean(x != y);
-        default: fail("bad boolean op");
-      }
-      break;
-    }
-    case NumType::kBit: {
-      bool x = a.as_bit(), y = b.as_bit();
-      switch (op) {
-        case ArithOp::kAnd: return Value::bit(x && y);
-        case ArithOp::kOr: return Value::bit(x || y);
-        case ArithOp::kXor: return Value::bit(x != y);
-        default: fail("bad bit op");
-      }
-      break;
-    }
-  }
-  LM_UNREACHABLE("arith fell through");
-}
-
-Value negate(NumType t, const Value& a) {
-  switch (t) {
-    case NumType::kI32:
-      return Value::i32(
-          static_cast<int32_t>(0u - static_cast<uint32_t>(a.as_i32())));
-    case NumType::kI64:
-      return Value::i64(
-          static_cast<int64_t>(0ull - static_cast<uint64_t>(a.as_i64())));
-    case NumType::kF32: return Value::f32(-a.as_f32());
-    case NumType::kF64: return Value::f64(-a.as_f64());
-    default: fail("cannot negate non-numeric value");
-  }
-}
-
-bool compare(CmpOp op, NumType t, const Value& a, const Value& b) {
-  auto apply = [op](auto x, auto y) {
-    switch (op) {
-      case CmpOp::kEq: return x == y;
-      case CmpOp::kNe: return x != y;
-      case CmpOp::kLt: return x < y;
-      case CmpOp::kLe: return x <= y;
-      case CmpOp::kGt: return x > y;
-      case CmpOp::kGe: return x >= y;
-    }
-    return false;
-  };
-  switch (t) {
-    case NumType::kI32: return apply(a.as_i32(), b.as_i32());
-    case NumType::kI64: return apply(a.as_i64(), b.as_i64());
-    case NumType::kF32: return apply(a.as_f32(), b.as_f32());
-    case NumType::kF64: return apply(a.as_f64(), b.as_f64());
-    case NumType::kBool: return apply(a.as_bool(), b.as_bool());
-    case NumType::kBit: return apply(a.as_bit(), b.as_bit());
-  }
-  return false;
-}
-
-Value cast(NumType from, NumType to, const Value& v) {
-  double d = 0;
-  switch (from) {
-    case NumType::kI32: d = v.as_i32(); break;
-    case NumType::kI64: d = static_cast<double>(v.as_i64()); break;
-    case NumType::kF32: d = v.as_f32(); break;
-    case NumType::kF64: d = v.as_f64(); break;
-    case NumType::kBool: d = v.as_bool() ? 1 : 0; break;
-    case NumType::kBit: d = v.as_bit() ? 1 : 0; break;
-  }
-  switch (to) {
-    case NumType::kI32:
-      if (from == NumType::kI64) return Value::i32(static_cast<int32_t>(v.as_i64()));
-      return Value::i32(static_cast<int32_t>(d));
-    case NumType::kI64:
-      if (from == NumType::kF64 || from == NumType::kF32)
-        return Value::i64(static_cast<int64_t>(d));
-      if (from == NumType::kI32) return Value::i64(v.as_i32());
-      return Value::i64(static_cast<int64_t>(d));
-    case NumType::kF32: return Value::f32(static_cast<float>(d));
-    case NumType::kF64:
-      if (from == NumType::kI64) return Value::f64(static_cast<double>(v.as_i64()));
-      return Value::f64(d);
-    case NumType::kBool: return Value::boolean(d != 0);
-    case NumType::kBit: return Value::bit(static_cast<int64_t>(d) & 1);
-  }
-  LM_UNREACHABLE("bad cast");
-}
-
+/// Math intrinsics on the value's scalar; a unary function ignores y.
 Value intrinsic(Intrinsic fn, NumType t, const Value* args, int argc) {
-  if (t == NumType::kF32) {
-    float a = args[0].as_f32();
-    float b = argc > 1 ? args[1].as_f32() : 0;
-    switch (fn) {
-      case Intrinsic::kSqrt: return Value::f32(std::sqrt(a));
-      case Intrinsic::kExp: return Value::f32(std::exp(a));
-      case Intrinsic::kLog: return Value::f32(std::log(a));
-      case Intrinsic::kSin: return Value::f32(std::sin(a));
-      case Intrinsic::kCos: return Value::f32(std::cos(a));
-      case Intrinsic::kPow: return Value::f32(std::pow(a, b));
-      case Intrinsic::kAbs: return Value::f32(std::fabs(a));
-      case Intrinsic::kMin: return Value::f32(std::fmin(a, b));
-      case Intrinsic::kMax: return Value::f32(std::fmax(a, b));
-      case Intrinsic::kFloor: return Value::f32(std::floor(a));
-    }
+  const Value& x = args[0];
+  const Value& y = args[argc - 1];
+  switch (t) {
+    case NumType::kI32:
+      return Value::i32(ops::intrinsic(fn, x.as_i32(), y.as_i32()));
+    case NumType::kI64:
+      return Value::i64(ops::intrinsic(fn, x.as_i64(), y.as_i64()));
+    case NumType::kF32:
+      return Value::f32(ops::intrinsic(fn, x.as_f32(), y.as_f32()));
+    case NumType::kF64:
+      return Value::f64(ops::intrinsic(fn, x.as_f64(), y.as_f64()));
+    default:
+      LM_UNREACHABLE("bad intrinsic type");
   }
-  if (t == NumType::kF64) {
-    double a = args[0].as_f64();
-    double b = argc > 1 ? args[1].as_f64() : 0;
-    switch (fn) {
-      case Intrinsic::kSqrt: return Value::f64(std::sqrt(a));
-      case Intrinsic::kExp: return Value::f64(std::exp(a));
-      case Intrinsic::kLog: return Value::f64(std::log(a));
-      case Intrinsic::kSin: return Value::f64(std::sin(a));
-      case Intrinsic::kCos: return Value::f64(std::cos(a));
-      case Intrinsic::kPow: return Value::f64(std::pow(a, b));
-      case Intrinsic::kAbs: return Value::f64(std::fabs(a));
-      case Intrinsic::kMin: return Value::f64(std::fmin(a, b));
-      case Intrinsic::kMax: return Value::f64(std::fmax(a, b));
-      case Intrinsic::kFloor: return Value::f64(std::floor(a));
-    }
-  }
-  if (t == NumType::kI32) {
-    int32_t a = args[0].as_i32();
-    int32_t b = argc > 1 ? args[1].as_i32() : 0;
-    switch (fn) {
-      case Intrinsic::kAbs: return Value::i32(a < 0 ? -a : a);
-      case Intrinsic::kMin: return Value::i32(a < b ? a : b);
-      case Intrinsic::kMax: return Value::i32(a > b ? a : b);
-      default: fail("intrinsic not defined for int");
-    }
-  }
-  if (t == NumType::kI64) {
-    int64_t a = args[0].as_i64();
-    int64_t b = argc > 1 ? args[1].as_i64() : 0;
-    switch (fn) {
-      case Intrinsic::kAbs: return Value::i64(a < 0 ? -a : a);
-      case Intrinsic::kMin: return Value::i64(a < b ? a : b);
-      case Intrinsic::kMax: return Value::i64(a > b ? a : b);
-      default: fail("intrinsic not defined for long");
-    }
-  }
-  LM_UNREACHABLE("bad intrinsic type");
 }
 
 }  // namespace
+
+Value arith(ArithOp op, NumType t, const Value& a, const Value& b) {
+  switch (t) {
+    case NumType::kI32:
+      return Value::i32(ops::arith(op, a.as_i32(), b.as_i32()));
+    case NumType::kI64:
+      return Value::i64(ops::arith(op, a.as_i64(), b.as_i64()));
+    case NumType::kF32:
+      return Value::f32(ops::arith(op, a.as_f32(), b.as_f32()));
+    case NumType::kF64:
+      return Value::f64(ops::arith(op, a.as_f64(), b.as_f64()));
+    case NumType::kBool:
+      return Value::boolean(ops::arith(op, a.as_bool(), b.as_bool()));
+    case NumType::kBit:
+      return Value::bit(ops::arith(op, a.as_bit(), b.as_bit()));
+  }
+  LM_UNREACHABLE("bad arith type");
+}
+
+bool compare(CmpOp op, NumType t, const Value& a, const Value& b) {
+  switch (t) {
+    case NumType::kI32: return ops::compare(op, a.as_i32(), b.as_i32());
+    case NumType::kI64: return ops::compare(op, a.as_i64(), b.as_i64());
+    case NumType::kF32: return ops::compare(op, a.as_f32(), b.as_f32());
+    case NumType::kF64: return ops::compare(op, a.as_f64(), b.as_f64());
+    case NumType::kBool: return ops::compare(op, a.as_bool(), b.as_bool());
+    case NumType::kBit: return ops::compare(op, a.as_bit(), b.as_bit());
+  }
+  LM_UNREACHABLE("bad compare type");
+}
+
+Value cast(NumType from, NumType to, const Value& v) {
+  auto convert = [to](auto x) {
+    switch (to) {
+      case NumType::kI32: return Value::i32(ops::cast<int32_t>(x));
+      case NumType::kI64: return Value::i64(ops::cast<int64_t>(x));
+      case NumType::kF32: return Value::f32(ops::cast<float>(x));
+      case NumType::kF64: return Value::f64(ops::cast<double>(x));
+      case NumType::kBool: return Value::boolean(ops::cast<bool>(x));
+      case NumType::kBit: return Value::bit(ops::to_bit(x));
+    }
+    LM_UNREACHABLE("bad cast target");
+  };
+  // Widening an integer to long or a float to double is exact, so
+  // converting the wide value gives Java's result for the narrow one.
+  switch (from) {
+    case NumType::kI32: return convert(int64_t{v.as_i32()});
+    case NumType::kI64: return convert(v.as_i64());
+    case NumType::kF32: return convert(double{v.as_f32()});
+    case NumType::kF64: return convert(v.as_f64());
+    case NumType::kBool: return convert(int64_t{v.as_bool()});
+    case NumType::kBit: return convert(int64_t{v.as_bit()});
+  }
+  LM_UNREACHABLE("bad cast source");
+}
 
 Interpreter::Interpreter(const BytecodeModule& module) : module_(module) {}
 
@@ -372,7 +215,7 @@ Value Interpreter::run_frame(const CompiledMethod& m,
         auto t = static_cast<NumType>(in.b);
         if (aop == ArithOp::kNeg) {
           Value v = pop();
-          stack.push_back(negate(t, v));
+          stack.push_back(arith(aop, t, v, v));
         } else {
           Value rhs = pop();
           Value lhs = pop();

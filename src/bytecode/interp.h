@@ -25,6 +25,13 @@ namespace lm::bc {
 
 class Interpreter;
 
+/// The VM's operators: Java's rules (bytecode/ops.h) on Values of NumType
+/// `t`. The constant folder evaluates with these same functions. In arith,
+/// kNeg is unary and ignores b.
+Value arith(ArithOp op, NumType t, const Value& a, const Value& b);
+bool compare(CmpOp op, NumType t, const Value& a, const Value& b);
+Value cast(NumType from, NumType to, const Value& v);
+
 /// Accelerator hook for data-parallel operators (§2.2).
 class AccelHooks {
  public:

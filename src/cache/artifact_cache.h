@@ -48,7 +48,7 @@ namespace lm::cache {
 
 /// Bumped whenever any persisted layout changes (entry header, payload
 /// codecs, canonical-bytes recipe). Old entries then miss by version check.
-inline constexpr uint32_t kCacheFormatVersion = 2;
+inline constexpr uint32_t kCacheFormatVersion = 3;
 
 /// Stands in for a real toolchain's compiler-version component of the key:
 /// mixed into every artifact key so entries cannot survive a codegen

@@ -309,15 +309,6 @@ std::vector<uint8_t> encode_kernel_program(const gpu::KernelProgram& p) {
   w.u8(static_cast<uint8_t>(p.ret_type));
   w.i32(p.in_stride);
   w.str(p.opencl_source);
-  w.u8(p.ranges_annotated ? 1 : 0);
-  w.u32(static_cast<uint32_t>(p.reg_ranges.size()));
-  for (const auto& rr : p.reg_ranges) {
-    w.u8(rr.known ? 1 : 0);
-    w.i64(rr.lo);
-    w.i64(rr.hi);
-  }
-  w.u8(p.bounds_check_elidable ? 1 : 0);
-  w.u8(p.fusion_safe ? 1 : 0);
   return w.take();
 }
 
@@ -365,19 +356,6 @@ std::unique_ptr<gpu::KernelProgram> decode_kernel_program(
   p->ret_type = static_cast<bc::NumType>(r.u8());
   p->in_stride = r.i32();
   p->opencl_source = r.str();
-  p->ranges_annotated = r.u8() != 0;
-  uint32_t nranges = r.u32();
-  check_count(r, nranges, 17);
-  p->reg_ranges.reserve(nranges);
-  for (uint32_t i = 0; i < nranges; ++i) {
-    gpu::KRegRange rr;
-    rr.known = r.u8() != 0;
-    rr.lo = r.i64();
-    rr.hi = r.i64();
-    p->reg_ranges.push_back(rr);
-  }
-  p->bounds_check_elidable = r.u8() != 0;
-  p->fusion_safe = r.u8() != 0;
   if (!r.done()) throw RuntimeError("kernel payload has trailing bytes");
   return p;
 }

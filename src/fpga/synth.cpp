@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "bytecode/compiler.h"
+#include "bytecode/ops.h"
 #include "util/error.h"
 
 namespace lm::fpga {
@@ -407,17 +408,11 @@ class Synthesizer {
         // operands); otherwise there is no combinational divider.
         if (l->is_const() && r->is_const()) {
           if (r->value == 0) throw Exclude{"constant division by zero"};
-          int64_t a = rtl::sign_extend(l->value, l->width);
-          int64_t b = rtl::sign_extend(r->value, r->width);
-          // Java: MIN_VALUE / -1 wraps to MIN_VALUE and MIN_VALUE % -1 is
-          // 0; at 64 bits C++ traps on both.
-          if (b == -1) {
-            return h_const(l->width, op == BinOp::kDiv
-                                         ? 0u - static_cast<uint64_t>(a)
-                                         : 0u);
-          }
-          return h_const(l->width, static_cast<uint64_t>(
-                                       op == BinOp::kDiv ? a / b : a % b));
+          int64_t v = bc::ops::div_rem(
+              op == BinOp::kDiv ? bc::ArithOp::kDiv : bc::ArithOp::kRem,
+              rtl::sign_extend(l->value, l->width),
+              rtl::sign_extend(r->value, r->width));
+          return h_const(l->width, static_cast<uint64_t>(v));
         }
         throw Exclude{"integer division has no combinational form here"};
       case BinOp::kAnd: return h_binary(HBinOp::kAnd, l, r);

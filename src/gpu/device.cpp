@@ -1,9 +1,8 @@
 #include "gpu/device.h"
 
-#include <cmath>
 #include <thread>
-#include <type_traits>
 
+#include "bytecode/ops.h"
 #include "obs/trace.h"
 #include "util/error.h"
 
@@ -66,228 +65,73 @@ inline void store_elem(CValue& cv, size_t i, NumType t, KReg v) {
   }
 }
 
-/// Integer division or remainder with Java's semantics: MIN_VALUE / -1
-/// wraps to MIN_VALUE and MIN_VALUE % -1 is 0, where C++ traps on both.
-/// Out of line, so do_arith stays small enough to inline into the
-/// per-element loop.
-template <typename T>
-[[gnu::noinline]] T div_rem(ArithOp op, T a, T b) {
-  if (b == 0) {
-    throw RuntimeError(op == ArithOp::kDiv ? "kernel division by zero"
-                                           : "kernel remainder by zero");
-  }
-  if (b == -1) {
-    using U = std::make_unsigned_t<T>;
-    return op == ArithOp::kDiv ? static_cast<T>(U{0} - static_cast<U>(a)) : 0;
-  }
-  return op == ArithOp::kDiv ? a / b : a % b;
-}
+// KReg adapters over bytecode/ops.h, the operator rules the VM runs. They
+// stay inline (ops::div_rem is out of line), so each one inlines into the
+// per-element loop below.
 
 inline KReg do_arith(ArithOp op, NumType t, KReg a, KReg b) {
   KReg r{};
   switch (t) {
-    case NumType::kI32:
-      switch (op) {
-        // Wrapping semantics via unsigned (matches the VM).
-        case ArithOp::kAdd:
-          r.i32 = static_cast<int32_t>(static_cast<uint32_t>(a.i32) +
-                                       static_cast<uint32_t>(b.i32));
-          break;
-        case ArithOp::kSub:
-          r.i32 = static_cast<int32_t>(static_cast<uint32_t>(a.i32) -
-                                       static_cast<uint32_t>(b.i32));
-          break;
-        case ArithOp::kMul:
-          r.i32 = static_cast<int32_t>(static_cast<uint32_t>(a.i32) *
-                                       static_cast<uint32_t>(b.i32));
-          break;
-        case ArithOp::kDiv:
-        case ArithOp::kRem: r.i32 = div_rem(op, a.i32, b.i32); break;
-        case ArithOp::kAnd: r.i32 = a.i32 & b.i32; break;
-        case ArithOp::kOr: r.i32 = a.i32 | b.i32; break;
-        case ArithOp::kXor: r.i32 = a.i32 ^ b.i32; break;
-        case ArithOp::kShl:
-          r.i32 = static_cast<int32_t>(static_cast<uint32_t>(a.i32)
-                                       << (b.i32 & 31));
-          break;
-        case ArithOp::kShr: r.i32 = a.i32 >> (b.i32 & 31); break;
-        case ArithOp::kNeg:
-          r.i32 = static_cast<int32_t>(0u - static_cast<uint32_t>(a.i32));
-          break;
-      }
-      break;
-    case NumType::kI64:
-      switch (op) {
-        case ArithOp::kAdd:
-          r.i64 = static_cast<int64_t>(static_cast<uint64_t>(a.i64) +
-                                       static_cast<uint64_t>(b.i64));
-          break;
-        case ArithOp::kSub:
-          r.i64 = static_cast<int64_t>(static_cast<uint64_t>(a.i64) -
-                                       static_cast<uint64_t>(b.i64));
-          break;
-        case ArithOp::kMul:
-          r.i64 = static_cast<int64_t>(static_cast<uint64_t>(a.i64) *
-                                       static_cast<uint64_t>(b.i64));
-          break;
-        case ArithOp::kDiv:
-        case ArithOp::kRem: r.i64 = div_rem(op, a.i64, b.i64); break;
-        case ArithOp::kAnd: r.i64 = a.i64 & b.i64; break;
-        case ArithOp::kOr: r.i64 = a.i64 | b.i64; break;
-        case ArithOp::kXor: r.i64 = a.i64 ^ b.i64; break;
-        case ArithOp::kShl:
-          r.i64 = static_cast<int64_t>(static_cast<uint64_t>(a.i64)
-                                       << (b.i64 & 63));
-          break;
-        case ArithOp::kShr: r.i64 = a.i64 >> (b.i64 & 63); break;
-        case ArithOp::kNeg:
-          r.i64 = static_cast<int64_t>(0ull - static_cast<uint64_t>(a.i64));
-          break;
-      }
-      break;
-    case NumType::kF32:
-      switch (op) {
-        case ArithOp::kAdd: r.f32 = a.f32 + b.f32; break;
-        case ArithOp::kSub: r.f32 = a.f32 - b.f32; break;
-        case ArithOp::kMul: r.f32 = a.f32 * b.f32; break;
-        case ArithOp::kDiv: r.f32 = a.f32 / b.f32; break;
-        case ArithOp::kNeg: r.f32 = -a.f32; break;
-        default: throw RuntimeError("bad float kernel op");
-      }
-      break;
-    case NumType::kF64:
-      switch (op) {
-        case ArithOp::kAdd: r.f64 = a.f64 + b.f64; break;
-        case ArithOp::kSub: r.f64 = a.f64 - b.f64; break;
-        case ArithOp::kMul: r.f64 = a.f64 * b.f64; break;
-        case ArithOp::kDiv: r.f64 = a.f64 / b.f64; break;
-        case ArithOp::kNeg: r.f64 = -a.f64; break;
-        default: throw RuntimeError("bad double kernel op");
-      }
-      break;
+    case NumType::kI32: r.i32 = bc::ops::arith(op, a.i32, b.i32); break;
+    case NumType::kI64: r.i64 = bc::ops::arith(op, a.i64, b.i64); break;
+    case NumType::kF32: r.f32 = bc::ops::arith(op, a.f32, b.f32); break;
+    case NumType::kF64: r.f64 = bc::ops::arith(op, a.f64, b.f64); break;
     case NumType::kBool:
     case NumType::kBit:
-      switch (op) {
-        case ArithOp::kAnd: r.b = a.b & b.b; break;
-        case ArithOp::kOr: r.b = a.b | b.b; break;
-        case ArithOp::kXor: r.b = a.b ^ b.b; break;
-        default: throw RuntimeError("bad bit kernel op");
-      }
+      r.b = bc::ops::arith(op, a.b != 0, b.b != 0);
       break;
   }
   return r;
 }
 
 inline bool do_cmp(CmpOp op, NumType t, KReg a, KReg b) {
-  auto apply = [op](auto x, auto y) {
-    switch (op) {
-      case CmpOp::kEq: return x == y;
-      case CmpOp::kNe: return x != y;
-      case CmpOp::kLt: return x < y;
-      case CmpOp::kLe: return x <= y;
-      case CmpOp::kGt: return x > y;
-      case CmpOp::kGe: return x >= y;
-    }
-    return false;
-  };
   switch (t) {
-    case NumType::kI32: return apply(a.i32, b.i32);
-    case NumType::kI64: return apply(a.i64, b.i64);
-    case NumType::kF32: return apply(a.f32, b.f32);
-    case NumType::kF64: return apply(a.f64, b.f64);
+    case NumType::kI32: return bc::ops::compare(op, a.i32, b.i32);
+    case NumType::kI64: return bc::ops::compare(op, a.i64, b.i64);
+    case NumType::kF32: return bc::ops::compare(op, a.f32, b.f32);
+    case NumType::kF64: return bc::ops::compare(op, a.f64, b.f64);
     case NumType::kBool:
-    case NumType::kBit: return apply(a.b, b.b);
+    case NumType::kBit: return bc::ops::compare(op, a.b, b.b);
   }
   return false;
 }
 
 inline KReg do_cast(NumType from, NumType to, KReg v) {
-  double d = 0;
-  int64_t i = 0;
-  bool is_int = false;
-  switch (from) {
-    case NumType::kI32: i = v.i32; is_int = true; break;
-    case NumType::kI64: i = v.i64; is_int = true; break;
-    case NumType::kF32: d = v.f32; break;
-    case NumType::kF64: d = v.f64; break;
-    case NumType::kBool:
-    case NumType::kBit: i = v.b; is_int = true; break;
-  }
   KReg r{};
-  switch (to) {
-    case NumType::kI32:
-      r.i32 = is_int ? static_cast<int32_t>(i) : static_cast<int32_t>(d);
-      break;
-    case NumType::kI64:
-      r.i64 = is_int ? i : static_cast<int64_t>(d);
-      break;
-    case NumType::kF32:
-      r.f32 = is_int ? static_cast<float>(i) : static_cast<float>(d);
-      break;
-    case NumType::kF64:
-      r.f64 = is_int ? static_cast<double>(i) : d;
-      break;
+  auto convert = [&r, to](auto x) {
+    switch (to) {
+      case NumType::kI32: r.i32 = bc::ops::cast<int32_t>(x); break;
+      case NumType::kI64: r.i64 = bc::ops::cast<int64_t>(x); break;
+      case NumType::kF32: r.f32 = bc::ops::cast<float>(x); break;
+      case NumType::kF64: r.f64 = bc::ops::cast<double>(x); break;
+      case NumType::kBool: r.b = bc::ops::cast<bool>(x); break;
+      case NumType::kBit: r.b = bc::ops::to_bit(x); break;
+    }
+  };
+  // Widening an integer to long or a float to double is exact, so
+  // converting the wide value gives Java's result for the narrow one.
+  switch (from) {
+    case NumType::kI32: convert(int64_t{v.i32}); break;
+    case NumType::kI64: convert(v.i64); break;
+    case NumType::kF32: convert(double{v.f32}); break;
+    case NumType::kF64: convert(v.f64); break;
     case NumType::kBool:
-      r.b = is_int ? (i != 0) : (d != 0);
-      break;
-    case NumType::kBit:
-      r.b = static_cast<uint8_t>((is_int ? i : static_cast<int64_t>(d)) & 1);
-      break;
+    case NumType::kBit: convert(int64_t{v.b}); break;
   }
   return r;
 }
 
 inline KReg do_intrinsic(Intrinsic fn, NumType t, KReg a, KReg b) {
   KReg r{};
-  if (t == NumType::kF32) {
-    switch (fn) {
-      case Intrinsic::kSqrt: r.f32 = std::sqrt(a.f32); break;
-      case Intrinsic::kExp: r.f32 = std::exp(a.f32); break;
-      case Intrinsic::kLog: r.f32 = std::log(a.f32); break;
-      case Intrinsic::kSin: r.f32 = std::sin(a.f32); break;
-      case Intrinsic::kCos: r.f32 = std::cos(a.f32); break;
-      case Intrinsic::kPow: r.f32 = std::pow(a.f32, b.f32); break;
-      case Intrinsic::kAbs: r.f32 = std::fabs(a.f32); break;
-      case Intrinsic::kMin: r.f32 = std::fmin(a.f32, b.f32); break;
-      case Intrinsic::kMax: r.f32 = std::fmax(a.f32, b.f32); break;
-      case Intrinsic::kFloor: r.f32 = std::floor(a.f32); break;
-    }
-    return r;
+  switch (t) {
+    case NumType::kI32: r.i32 = bc::ops::intrinsic(fn, a.i32, b.i32); break;
+    case NumType::kI64: r.i64 = bc::ops::intrinsic(fn, a.i64, b.i64); break;
+    case NumType::kF32: r.f32 = bc::ops::intrinsic(fn, a.f32, b.f32); break;
+    case NumType::kF64: r.f64 = bc::ops::intrinsic(fn, a.f64, b.f64); break;
+    case NumType::kBool:
+    case NumType::kBit: throw RuntimeError("bad intrinsic type");
   }
-  if (t == NumType::kF64) {
-    switch (fn) {
-      case Intrinsic::kSqrt: r.f64 = std::sqrt(a.f64); break;
-      case Intrinsic::kExp: r.f64 = std::exp(a.f64); break;
-      case Intrinsic::kLog: r.f64 = std::log(a.f64); break;
-      case Intrinsic::kSin: r.f64 = std::sin(a.f64); break;
-      case Intrinsic::kCos: r.f64 = std::cos(a.f64); break;
-      case Intrinsic::kPow: r.f64 = std::pow(a.f64, b.f64); break;
-      case Intrinsic::kAbs: r.f64 = std::fabs(a.f64); break;
-      case Intrinsic::kMin: r.f64 = std::fmin(a.f64, b.f64); break;
-      case Intrinsic::kMax: r.f64 = std::fmax(a.f64, b.f64); break;
-      case Intrinsic::kFloor: r.f64 = std::floor(a.f64); break;
-    }
-    return r;
-  }
-  if (t == NumType::kI32) {
-    switch (fn) {
-      case Intrinsic::kAbs: r.i32 = a.i32 < 0 ? -a.i32 : a.i32; break;
-      case Intrinsic::kMin: r.i32 = a.i32 < b.i32 ? a.i32 : b.i32; break;
-      case Intrinsic::kMax: r.i32 = a.i32 > b.i32 ? a.i32 : b.i32; break;
-      default: throw RuntimeError("intrinsic not defined for int");
-    }
-    return r;
-  }
-  if (t == NumType::kI64) {
-    switch (fn) {
-      case Intrinsic::kAbs: r.i64 = a.i64 < 0 ? -a.i64 : a.i64; break;
-      case Intrinsic::kMin: r.i64 = a.i64 < b.i64 ? a.i64 : b.i64; break;
-      case Intrinsic::kMax: r.i64 = a.i64 > b.i64 ? a.i64 : b.i64; break;
-      default: throw RuntimeError("intrinsic not defined for long");
-    }
-    return r;
-  }
-  throw RuntimeError("bad intrinsic type");
+  return r;
 }
 
 }  // namespace
@@ -354,8 +198,7 @@ void run_kernel_range(const KernelProgram& program,
                                  regs[k.b]);
           break;
         case KOp::kNeg:
-          regs[k.dst] =
-              do_arith(ArithOp::kNeg, k.t, regs[k.a], KReg{});
+          regs[k.dst] = do_arith(ArithOp::kNeg, k.t, regs[k.a], regs[k.a]);
           break;
         case KOp::kCmp:
           regs[k.dst].b = do_cmp(static_cast<CmpOp>(k.aux), k.t, regs[k.a],

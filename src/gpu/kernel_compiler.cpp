@@ -2,12 +2,15 @@
 
 #include <unordered_map>
 
-#include "bytecode/compiler.h"  // num_type_for
+#include "bytecode/compiler.h"
 #include "gpu/opencl_emit.h"
 #include "util/error.h"
 
 namespace lm::gpu {
 
+using bc::arith_for;
+using bc::cmp_for;
+using bc::intrinsic_for;
 using bc::num_type_for;
 using lime::as;
 using lime::BinOp;
@@ -26,51 +29,6 @@ struct Exclude {
   /// method as a whole" and the catch site substitutes the method's loc.
   SourceLoc loc{};
 };
-
-ArithOp arith_for(BinOp op) {
-  switch (op) {
-    case BinOp::kAdd: return ArithOp::kAdd;
-    case BinOp::kSub: return ArithOp::kSub;
-    case BinOp::kMul: return ArithOp::kMul;
-    case BinOp::kDiv: return ArithOp::kDiv;
-    case BinOp::kRem: return ArithOp::kRem;
-    case BinOp::kAnd: return ArithOp::kAnd;
-    case BinOp::kOr: return ArithOp::kOr;
-    case BinOp::kXor: return ArithOp::kXor;
-    case BinOp::kShl: return ArithOp::kShl;
-    case BinOp::kShr: return ArithOp::kShr;
-    default: LM_UNREACHABLE("not arithmetic");
-  }
-}
-
-CmpOp cmp_for(BinOp op) {
-  switch (op) {
-    case BinOp::kEq: return CmpOp::kEq;
-    case BinOp::kNe: return CmpOp::kNe;
-    case BinOp::kLt: return CmpOp::kLt;
-    case BinOp::kLe: return CmpOp::kLe;
-    case BinOp::kGt: return CmpOp::kGt;
-    case BinOp::kGe: return CmpOp::kGe;
-    default: LM_UNREACHABLE("not comparison");
-  }
-}
-
-Intrinsic intrinsic_for(lime::CallExpr::Builtin b) {
-  using B = lime::CallExpr::Builtin;
-  switch (b) {
-    case B::kSqrt: return Intrinsic::kSqrt;
-    case B::kExp: return Intrinsic::kExp;
-    case B::kLog: return Intrinsic::kLog;
-    case B::kSin: return Intrinsic::kSin;
-    case B::kCos: return Intrinsic::kCos;
-    case B::kPow: return Intrinsic::kPow;
-    case B::kAbs: return Intrinsic::kAbs;
-    case B::kMin: return Intrinsic::kMin;
-    case B::kMax: return Intrinsic::kMax;
-    case B::kFloor: return Intrinsic::kFloor;
-    default: LM_UNREACHABLE("not an intrinsic");
-  }
-}
 
 class Lowering {
  public:

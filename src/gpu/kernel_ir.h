@@ -78,20 +78,6 @@ struct KernelParam {
   int offset = 0;                // kElementwise: position within the group
 };
 
-/// Static value range of one kernel register, produced by the interval
-/// pass over the kernel IR (src/analysis/kernel_ranges.h). `known` means
-/// the analysis reached a definition of the register with integer
-/// semantics; lo/hi use INT64_MIN/INT64_MAX as -inf/+inf sentinels.
-struct KRegRange {
-  bool known = false;
-  int64_t lo = INT64_MIN;
-  int64_t hi = INT64_MAX;
-
-  bool bounded() const {
-    return known && lo != INT64_MIN && hi != INT64_MAX;
-  }
-};
-
 struct KernelProgram {
   std::string task_id;            // e.g. "Bitflip.flip" or "seg:f+g"
   std::vector<KInstr> code;
@@ -104,22 +90,6 @@ struct KernelProgram {
   int in_stride = 1;
 
   std::string opencl_source;  // the OpenCL-C artifact text (Fig. 2)
-
-  // -- Range facts (analysis::annotate_kernel_ranges; DESIGN.md §13). The
-  //    future native CPU tier consumes these when emitting machine code. --
-  /// True once the interval pass has run over this program.
-  bool ranges_annotated = false;
-  /// Fixpoint value range per register (size num_regs when annotated).
-  std::vector<KRegRange> reg_ranges;
-  /// Every kLoadElem index register is proven ≥ 0, so a native code
-  /// generator may elide the lower bounds check on whole-array accesses
-  /// (the upper bound still needs the runtime array length).
-  bool bounds_check_elidable = false;
-  /// Every reached integer register has a finite fixpoint interval: all
-  /// intermediates fit fixed-width lanes and every loop's condition is
-  /// range-bounded, so the kernel is safe to inline/fuse into a caller
-  /// loop without guard code. Float registers are exempt (IEEE lanes).
-  bool fusion_safe = false;
 
   std::string disassemble() const;
 };

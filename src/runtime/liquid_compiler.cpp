@@ -5,7 +5,6 @@
 
 #include "analysis/analysis.h"
 #include "analysis/ir_verify.h"
-#include "analysis/kernel_ranges.h"
 #include "bytecode/compiler.h"
 #include "cache/serialize.h"
 #include "fpga/synth.h"
@@ -360,7 +359,6 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
                                     " — kernel IR verification failed");
           return;
         }
-        analysis::annotate_kernel_ranges(*r.program);
         prog = std::move(r.program);
         store_gpu(key, *prog);
       }
@@ -408,7 +406,6 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
                                            r.exclusion_reason});
                 continue;
               }
-              analysis::annotate_kernel_ranges(*r.program);
               prog = std::move(r.program);
               store_gpu(key, *prog);
             }

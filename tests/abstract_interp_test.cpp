@@ -1,7 +1,7 @@
 // Tests for the abstract-interpretation tier (DESIGN.md §13): the interval
-// domain and its widening solver, loop trip counts, range annotation of
-// kernel IR, the static cost estimator and its runtime seeding, and the
-// FIFO capacity / deadlock verifier (LM210–LM214).
+// domain and its widening solver, loop trip counts, the static cost
+// estimator and its runtime seeding, and the FIFO capacity / deadlock
+// verifier (LM210–LM214).
 //
 // The headline property tests:
 //   * Spearman rank correlation ≥ 0.8 between the static cost model and
@@ -26,8 +26,6 @@
 #include "analysis/cost_estimate.h"
 #include "analysis/deadlock.h"
 #include "analysis/intervals.h"
-#include "analysis/kernel_ranges.h"
-#include "gpu/kernel_compiler.h"
 #include "ir/task_graph.h"
 #include "obs/cost_model.h"
 #include "runtime/liquid_runtime.h"
@@ -255,76 +253,6 @@ TEST(RangeAnalysis, WideningTerminationStressNestedTenThousand) {
   }
   EXPECT_EQ(facts.trips_or(facts.loops[0].stmt, -1), 10000);
   EXPECT_EQ(facts.trips_or(facts.loops[2].stmt, -1), 100);
-}
-
-// ---------------------------------------------------------------------------
-// Kernel-IR range annotation
-// ---------------------------------------------------------------------------
-
-TEST(KernelRanges, BoundedIntKernelIsFusionSafe) {
-  auto fr = lime::testing::compile_ok(R"(
-    class C { local static int twice(int x) { return 2 * x; } }
-  )");
-  const auto* m = find_method(*fr.program, "C", "twice");
-  ASSERT_NE(m, nullptr);
-  auto r = gpu::compile_kernel(*m);
-  ASSERT_TRUE(r.ok()) << r.exclusion_reason;
-  annotate_kernel_ranges(*r.program);
-  EXPECT_TRUE(r.program->ranges_annotated);
-  EXPECT_TRUE(r.program->fusion_safe);
-  EXPECT_TRUE(r.program->bounds_check_elidable);
-  ASSERT_EQ(r.program->reg_ranges.size(),
-            static_cast<size_t>(r.program->num_regs));
-  // Every known integer register stays within its 32-bit lane.
-  for (const auto& rr : r.program->reg_ranges) {
-    if (!rr.known) continue;
-    EXPECT_GE(rr.lo, INT32_MIN);
-    EXPECT_LE(rr.hi, INT32_MAX);
-  }
-}
-
-TEST(KernelRanges, LoopKernelStaysBoundedViaBranchRefinement) {
-  // Without comparison provenance on the back edge, `crc` and `i` would
-  // widen to +inf and the kernel could never be fusion-safe.
-  auto fr = lime::testing::compile_ok(R"(
-    class C {
-      local static int crc8(int b) {
-        int crc = b & 255;
-        for (int i = 0; i < 8; i += 1) {
-          crc = (crc & 128) != 0 ? ((crc << 1) ^ 7) & 255 : (crc << 1) & 255;
-        }
-        return crc;
-      }
-    }
-  )");
-  const auto* m = find_method(*fr.program, "C", "crc8");
-  ASSERT_NE(m, nullptr);
-  auto r = gpu::compile_kernel(*m);
-  ASSERT_TRUE(r.ok()) << r.exclusion_reason;
-  annotate_kernel_ranges(*r.program);
-  EXPECT_TRUE(r.program->ranges_annotated);
-  EXPECT_TRUE(r.program->fusion_safe);
-}
-
-TEST(KernelRanges, AnnotationIsIdempotent) {
-  auto fr = lime::testing::compile_ok(R"(
-    class C { local static int inc(int x) { return x + 1; } }
-  )");
-  const auto* m = find_method(*fr.program, "C", "inc");
-  ASSERT_NE(m, nullptr);
-  auto r = gpu::compile_kernel(*m);
-  ASSERT_TRUE(r.ok());
-  annotate_kernel_ranges(*r.program);
-  auto ranges = r.program->reg_ranges;
-  bool fuse = r.program->fusion_safe;
-  annotate_kernel_ranges(*r.program);
-  EXPECT_EQ(r.program->fusion_safe, fuse);
-  ASSERT_EQ(r.program->reg_ranges.size(), ranges.size());
-  for (size_t i = 0; i < ranges.size(); ++i) {
-    EXPECT_EQ(r.program->reg_ranges[i].known, ranges[i].known);
-    EXPECT_EQ(r.program->reg_ranges[i].lo, ranges[i].lo);
-    EXPECT_EQ(r.program->reg_ranges[i].hi, ranges[i].hi);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -665,6 +665,13 @@ INSTANTIATE_TEST_SUITE_P(
         RtlDiffCase{"shift_long_const_over_width",
                     "class C { local static long f(int x) { long v = x; "
                     "return v << 65L; } }",
+                    "C", "f"},
+        // (bit) takes the low bit of the long; 2^53 + x is not exact in a
+        // double.
+        RtlDiffCase{"long_to_bit_keeps_low_bit",
+                    "class C { local static int f(int x) { "
+                    "long y = (((long) 1) << 53) + (long) x; "
+                    "bit b = (bit) y; int r = b; return r; } }",
                     "C", "f"}),
     [](const ::testing::TestParamInfo<RtlDiffCase>& info) {
       return info.param.name;

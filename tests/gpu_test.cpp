@@ -390,6 +390,37 @@ INSTANTIATE_TEST_SUITE_P(
                  "long lm = ((long) m) << 32; long ld = (long) d; "
                  "return m / d + m % d + (int) ((lm / ld) >> 32) "
                  "+ (int) (lm % ld); } }",
+                 "C", "f"},
+        // Java rounds a long to float once; through double, 2^62 + 2^38
+        // + x rounds twice and loses x's low bit.
+        DiffCase{"long_to_float_rounds_once",
+                 "class C { local static int f(int x) { "
+                 "long v = (((long) 1) << 62) + (((long) 1) << 38) + (long) x; "
+                 "return (int) ((float) v / 549755813888.0f); } }",
+                 "C", "f"},
+        // (bit) takes the low bit of the long; 2^53 + x is not exact in a
+        // double.
+        DiffCase{"long_to_bit_keeps_low_bit",
+                 "class C { local static int f(int x) { "
+                 "long y = (((long) 1) << 53) + (long) x; "
+                 "bit b = (bit) y; int r = b; return r; } }",
+                 "C", "f"},
+        // Java maps NaN to 0 and saturates out-of-range floats, to int and
+        // to long (6e9 * 1e30 overflows float to infinity).
+        DiffCase{"float_to_int_edges",
+                 "class C { local static int f(int x) { "
+                 "float z = (float) (x - x); "
+                 "float v = (x & 3) == 0 ? z / z : ((x & 3) == 1 ? 6.0e9f "
+                 ": ((x & 3) == 2 ? -6.0e9f : x * 0.75f)); "
+                 "return (int) v ^ (int) ((long) (v * 1.0e30f) >> 40); } }",
+                 "C", "f"},
+        // Math.abs wraps: abs(MIN_VALUE) is MIN_VALUE, for int and long.
+        DiffCase{"abs_min_value",
+                 "class C { local static int f(int x) { "
+                 "int m = (x & 1) == 0 ? -2147483647 - 1 : x; "
+                 "long lm = (x & 2) == 0 ? -9223372036854775807L - 1L "
+                 ": (long) x; "
+                 "return Math.abs(m) ^ (int) (Math.abs(lm) >> 32); } }",
                  "C", "f"}),
     [](const ::testing::TestParamInfo<DiffCase>& info) {
       return info.param.name;

@@ -2,9 +2,12 @@
 // core invariants.
 //
 //   * Random integer expression programs evaluate identically on the
-//     bytecode VM, the GPU kernel IR, and a C++ oracle with Java wrapping
-//     semantics (the "all artifacts are semantically equivalent" invariant
-//     of §3, tested over a large random program space).
+//     bytecode VM, the GPU kernel IR, the constant folder, and a C++ oracle
+//     with Java wrapping semantics (the "all artifacts are semantically
+//     equivalent" invariant of §3, tested over a large random program
+//     space).
+//   * The RTL constant fold agrees with Java's operators (bytecode/ops.h)
+//     on random int and long operands.
 //   * The wire format round-trips arbitrary arrays of every element type.
 //   * Random RTL expression DAGs over every operator, and random modules
 //     with registers stepped over many cycles, simulate exactly as the
@@ -15,11 +18,16 @@
 //     enqueued step drains even when a queue is closed mid-run.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <utility>
 
 #include "bytecode/compiler.h"
 #include "bytecode/interp.h"
+#include "bytecode/ops.h"
 #include "gpu/device.h"
 #include "gpu/kernel_compiler.h"
 #include "lime/frontend.h"
@@ -136,6 +144,12 @@ GenExpr gen_expr(SplitMix64& rng, int depth) {
   }
 }
 
+/// A Lime int literal for v (MIN_VALUE has no positive literal to negate).
+std::string int_literal(int32_t v) {
+  if (v == INT32_MIN) return "(-2147483647 - 1)";
+  return v < 0 ? "(-" + std::to_string(-v) + ")" : std::to_string(v);
+}
+
 class RandomExprDifferential : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RandomExprDifferential, VmKernelAndOracleAgree) {
@@ -171,6 +185,23 @@ TEST_P(RandomExprDifferential, VmKernelAndOracleAgree) {
                                    gpu::KArg::scalar_i32(y)};
     gpu::run_kernel_range(*kernel.program, args, out, 0, 1);
     EXPECT_EQ(out.i32s()[0], want) << "kernel mismatch for " << src;
+
+    // The constant folder: the same expression over static-final x and y
+    // folds into g's one constant.
+    std::string folded = "class H { static final int x = " + int_literal(x) +
+                         "; static final int y = " + int_literal(y) +
+                         "; static final int R = " + e.source +
+                         "; static int g() { return R; } }";
+    auto hr = lime::compile_source(folded);
+    ASSERT_TRUE(hr.ok()) << hr.diags.to_string() << "\nsource: " << folded;
+    DiagnosticEngine hdiags;
+    auto hmod = bc::compile_program(*hr.program, hdiags);
+    const bc::CompiledMethod& g =
+        hmod->methods[static_cast<size_t>(hmod->index_of("H.g"))];
+    ASSERT_EQ(g.unsupported_reason, "") << folded;
+    ASSERT_EQ(g.code[0].op, bc::Op::kConst) << "not folded: " << folded;
+    EXPECT_EQ(bc::Interpreter(*hmod).call("H.g", {}).as_i32(), want)
+        << "folder mismatch for " << folded;
   }
 }
 
@@ -476,6 +507,80 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RtlModuleProperty,
                          ::testing::Range<uint64_t>(1, 17));
 
 // ---------------------------------------------------------------------------
+// RTL constant fold == Java's operators (bytecode/ops.h)
+// ---------------------------------------------------------------------------
+
+/// Random operands with the edges mixed in: 0, ±1, MIN_VALUE, MAX_VALUE.
+template <typename T>
+T random_operand(SplitMix64& rng) {
+  static const T kEdges[] = {0, 1, -1, std::numeric_limits<T>::min(),
+                             std::numeric_limits<T>::max()};
+  return rng.next_below(4) == 0 ? kEdges[rng.next_below(5)]
+                                : static_cast<T>(rng.next());
+}
+
+/// Folds every operator synthesis lowers Java's int (T = int32_t) or long
+/// (T = int64_t) operators to, at T's width, and compares with ops::.
+template <typename T>
+void check_rtl_fold(SplitMix64& rng) {
+  using bc::ArithOp;
+  using bc::CmpOp;
+  using rtl::HBinOp;
+  constexpr int kWidth = std::numeric_limits<T>::digits + 1;
+  auto bits = [](T v) {
+    return rtl::mask_to_width(static_cast<uint64_t>(v), kWidth);
+  };
+  static const std::pair<HBinOp, ArithOp> kArith[] = {
+      {HBinOp::kAdd, ArithOp::kAdd}, {HBinOp::kSub, ArithOp::kSub},
+      {HBinOp::kMul, ArithOp::kMul}, {HBinOp::kAnd, ArithOp::kAnd},
+      {HBinOp::kOr, ArithOp::kOr},   {HBinOp::kXor, ArithOp::kXor}};
+  static const std::pair<HBinOp, CmpOp> kCompare[] = {
+      {HBinOp::kLtS, CmpOp::kLt}, {HBinOp::kLeS, CmpOp::kLe},
+      {HBinOp::kGtS, CmpOp::kGt}, {HBinOp::kGeS, CmpOp::kGe}};
+  for (int i = 0; i < 500; ++i) {
+    T a = random_operand<T>(rng);
+    T b = rng.next_below(8) == 0 ? a : random_operand<T>(rng);
+    for (auto [hop, jop] : kArith) {
+      EXPECT_EQ(rtl::fold_binary(hop, bits(a), bits(b), kWidth),
+                bits(bc::ops::arith(jop, a, b)))
+          << static_cast<int>(hop) << " width " << kWidth << ": " << a
+          << ", " << b;
+    }
+    for (auto [hop, cop] : kCompare) {
+      EXPECT_EQ(rtl::fold_binary(hop, bits(a), bits(b), kWidth),
+                bc::ops::compare(cop, a, b) ? 1u : 0u)
+          << static_cast<int>(hop) << " width " << kWidth << ": " << a
+          << ", " << b;
+    }
+    // Synthesis masks the distance as Java does (synth.cpp's
+    // shift_distance), then shifts in hardware.
+    T d = rng.next_bool() ? static_cast<T>(rng.next_range(-8, kWidth + 8))
+                          : b;
+    uint64_t masked = bits(d) & (kWidth - 1);
+    EXPECT_EQ(rtl::fold_binary(HBinOp::kShl, bits(a), masked, kWidth),
+              bits(bc::ops::arith(ArithOp::kShl, a, d)))
+        << a << " << " << d;
+    EXPECT_EQ(rtl::fold_binary(HBinOp::kShrA, bits(a), masked, kWidth),
+              bits(bc::ops::arith(ArithOp::kShr, a, d)))
+        << a << " >> " << d;
+    EXPECT_EQ(rtl::fold_unary(rtl::HUnOp::kNeg, bits(a), kWidth, kWidth),
+              bits(bc::ops::arith(ArithOp::kNeg, a, a)))
+        << "-" << a;
+  }
+}
+
+class RtlFoldMatchesJavaOps : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RtlFoldMatchesJavaOps, IntAndLongOperands) {
+  SplitMix64 rng(GetParam() * 613 + 11);
+  check_rtl_fold<int32_t>(rng);
+  check_rtl_fold<int64_t>(rng);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RtlFoldMatchesJavaOps,
+                         ::testing::Range<uint64_t>(1, 9));
+
+// ---------------------------------------------------------------------------
 // Cast matrix: every widening conversion the language allows, VM vs oracle
 // ---------------------------------------------------------------------------
 
@@ -540,6 +645,33 @@ TEST(CastMatrix, WideningCastsAreExact) {
   EXPECT_EQ(build_and_run(
                 "class C { static bit f(int x) { return (bit) x; } }",
                 bc::Value::i32(7))
+                .as_bit(),
+            true);
+  // long → float rounds once: 2^62 + 2^38 + 1 is past the halfway point
+  // between two floats, where a detour through double lands on the tie.
+  EXPECT_EQ(build_and_run(
+                "class C { static float f(long x) { return (float) x; } }",
+                bc::Value::i64((1LL << 62) + (1LL << 38) + 1))
+                .as_f32(),
+            static_cast<float>((1LL << 62) + (1LL << 39)));
+  // float or double → int or long: NaN is 0, out-of-range values saturate.
+  const std::string to_int =
+      "class C { static int f(float x) { return (int) x; } }";
+  EXPECT_EQ(build_and_run(to_int, bc::Value::f32(NAN)).as_i32(), 0);
+  EXPECT_EQ(build_and_run(to_int, bc::Value::f32(6.0e9f)).as_i32(), INT32_MAX);
+  EXPECT_EQ(build_and_run(to_int, bc::Value::f32(-6.0e9f)).as_i32(),
+            INT32_MIN);
+  const std::string to_long =
+      "class C { static long f(double x) { return (long) x; } }";
+  EXPECT_EQ(build_and_run(to_long, bc::Value::f64(NAN)).as_i64(), 0);
+  EXPECT_EQ(build_and_run(to_long, bc::Value::f64(INFINITY)).as_i64(),
+            INT64_MAX);
+  EXPECT_EQ(build_and_run(to_long, bc::Value::f64(-INFINITY)).as_i64(),
+            INT64_MIN);
+  // (bit) of a long is its low bit, also past double's 53-bit mantissa.
+  EXPECT_EQ(build_and_run(
+                "class C { static bit f(long x) { return (bit) x; } }",
+                bc::Value::i64((1LL << 53) + 1))
                 .as_bit(),
             true);
 }

@@ -219,6 +219,73 @@ TEST(Vm, MinValueOverMinusOneFoldsLikeJava) {
   EXPECT_EQ(in.call("C.r", {}).as_i32(), 0);
 }
 
+TEST(Vm, StaticFinalFoldingMatchesRunTime) {
+  // Each initializer folds to Java's value (JLS §15.29), which is also what
+  // the VM computes for the same expression from parameters.
+  auto c = build(R"(
+    class C {
+      static final int K = (int) 4294967297L;
+      static final long BIG = (long) 9007199254740993L;
+      static final long SHIFTED = ((long) 1) << 40;
+      static final boolean LESS = 3 < 4;
+      static final int WRAPPED = 2147483647 + 1;
+      static final int NEGATED = -(-2147483647 - 1);
+      static final int SATURATED = (int) 6.0e9f;
+      static int k() { return K; }
+      static long big() { return BIG; }
+      static long shifted() { return SHIFTED; }
+      static boolean less() { return LESS; }
+      static int wrapped() { return WRAPPED; }
+      static int negated() { return NEGATED; }
+      static int saturated() { return SATURATED; }
+      static int k_at(long v) { return (int) v; }
+      static long big_at(long v) { return v; }
+      static long shifted_at(long v, long d) { return v << d; }
+      static boolean less_at(int a, int b) { return a < b; }
+      static int wrapped_at(int a, int b) { return a + b; }
+      static int negated_at(int a) { return -a; }
+      static int saturated_at(float f) { return (int) f; }
+    }
+  )");
+  Interpreter in(*c.module);
+  auto folded = [&](const std::string& name) {
+    const CompiledMethod& m =
+        c.module->methods[static_cast<size_t>(c.module->index_of(name))];
+    EXPECT_TRUE(m.unsupported_reason.empty() &&
+                m.code.front().op == Op::kConst)
+        << name << " is not folded: " << m.unsupported_reason;
+    return in.call(name, {});
+  };
+  constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+
+  EXPECT_EQ(folded("C.k").as_i32(), 1);
+  EXPECT_EQ(in.call("C.k_at", {Value::i64(4294967297LL)}).as_i32(), 1);
+
+  EXPECT_EQ(folded("C.big").as_i64(), 9007199254740993LL);
+  EXPECT_EQ(in.call("C.big_at", {Value::i64(9007199254740993LL)}).as_i64(),
+            9007199254740993LL);
+
+  EXPECT_EQ(folded("C.shifted").as_i64(), 1099511627776LL);
+  EXPECT_EQ(
+      in.call("C.shifted_at", {Value::i64(1), Value::i64(40)}).as_i64(),
+      1099511627776LL);
+
+  EXPECT_TRUE(folded("C.less").as_bool());
+  EXPECT_TRUE(in.call("C.less_at", {Value::i32(3), Value::i32(4)}).as_bool());
+
+  EXPECT_EQ(folded("C.wrapped").as_i32(), kMin);
+  EXPECT_EQ(
+      in.call("C.wrapped_at", {Value::i32(kMax), Value::i32(1)}).as_i32(),
+      kMin);
+
+  EXPECT_EQ(folded("C.negated").as_i32(), kMin);
+  EXPECT_EQ(in.call("C.negated_at", {Value::i32(kMin)}).as_i32(), kMin);
+
+  EXPECT_EQ(folded("C.saturated").as_i32(), kMax);
+  EXPECT_EQ(in.call("C.saturated_at", {Value::f32(6.0e9f)}).as_i32(), kMax);
+}
+
 TEST(Vm, MathIntrinsics) {
   auto c = build(R"(
     class C {
