@@ -13,12 +13,18 @@
 // orders of magnitude, with the largest factors on compute-dense kernels
 // (nbody, mandelbrot, black-scholes) and the smallest on memory-bound ones
 // (vadd, saxpy) — the same ordering logic as the paper's 12×–431× range.
+//
+// Besides the table, the run writes BENCH_gpu.json: one row per
+// (workload, config) with the best and median call time.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "runtime/liquid_runtime.h"
+#include "util/output_path.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -47,9 +53,19 @@ const Config kConfigs[] = {
     {"gpu-nat", runtime::Placement::kAuto, true},
 };
 
-std::map<std::string, double>& timings() {
-  static auto* t = new std::map<std::string, double>();
+/// Per-iteration call times (s) of each "workload/config".
+std::map<std::string, std::vector<double>>& timings() {
+  static auto* t = new std::map<std::string, std::vector<double>>();
   return *t;
+}
+
+double best_of(const std::vector<double>& samples) {
+  return *std::min_element(samples.begin(), samples.end());
+}
+
+double median_of(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[(samples.size() - 1) / 2];
 }
 
 void bench_one(benchmark::State& state, const Workload& w, const Config& cfg) {
@@ -66,18 +82,18 @@ void bench_one(benchmark::State& state, const Workload& w, const Config& cfg) {
   runtime::RuntimeConfig rc;
   rc.placement = cfg.placement;
 
-  double best = 1e300;
+  std::vector<double>& samples = timings()[w.name + "/" + cfg.label];
+  samples.clear();
   for (auto _ : state) {
     runtime::LiquidRuntime rt(*cp, rc);
     double t = lm::bench::time_once(
         [&] { benchmark::DoNotOptimize(rt.call(w.entry, args)); });
     state.SetIterationTime(t);
-    if (t < best) best = t;
+    samples.push_back(t);
   }
   state.SetItemsProcessed(static_cast<int64_t>(n) *
                           static_cast<int64_t>(state.iterations()));
   state.counters["elems"] = static_cast<double>(n);
-  timings()[w.name + "/" + cfg.label] = best;
 }
 
 void register_benchmarks() {
@@ -102,28 +118,44 @@ void print_speedup_table() {
                           "gpu-nat (ms)", "speedup ir", "speedup nat"});
   double min_nat = 1e300, max_nat = 0;
   for (const Workload& w : workloads::gpu_suite()) {
-    auto cpu = timings().find(w.name + "/cpu");
-    auto ir = timings().find(w.name + "/gpu-ir");
-    auto nat = timings().find(w.name + "/gpu-nat");
-    if (cpu == timings().end() || ir == timings().end() ||
-        nat == timings().end()) {
-      continue;
-    }
-    double s_ir = cpu->second / ir->second;
-    double s_nat = cpu->second / nat->second;
+    auto best = [&](const char* config) {
+      auto it = timings().find(w.name + "/" + config);
+      return it == timings().end() || it->second.empty() ? 0.0
+                                                         : best_of(it->second);
+    };
+    double cpu = best("cpu"), ir = best("gpu-ir"), nat = best("gpu-nat");
+    if (cpu == 0 || ir == 0 || nat == 0) continue;
+    double s_ir = cpu / ir;
+    double s_nat = cpu / nat;
     min_nat = std::min(min_nat, s_nat);
     max_nat = std::max(max_nat, s_nat);
     table.row({w.name, std::to_string(problem_size(w.name)),
-               lm::bench::fmt(cpu->second * 1e3),
-               lm::bench::fmt(ir->second * 1e3),
-               lm::bench::fmt(nat->second * 1e3),
-               lm::bench::fmt(s_ir, "x"), lm::bench::fmt(s_nat, "x")});
+               lm::bench::fmt(cpu * 1e3), lm::bench::fmt(ir * 1e3),
+               lm::bench::fmt(nat * 1e3), lm::bench::fmt(s_ir, "x"),
+               lm::bench::fmt(s_nat, "x")});
   }
   table.print();
   if (max_nat > 0) {
     std::printf("\nmeasured native-kernel speedup range: %.0fx - %.0fx\n",
                 min_nat, max_nat);
   }
+}
+
+void write_json() {
+  lm::bench::JsonReport json("gpu");
+  for (const Workload& w : workloads::gpu_suite()) {
+    for (const Config& cfg : kConfigs) {
+      auto it = timings().find(w.name + "/" + cfg.label);
+      if (it == timings().end() || it->second.empty()) continue;
+      json.add(it->first,
+               {{"n", static_cast<double>(problem_size(w.name))},
+                {"best_ms", best_of(it->second) * 1e3},
+                {"p50_ms", median_of(it->second) * 1e3},
+                {"iterations", static_cast<double>(it->second.size())}});
+    }
+  }
+  const std::string json_file = util::resolve_output_path("BENCH_gpu.json");
+  if (json.write(json_file)) std::printf("json: %s\n", json_file.c_str());
 }
 
 }  // namespace
@@ -147,5 +179,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   print_speedup_table();
+  write_json();
   return 0;
 }

@@ -124,7 +124,9 @@ inline bool to_bit(From x) {
 
 /// Math.<fn>(x[, y]); unary functions ignore y. Integers take abs, min and
 /// max, and abs wraps, so abs(MIN_VALUE) is MIN_VALUE. float and double
-/// call the C library's functions.
+/// call the C library's functions, except min and max: as in Java, they
+/// return NaN when either operand is NaN and order -0.0 below 0.0, where C's
+/// fmin and fmax drop a NaN operand and may return either zero.
 template <typename T>
 inline T intrinsic(Intrinsic fn, T x, T y) {
   if constexpr (std::is_integral_v<T>) {
@@ -145,8 +147,14 @@ inline T intrinsic(Intrinsic fn, T x, T y) {
       case Intrinsic::kCos: return std::cos(x);
       case Intrinsic::kPow: return std::pow(x, y);
       case Intrinsic::kAbs: return std::fabs(x);
-      case Intrinsic::kMin: return std::fmin(x, y);
-      case Intrinsic::kMax: return std::fmax(x, y);
+      case Intrinsic::kMin:
+        if (std::isnan(x)) return x;
+        if (x == 0 && y == 0 && std::signbit(y)) return y;
+        return x <= y ? x : y;
+      case Intrinsic::kMax:
+        if (std::isnan(x)) return x;
+        if (x == 0 && y == 0 && std::signbit(x)) return y;
+        return x >= y ? x : y;
       case Intrinsic::kFloor: return std::floor(x);
     }
     LM_UNREACHABLE("bad intrinsic");

@@ -3,7 +3,8 @@
 // Substitution note (DESIGN.md §1): the paper ran on real AMD/NVidia parts
 // through OpenCL. Here the "device" is a software SIMT model: a launch
 // spreads work items over a pool of compute-unit threads, each executing
-// the unboxed kernel IR. When the native-kernel registry holds an entry for
+// the lowered kernel (gpu/lowered.h), which its artifact built once from
+// the kernel IR. When the native-kernel registry holds an entry for
 // the task id, the device runs that pre-compiled C++ function instead —
 // playing the role of the vendor driver's JIT output, exactly as the
 // paper's artifact repository holds device-toolflow outputs keyed by task
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "gpu/kernel_ir.h"
+#include "gpu/lowered.h"
 #include "serde/native.h"
 
 namespace lm::gpu {
@@ -98,9 +100,9 @@ class GpuDevice {
  public:
   explicit GpuDevice(GpuDeviceConfig config = {});
 
-  /// Executes `n` work items of `program` and returns the output buffer
-  /// (one element of program.ret_type per item).
-  serde::CValue launch(const KernelProgram& program,
+  /// Executes `n` work items of `kernel` and returns the output buffer
+  /// (one element of its return type per item).
+  serde::CValue launch(const LoweredKernel& kernel,
                        const std::vector<KArg>& args, size_t n);
 
   const std::string& name() const { return name_; }
@@ -124,12 +126,6 @@ class GpuDevice {
   GpuStats stats_;
   NativeKernelRegistry registry_;
 };
-
-/// Interprets kernel IR over the work-item range [begin, end). Exposed for
-/// tests; GpuDevice::launch parallelizes over this.
-void run_kernel_range(const KernelProgram& program,
-                      const std::vector<KArg>& args, serde::CValue& out,
-                      size_t begin, size_t end);
 
 /// Output-buffer element code for a kernel's return type.
 bc::ElemCode elem_code_for(NumType t);

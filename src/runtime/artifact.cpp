@@ -149,13 +149,28 @@ Value BytecodeArtifact::apply(std::vector<Value> args) {
 // GpuKernelArtifact
 // ---------------------------------------------------------------------------
 
+namespace {
+const gpu::KernelProgram& non_null(
+    const std::unique_ptr<gpu::KernelProgram>& program) {
+  LM_CHECK(program != nullptr);
+  return *program;
+}
+}  // namespace
+
 GpuKernelArtifact::GpuKernelArtifact(ArtifactManifest manifest,
                                      std::unique_ptr<gpu::KernelProgram> program,
                                      std::shared_ptr<gpu::GpuDevice> device)
     : Artifact(std::move(manifest)),
       program_(std::move(program)),
+      kernel_(non_null(program_)),
       device_(std::move(device)) {
-  LM_CHECK(program_ != nullptr && device_ != nullptr);
+  LM_CHECK(device_ != nullptr);
+  if (program_->params.size() != manifest_.param_types.size()) {
+    throw RuntimeError("kernel " + program_->task_id + " takes " +
+                       std::to_string(program_->params.size()) +
+                       " parameters, its task " +
+                       std::to_string(manifest_.param_types.size()));
+  }
 }
 
 std::vector<Value> GpuKernelArtifact::process(
@@ -178,7 +193,7 @@ std::vector<Value> GpuKernelArtifact::process(
     args.push_back(gpu::KArg::elementwise(dev_in, static_cast<int>(k),
                                           static_cast<int>(p)));
   }
-  CValue dev_out = device_->launch(*program_, args, n);
+  CValue dev_out = device_->launch(kernel_, args, n);
   auto out = elements_from_device(dev_out, manifest_.return_type, boundary,
                                   transfer_);
   transfer_.elements_out += out.size();
@@ -238,7 +253,7 @@ Value GpuKernelArtifact::run_map(std::span<const Value> args,
       kargs.push_back(a);
     }
   }
-  CValue dev_out = device_->launch(*program_, kargs, n);
+  CValue dev_out = device_->launch(kernel_, kargs, n);
 
   auto wire = serde::marshal_native(dev_out);
   auto host = boundary.cross_to_host(wire);
@@ -276,7 +291,7 @@ Value GpuKernelArtifact::run_reduce(const Value& array) {
     bool odd = (cur.count % 2) != 0;
     std::vector<gpu::KArg> kargs = {gpu::KArg::elementwise(cur, 2, 0),
                                     gpu::KArg::elementwise(cur, 2, 1)};
-    CValue next = device_->launch(*program_, kargs, pairs);
+    CValue next = device_->launch(kernel_, kargs, pairs);
     if (odd) {
       // Carry the unpaired trailing element into the next round.
       CValue grown = CValue::make(next.elem, true, pairs + 1);

@@ -156,6 +156,9 @@ class BytecodeArtifact final : public Artifact {
 /// format and native boundary.
 class GpuKernelArtifact final : public Artifact {
  public:
+  /// Lowers `program` once, for all its launches (gpu/lowered.h). Throws
+  /// RuntimeError when the program is malformed or takes a different
+  /// number of parameters than the manifest's task.
   GpuKernelArtifact(ArtifactManifest manifest,
                     std::unique_ptr<gpu::KernelProgram> program,
                     std::shared_ptr<gpu::GpuDevice> device);
@@ -176,6 +179,7 @@ class GpuKernelArtifact final : public Artifact {
 
  private:
   std::unique_ptr<gpu::KernelProgram> program_;
+  gpu::LoweredKernel kernel_;
   std::shared_ptr<gpu::GpuDevice> device_;
 };
 

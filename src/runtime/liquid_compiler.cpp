@@ -313,13 +313,18 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
       cp->artifact_keys["gpu:" + task_id] = key;
       return key;
     };
-    auto fetch_gpu = [&](std::optional<uint64_t> key, const std::string& id)
-        -> std::unique_ptr<gpu::KernelProgram> {
+    // A cached or served kernel is outside input (DESIGN.md §14): building
+    // its artifact lowers it, which checks every index the executor trusts,
+    // and a payload that fails any check is a miss.
+    auto fetch_gpu = [&](std::optional<uint64_t> key,
+                         const ArtifactManifest& mf)
+        -> std::unique_ptr<GpuKernelArtifact> {
       if (!key) return nullptr;
-      auto payload = try_fetch(*key, cache::kBackendGpu, id);
+      auto payload = try_fetch(*key, cache::kBackendGpu, mf.task_id);
       if (!payload) return nullptr;
       try {
-        return cache::decode_kernel_program(*payload);
+        return std::make_unique<GpuKernelArtifact>(
+            mf, cache::decode_kernel_program(*payload), cp->gpu_device);
       } catch (const std::exception&) {
         return nullptr;
       }
@@ -342,9 +347,10 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
         return;
       }
       std::optional<uint64_t> key = gpu_key({id}, id);
-      std::unique_ptr<gpu::KernelProgram> prog = fetch_gpu(key, id);
-      const bool from_cache = prog != nullptr;
-      if (!prog) {
+      ArtifactManifest mf = manifest_for(*m, DeviceKind::kGpu);
+      std::unique_ptr<GpuKernelArtifact> art = fetch_gpu(key, mf);
+      const bool from_cache = art != nullptr;
+      if (!art) {
         auto r = gpu::compile_kernel(*m);
         if (!r.ok()) {
           cp->backend_log.push_back("gpu: excluded " + id + " — " +
@@ -359,13 +365,12 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
                                     " — kernel IR verification failed");
           return;
         }
-        prog = std::move(r.program);
-        store_gpu(key, *prog);
+        store_gpu(key, *r.program);
+        art = std::make_unique<GpuKernelArtifact>(
+            std::move(mf), std::move(r.program), cp->gpu_device);
       }
       wire_native(id);
-      cp->store.add(std::make_unique<GpuKernelArtifact>(
-          manifest_for(*m, DeviceKind::kGpu), std::move(prog),
-          cp->gpu_device));
+      cp->store.add(std::move(art));
       cp->backend_log.push_back(from_cache ? "gpu: compiled " + id + " (cached)"
                                            : "gpu: compiled " + id);
     };
@@ -388,9 +393,17 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
             std::vector<std::string> roots;
             for (const auto* cm : chain) roots.push_back(cm->qualified_name());
             std::optional<uint64_t> key = gpu_key(roots, seg_id);
-            std::unique_ptr<gpu::KernelProgram> prog = fetch_gpu(key, seg_id);
-            const bool from_cache = prog != nullptr;
-            if (!prog) {
+            ArtifactManifest mf;
+            mf.task_id = seg_id;
+            mf.device = DeviceKind::kGpu;
+            for (const auto& p : chain.front()->params) {
+              mf.param_types.push_back(p.type);
+            }
+            mf.return_type = chain.back()->return_type;
+            mf.arity = static_cast<int>(chain.front()->params.size());
+            std::unique_ptr<GpuKernelArtifact> art = fetch_gpu(key, mf);
+            const bool from_cache = art != nullptr;
+            if (!art) {
               auto r = gpu::compile_segment_kernel(chain);
               if (r.ok() && verify_ir &&
                   analysis::verify_kernel(*r.program, cp->diags) > 0) {
@@ -406,20 +419,12 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
                                            r.exclusion_reason});
                 continue;
               }
-              prog = std::move(r.program);
-              store_gpu(key, *prog);
+              store_gpu(key, *r.program);
+              art = std::make_unique<GpuKernelArtifact>(
+                  std::move(mf), std::move(r.program), cp->gpu_device);
             }
-            ArtifactManifest mf;
-            mf.task_id = seg_id;
-            mf.device = DeviceKind::kGpu;
-            for (const auto& p : chain.front()->params) {
-              mf.param_types.push_back(p.type);
-            }
-            mf.return_type = chain.back()->return_type;
-            mf.arity = static_cast<int>(chain.front()->params.size());
             wire_native(seg_id);
-            cp->store.add(std::make_unique<GpuKernelArtifact>(
-                std::move(mf), std::move(prog), cp->gpu_device));
+            cp->store.add(std::move(art));
             cp->backend_log.push_back(
                 from_cache ? "gpu: compiled fused segment " + seg_id +
                                  " (cached)"

@@ -17,6 +17,7 @@
 #include "bytecode/module.h"
 #include "cache/artifact_cache.h"
 #include "cache/serialize.h"
+#include "gpu/lowered.h"
 #include "net/compile_client.h"
 #include "net/server.h"
 #include "runtime/liquid_runtime.h"
@@ -500,6 +501,127 @@ TEST(CodecTest, HostileFpgaPayloadIsAMissNotACrash) {
     EXPECT_TRUE(workloads::results_match(got, w.reference(args), 0.0));
     ASSERT_EQ(rt.stats().substitutions.size(), 1u);
     EXPECT_EQ(rt.stats().substitutions[0].device, runtime::DeviceKind::kFpga);
+  }
+}
+
+// -- hostile GPU payloads --------------------------------------------------
+
+const workloads::Workload& saxpy_workload() {
+  for (const auto& w : workloads::gpu_suite()) {
+    if (w.name == "saxpy") return w;
+  }
+  throw std::invalid_argument("no saxpy workload");
+}
+
+struct SpoiledKernel {
+  const char* what;
+  std::function<void(gpu::KernelProgram&)> spoil;
+};
+
+/// The first instruction of `p` with opcode `op`.
+gpu::KInstr& first_of(gpu::KernelProgram& p, gpu::KOp op) {
+  for (gpu::KInstr& k : p.code) {
+    if (k.op == op) return k;
+  }
+  throw std::invalid_argument("no such instruction");
+}
+
+/// saxpy's kernel IR, each with one lie about an index or selector the
+/// kernel executor trusts. Every one still decodes: the codec checks only
+/// framing.
+std::vector<SpoiledKernel> spoiled_kernel_variants() {
+  using gpu::KOp;
+  return {
+      {"destination register 60000", [](gpu::KernelProgram& p) {
+         p.code[0].dst = 60000;
+       }},
+      {"source register past num_regs", [](gpu::KernelProgram& p) {
+         first_of(p, KOp::kArith).a = static_cast<uint16_t>(p.num_regs);
+       }},
+      {"num_regs 1", [](gpu::KernelProgram& p) { p.num_regs = 1; }},
+      {"negative num_regs", [](gpu::KernelProgram& p) { p.num_regs = -1; }},
+      {"constant past the pool", [](gpu::KernelProgram& p) {
+         p.code[0].op = KOp::kLoadConst;
+         p.code[0].a = static_cast<uint16_t>(p.consts.size());
+       }},
+      {"parameter past the params", [](gpu::KernelProgram& p) {
+         first_of(p, KOp::kLoadParam).a =
+             static_cast<uint16_t>(p.params.size());
+       }},
+      {"jump past the end", [](gpu::KernelProgram& p) {
+         gpu::KInstr jump{KOp::kJump};
+         jump.imm = static_cast<int32_t>(p.code.size()) + 2;
+         p.code.insert(p.code.begin(), jump);
+       }},
+      {"unknown opcode", [](gpu::KernelProgram& p) {
+         p.code[0].op = static_cast<KOp>(200);
+       }},
+      {"unknown NumType", [](gpu::KernelProgram& p) {
+         first_of(p, KOp::kArith).t = static_cast<bc::NumType>(9);
+       }},
+      {"arith operator past kNeg", [](gpu::KernelProgram& p) {
+         first_of(p, KOp::kArith).aux = 11;
+       }},
+  };
+}
+
+/// saxpy's GPU payload with one variant's lie applied.
+std::vector<uint8_t> spoiled_saxpy_payload(const SpoiledKernel& bad) {
+  auto cp = runtime::compile(saxpy_workload().lime_source);
+  EXPECT_TRUE(cp->ok()) << cp->diags.to_string();
+  auto* ga = dynamic_cast<runtime::GpuKernelArtifact*>(
+      cp->store.find("Saxpy.axpy", runtime::DeviceKind::kGpu));
+  EXPECT_NE(ga, nullptr);
+  if (!ga) return {};
+  gpu::KernelProgram program = ga->program();
+  bad.spoil(program);
+  return encode_kernel_program(program);
+}
+
+TEST(CodecTest, KernelPayloadsThatLieAboutTheirIrAreRejected) {
+  auto intact = decode_kernel_program(
+      spoiled_saxpy_payload({"intact", [](gpu::KernelProgram&) {}}));
+  EXPECT_NO_THROW(gpu::LoweredKernel{*intact});
+  for (const SpoiledKernel& bad : spoiled_kernel_variants()) {
+    auto program = decode_kernel_program(spoiled_saxpy_payload(bad));
+    EXPECT_THROW(gpu::LoweredKernel{*program}, lm::RuntimeError) << bad.what;
+  }
+}
+
+TEST(CodecTest, HostileKernelPayloadIsAMissNotACrash) {
+  // A compile service that serves saxpy's kernel with a lie in its IR: the
+  // compiler must compile the kernel locally, as for any miss (DESIGN.md
+  // §14). The last variant lowers, but takes a parameter its task does not
+  // have, which the artifact rejects.
+  const workloads::Workload& w = saxpy_workload();
+  std::vector<SpoiledKernel> variants = spoiled_kernel_variants();
+  variants.push_back({"a parameter the task does not have",
+                      [](gpu::KernelProgram& p) {
+                        p.params.push_back(p.params.back());
+                      }});
+  for (const SpoiledKernel& bad : variants) {
+    SCOPED_TRACE(bad.what);
+    std::vector<uint8_t> payload = spoiled_saxpy_payload(bad);
+    runtime::CompileOptions opts;
+    opts.remote_fetch = [&payload](uint64_t, const std::string& backend,
+                                   const std::string&)
+        -> std::optional<std::vector<uint8_t>> {
+      if (backend != kBackendGpu) return std::nullopt;
+      return payload;
+    };
+    auto cp = runtime::compile(w.lime_source, opts);
+    ASSERT_TRUE(cp->ok()) << cp->diags.to_string();
+    EXPECT_NE(std::find(cp->backend_log.begin(), cp->backend_log.end(),
+                        "gpu: compiled Saxpy.axpy"),
+              cp->backend_log.end());
+
+    runtime::RuntimeConfig rc;
+    rc.placement = runtime::Placement::kGpuOnly;
+    runtime::LiquidRuntime rt(*cp, rc);
+    std::vector<Value> args = w.make_args(64, 7);
+    Value got = rt.call(w.entry, args);
+    EXPECT_TRUE(workloads::results_match(got, w.reference(args), 0.0));
+    EXPECT_EQ(rt.stats().maps_accelerated, 1u);
   }
 }
 

@@ -310,6 +310,172 @@ TEST(KernelExec, WatchdogCatchesDivergentKernel) {
 }
 
 // ---------------------------------------------------------------------------
+// The lowered form (gpu/lowered.h) on hand-written IR: its rewrites fire, and
+// each rewrite's guard keeps a program the rewrite would break.
+// ---------------------------------------------------------------------------
+
+KInstr op3(KOp op, int dst, int a = 0, int b = 0, uint8_t aux = 0,
+           NumType t = NumType::kI32, NumType t2 = NumType::kI32) {
+  return {op,
+          static_cast<uint16_t>(dst),
+          static_cast<uint16_t>(a),
+          static_cast<uint16_t>(b),
+          aux,
+          t,
+          t2,
+          0};
+}
+KInstr jump(KOp op, int target, int cond = 0) {
+  KInstr k = op3(op, 0, cond);
+  k.imm = target;
+  return k;
+}
+KInstr add_i32(int dst, int a, int b) {
+  return op3(KOp::kArith, dst, a, b, static_cast<uint8_t>(ArithOp::kAdd));
+}
+
+/// An int kernel f(int x) with `code` over `num_regs` registers.
+KernelProgram int_kernel(std::vector<KInstr> code, int num_regs,
+                         std::vector<int32_t> consts = {}) {
+  KernelProgram p;
+  p.task_id = "T.f";
+  p.code = std::move(code);
+  p.num_regs = num_regs;
+  p.params.push_back({ParamMode::kScalar, NumType::kI32});
+  for (int32_t c : consts) {
+    KConst k;
+    k.value.i32 = c;
+    p.consts.push_back(k);
+  }
+  return p;
+}
+
+int32_t run_int(const LoweredKernel& k, int32_t x) {
+  CValue out = CValue::make(bc::ElemCode::kI32, true, 1);
+  run_kernel_range(k, {KArg::scalar_i32(x)}, out, 0, 1);
+  return out.i32s()[0];
+}
+
+TEST(LoweredKernel, FoldsConstantsMovesAndCompareBranches) {
+  // s = 0; for (i = 0; i < x; i += 1) s = s + i; return s;
+  KernelProgram p = int_kernel(
+      {
+          op3(KOp::kLoadParam, 0, 0),   // 0: n = x
+          op3(KOp::kLoadConst, 1, 0),   // 1: zero        (set once)
+          op3(KOp::kMov, 2, 1),         // 2: i = 0
+          op3(KOp::kMov, 3, 1),         // 3: s = 0
+          op3(KOp::kCmp, 4, 2, 0, static_cast<uint8_t>(CmpOp::kLt)),  // 4
+          jump(KOp::kJumpIfFalse, 11, 4),  // 5: fused with 4
+          add_i32(5, 3, 2),             // 6: t = s + i
+          op3(KOp::kMov, 3, 5),         // 7: s = t       (into 6)
+          op3(KOp::kLoadConst, 6, 1),   // 8: one         (set once)
+          add_i32(2, 2, 6),             // 9: i += 1
+          jump(KOp::kJump, 4),          // 10
+          op3(KOp::kRet, 0, 3),         // 11
+      },
+      7, {0, 1});
+  LoweredKernel k(p);
+  // Two loads, one move and one branch go; the end sentinel comes.
+  EXPECT_EQ(k.size(), p.code.size() - 4 + 1);
+  EXPECT_EQ(run_int(k, 5), 10);
+  EXPECT_EQ(run_int(k, 0), 0);
+}
+
+TEST(LoweredKernel, MovThatIsAJumpTargetStays) {
+  // Twice: acc = x; acc += acc. The back edge lands on the mov, which must
+  // reset acc; merged into the load it would be skipped.
+  KernelProgram p = int_kernel(
+      {
+          op3(KOp::kLoadConst, 2, 0),  // 0: n = 0
+          op3(KOp::kLoadConst, 3, 1),  // 1: one
+          op3(KOp::kLoadConst, 5, 2),  // 2: two
+          op3(KOp::kLoadParam, 0, 0),  // 3: t = x
+          op3(KOp::kMov, 1, 0),        // 4: acc = t   ← jump target
+          add_i32(1, 1, 1),            // 5: acc += acc
+          add_i32(2, 2, 3),            // 6: n += 1
+          op3(KOp::kCmp, 4, 2, 5, static_cast<uint8_t>(CmpOp::kLt)),  // 7
+          jump(KOp::kJumpIfFalse, 10, 4),  // 8
+          jump(KOp::kJump, 4),             // 9
+          op3(KOp::kRet, 0, 1),            // 10
+      },
+      6, {0, 1, 2});
+  EXPECT_EQ(run_int(LoweredKernel(p), 5), 10);
+}
+
+TEST(LoweredKernel, TemporaryReadTwiceStays) {
+  KernelProgram p = int_kernel(
+      {
+          op3(KOp::kLoadParam, 0, 0),  // 0: x
+          add_i32(1, 0, 0),            // 1: t = 2x
+          op3(KOp::kMov, 2, 1),        // 2: y = t
+          add_i32(3, 2, 1),            // 3: y + t, which reads t again
+          op3(KOp::kRet, 0, 3),        // 4
+      },
+      4);
+  EXPECT_EQ(run_int(LoweredKernel(p), 5), 20);
+}
+
+TEST(LoweredKernel, RegisterGivenTwoConstantsIsReloaded) {
+  KernelProgram p = int_kernel(
+      {
+          op3(KOp::kLoadParam, 0, 0),  // 0: x
+          op3(KOp::kLoadConst, 1, 0),  // 1: k = 10
+          add_i32(2, 0, 1),            // 2: x + 10
+          op3(KOp::kLoadConst, 1, 1),  // 3: k = 20
+          add_i32(3, 2, 1),            // 4: x + 10 + 20
+          op3(KOp::kRet, 0, 3),        // 5
+      },
+      4, {10, 20});
+  EXPECT_EQ(run_int(LoweredKernel(p), 5), 35);
+}
+
+TEST(LoweredKernel, CompareAlsoStoredStays) {
+  // neg = x < 0; if (neg) x = -x; return x + (int) neg;
+  KernelProgram p = int_kernel(
+      {
+          op3(KOp::kLoadParam, 0, 0),  // 0: x
+          op3(KOp::kLoadConst, 1, 0),  // 1: zero
+          op3(KOp::kCmp, 2, 0, 1, static_cast<uint8_t>(CmpOp::kLt)),  // 2
+          jump(KOp::kJumpIfFalse, 5, 2),  // 3
+          op3(KOp::kArith, 0, 1, 0, static_cast<uint8_t>(ArithOp::kSub)),
+          op3(KOp::kMov, 3, 2),         // 5: neg, the compare's second use
+          op3(KOp::kCast, 4, 3, 0, 0, NumType::kBool, NumType::kI32),  // 6
+          add_i32(5, 0, 4),             // 7
+          op3(KOp::kRet, 0, 5),         // 8
+      },
+      6, {0});
+  LoweredKernel k(p);
+  EXPECT_EQ(run_int(k, -5), 6);
+  EXPECT_EQ(run_int(k, 5), 5);
+}
+
+TEST(LoweredKernel, FallingOffTheEndThrows) {
+  // Off the end by running past the last instruction, and by a jump to
+  // code.size().
+  for (auto code : {std::vector<KInstr>{op3(KOp::kLoadParam, 0, 0)},
+                    std::vector<KInstr>{jump(KOp::kJump, 2),
+                                        op3(KOp::kLoadParam, 0, 0)}}) {
+    try {
+      run_int(LoweredKernel(int_kernel(code, 1)), 1);
+      ADD_FAILURE() << "no throw for " << code.size() << " instructions";
+    } catch (const RuntimeError& e) {
+      EXPECT_NE(std::string(e.what()).find("fell off the end"),
+                std::string::npos);
+    }
+  }
+}
+
+TEST(LoweredKernel, SelfJumpTripsTheWatchdog) {
+  KernelProgram p = int_kernel({jump(KOp::kJump, 0)}, 0);
+  try {
+    run_int(LoweredKernel(p), 1);
+    ADD_FAILURE() << "a self jump ran forever";
+  } catch (const RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("watchdog"), std::string::npos);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Differential: kernel IR vs bytecode VM on random inputs (property test).
 // All artifacts for one task id must be semantically equivalent (§3).
 // ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@
 //     with Java wrapping semantics (the "all artifacts are semantically
 //     equivalent" invariant of §3, tested over a large random program
 //     space).
+//   * Random typed kernels (int, long, float and double operands, loops,
+//     casts, comparisons and Math intrinsics) give bit-identical results
+//     on the VM and the lowered GPU kernel.
 //   * The RTL constant fold agrees with Java's operators (bytecode/ops.h)
-//     on random int and long operands.
+//     on random int and long operands, and float Math.min/max follow Java.
 //   * The wire format round-trips arbitrary arrays of every element type.
 //   * Random RTL expression DAGs over every operator, and random modules
 //     with registers stepped over many cycles, simulate exactly as the
@@ -18,6 +21,7 @@
 //     enqueued step drains even when a queue is closed mid-run.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -30,6 +34,7 @@
 #include "bytecode/ops.h"
 #include "gpu/device.h"
 #include "gpu/kernel_compiler.h"
+#include "gpu/lowered.h"
 #include "lime/frontend.h"
 #include "rtl/netlist.h"
 #include "rtl/sim.h"
@@ -207,6 +212,207 @@ TEST_P(RandomExprDifferential, VmKernelAndOracleAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomExprDifferential,
                          ::testing::Range<uint64_t>(1, 33));
+
+// ---------------------------------------------------------------------------
+// Random typed kernels: the lowered kernel against the VM
+// ---------------------------------------------------------------------------
+
+enum class Ty { kInt, kLong, kFloat, kDouble };
+
+const char* ty_name(Ty t) {
+  switch (t) {
+    case Ty::kInt: return "int";
+    case Ty::kLong: return "long";
+    case Ty::kFloat: return "float";
+    case Ty::kDouble: return "double";
+  }
+  return "?";
+}
+
+bool integral(Ty t) { return t == Ty::kInt || t == Ty::kLong; }
+
+/// Generates well-typed Lime expressions of a requested numeric type over a
+/// set of typed variables: every operator and comparison of each type,
+/// guarded division and remainder (the divisor `b | 1` is odd, so never 0
+/// but sometimes -1), unmasked shift distances, casts between all four
+/// types, Math.sqrt, abs, min and max, and the six comparisons of each type
+/// in `?:` conditions, alone or joined by `&&`, `||`, `==` and `!=`.
+class TypedExprGen {
+ public:
+  TypedExprGen(SplitMix64& rng, std::vector<std::pair<std::string, Ty>> vars)
+      : rng_(rng), vars_(std::move(vars)) {}
+
+  std::string gen(Ty t, int depth) {
+    if (depth <= 0 || rng_.next_below(6) == 0) return leaf(t);
+    auto sub = [&](Ty u) { return gen(u, depth - 1); };
+    auto any_ty = [&] { return static_cast<Ty>(rng_.next_below(4)); };
+    switch (rng_.next_below(13)) {
+      case 0: return "(" + sub(t) + " + " + sub(t) + ")";
+      case 1: return "(" + sub(t) + " - " + sub(t) + ")";
+      case 2: return "(" + sub(t) + " * " + sub(t) + ")";
+      case 3:
+        if (integral(t)) return "(" + sub(t) + " / (" + sub(t) + " | 1))";
+        return "(" + sub(t) + " / " + sub(t) + ")";
+      case 4:
+        if (integral(t)) return "(" + sub(t) + " % (" + sub(t) + " | 1))";
+        return "(-" + sub(t) + ")";
+      case 5: {
+        if (!integral(t)) return "Math.sqrt(" + sub(t) + ")";
+        static const char* kOps[] = {" & ", " | ", " ^ ", " << ", " >> "};
+        return "(" + sub(t) + kOps[rng_.next_below(5)] + sub(t) + ")";
+      }
+      case 6: return "(" + compare(depth - 1) + " ? " + sub(t) + " : " +
+                     sub(t) + ")";
+      case 11: {
+        // Compares whose results are read twice (short circuit) or
+        // compared as booleans, so they are not fused with the branch.
+        static const char* kJoins[] = {" && ", " || ", " == ", " != "};
+        return "((" + compare(depth - 1) + ")" + kJoins[rng_.next_below(4)] +
+               "(" + compare(depth - 1) + ") ? " + sub(t) + " : " + sub(t) +
+               ")";
+      }
+      case 7:
+        return "((" + std::string(ty_name(t)) + ") " + sub(any_ty()) + ")";
+      case 8: return "Math.abs(" + sub(t) + ")";
+      case 9: return "Math.min(" + sub(t) + ", " + sub(t) + ")";
+      case 10: return "Math.max(" + sub(t) + ", " + sub(t) + ")";
+      default: return "(-" + sub(t) + ")";
+    }
+  }
+
+ private:
+  std::string compare(int depth) {
+    static const char* kCmps[] = {" == ", " != ", " < ", " <= ", " > ", " >= "};
+    const auto c = static_cast<Ty>(rng_.next_below(4));
+    return gen(c, depth) + kCmps[rng_.next_below(6)] + gen(c, depth);
+  }
+
+  std::string leaf(Ty t) {
+    std::vector<const std::string*> same;
+    for (const auto& [name, ty] : vars_) {
+      if (ty == t) same.push_back(&name);
+    }
+    if (!same.empty() && rng_.next_below(3) != 0) {
+      return *same[rng_.next_below(same.size())];
+    }
+    return literal(t);
+  }
+
+  std::string literal(Ty t) {
+    const int64_t v = rng_.next_range(-1000, 1000);
+    const std::string mag = std::to_string(v < 0 ? -v : v);
+    std::string lit;
+    switch (t) {
+      case Ty::kInt: lit = mag; break;
+      case Ty::kLong: lit = mag + "000000L"; break;
+      case Ty::kFloat: lit = mag + ".25f"; break;
+      case Ty::kDouble: lit = mag + ".125"; break;
+    }
+    return v < 0 ? "(-" + lit + ")" : lit;
+  }
+
+  SplitMix64& rng_;
+  std::vector<std::pair<std::string, Ty>> vars_;
+};
+
+/// A random int, long, float or double, with the edge values now and then.
+template <typename T>
+T random_scalar(SplitMix64& rng) {
+  using Limits = std::numeric_limits<T>;
+  switch (rng.next_below(8)) {
+    case 0: return Limits::lowest();
+    case 1: return Limits::max();
+    case 2: return static_cast<T>(rng.next_range(-2, 2));
+    default: break;
+  }
+  if constexpr (std::is_integral_v<T>) {
+    return static_cast<T>(rng.next());
+  } else {
+    if (rng.next_below(8) == 0) return Limits::quiet_NaN();
+    return static_cast<T>(rng.next_double() * 2e4 - 1e4);
+  }
+}
+
+/// Float.floatToIntBits / Double.doubleToLongBits: the bits, with every
+/// NaN collapsed to one. The sign and payload of a NaN depend on operand
+/// order inside the C++ compiler's code, which Java does not observe.
+uint32_t java_bits(float f) {
+  return std::isnan(f) ? 0x7fc00000u : std::bit_cast<uint32_t>(f);
+}
+uint64_t java_bits(double d) {
+  return std::isnan(d) ? 0x7ff8000000000000ull : std::bit_cast<uint64_t>(d);
+}
+
+class RandomTypedKernelDifferential
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RandomTypedKernelDifferential, KernelMatchesVmBitExactly) {
+  SplitMix64 rng(GetParam() * 7919 + 3);
+  const Ty ret = static_cast<Ty>(GetParam() % 4);
+  const std::string rt = ty_name(ret);
+  const std::vector<std::pair<std::string, Ty>> params = {
+      {"x", Ty::kInt}, {"y", Ty::kLong}, {"u", Ty::kFloat}, {"v", Ty::kDouble}};
+  auto with = [&params](std::vector<std::pair<std::string, Ty>> more) {
+    more.insert(more.begin(), params.begin(), params.end());
+    return more;
+  };
+  TypedExprGen init(rng, params);
+  TypedExprGen body(rng, with({{"i", Ty::kInt}, {"acc", ret}}));
+  TypedExprGen tail(rng, with({{"acc", ret}}));
+  // The loop's backward jump runs the lowered form's moves and constants
+  // once per iteration.
+  std::string src = "class G { local static " + rt +
+                    " f(int x, long y, float u, double v) { " + rt +
+                    " acc = " + init.gen(ret, 2) +
+                    "; for (int i = 0; i < (x & 7); i += 1) { acc = " +
+                    body.gen(ret, 3) + "; } return " + tail.gen(ret, 3) +
+                    "; } }";
+  auto fr = lime::compile_source(src);
+  ASSERT_TRUE(fr.ok()) << fr.diags.to_string() << "\nsource: " << src;
+  DiagnosticEngine diags;
+  auto module = bc::compile_program(*fr.program, diags);
+  ASSERT_FALSE(diags.has_errors()) << src;
+  bc::Interpreter vm(*module);
+  auto kernel =
+      gpu::compile_kernel(*fr.program->find_class("G")->find_method("f"));
+  ASSERT_TRUE(kernel.ok()) << kernel.exclusion_reason << "\nsource: " << src;
+  const gpu::LoweredKernel lowered(*kernel.program);
+
+  for (int trial = 0; trial < 16; ++trial) {
+    const auto x = random_scalar<int32_t>(rng);
+    const auto y = random_scalar<int64_t>(rng);
+    const auto u = random_scalar<float>(rng);
+    const auto v = random_scalar<double>(rng);
+    bc::Value want = vm.call("G.f", {bc::Value::i32(x), bc::Value::i64(y),
+                                     bc::Value::f32(u), bc::Value::f64(v)});
+
+    std::vector<gpu::KArg> args = {gpu::KArg::scalar_i32(x), {},
+                                   gpu::KArg::scalar_f32(u),
+                                   gpu::KArg::scalar_f64(v)};
+    args[1].scalar.i64 = y;
+    serde::CValue out =
+        serde::CValue::make(gpu::elem_code_for(kernel.program->ret_type),
+                            true, 1);
+    gpu::run_kernel_range(lowered, args, out, 0, 1);
+
+    std::string where = src + "\n at x=" + std::to_string(x) +
+                        " y=" + std::to_string(y) + " u=" +
+                        std::to_string(u) + " v=" + std::to_string(v);
+    switch (ret) {
+      case Ty::kInt: EXPECT_EQ(out.i32s()[0], want.as_i32()) << where; break;
+      case Ty::kLong: EXPECT_EQ(out.i64s()[0], want.as_i64()) << where; break;
+      case Ty::kFloat:
+        EXPECT_EQ(java_bits(out.f32s()[0]), java_bits(want.as_f32())) << where;
+        break;
+      case Ty::kDouble:
+        EXPECT_EQ(java_bits(out.f64s()[0]), java_bits(want.as_f64())) << where;
+        break;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomTypedKernelDifferential,
+                         ::testing::Range<uint64_t>(1, 65));
 
 // ---------------------------------------------------------------------------
 // Wire-format round trips over random arrays of every element type
@@ -579,6 +785,32 @@ TEST_P(RtlFoldMatchesJavaOps, IntAndLongOperands) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RtlFoldMatchesJavaOps,
                          ::testing::Range<uint64_t>(1, 9));
+
+template <typename T>
+void check_java_min_max() {
+  using bc::Intrinsic;
+  using bc::ops::intrinsic;
+  const T zero = 0;
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  for (auto [x, y] : {std::pair{-zero, zero}, std::pair{zero, -zero}}) {
+    EXPECT_TRUE(std::signbit(intrinsic(Intrinsic::kMin, x, y)));
+    EXPECT_FALSE(std::signbit(intrinsic(Intrinsic::kMax, x, y)));
+  }
+  for (auto [x, y] : {std::pair{nan, T{1}}, std::pair{T{1}, nan}}) {
+    EXPECT_TRUE(std::isnan(intrinsic(Intrinsic::kMin, x, y)));
+    EXPECT_TRUE(std::isnan(intrinsic(Intrinsic::kMax, x, y)));
+  }
+  EXPECT_EQ(intrinsic(Intrinsic::kMin, T{-2}, T{3}), T{-2});
+  EXPECT_EQ(intrinsic(Intrinsic::kMax, T{-2}, T{3}), T{3});
+}
+
+// Java's Math.min and max order -0.0 below 0.0 and propagate NaN. C's fmin
+// and fmax do neither, so two executors built on them can disagree on the
+// sign of Math.min(-0.0f, 0.0f).
+TEST(JavaMinMax, SignedZerosAndNaN) {
+  check_java_min_max<float>();
+  check_java_min_max<double>();
+}
 
 // ---------------------------------------------------------------------------
 // Cast matrix: every widening conversion the language allows, VM vs oracle
