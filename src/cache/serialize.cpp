@@ -140,7 +140,11 @@ bc::Value read_value(ByteReader& r) {
     case bc::ValueKind::kBool: return bc::Value::boolean(r.u8() != 0);
     case bc::ValueKind::kBit: return bc::Value::bit(r.u8() != 0);
     case bc::ValueKind::kArray: {
-      auto elem = static_cast<bc::ElemCode>(r.u8());
+      const uint8_t code = r.u8();
+      if (code > static_cast<uint8_t>(bc::ElemCode::kBoxed)) {
+        throw RuntimeError("cache payload carries unknown element code");
+      }
+      auto elem = static_cast<bc::ElemCode>(code);
       bool is_value = r.u8() != 0;
       uint64_t n = r.u64();
       size_t min_bytes = 1;
@@ -235,6 +239,88 @@ bc::CompiledMethod read_method(ByteReader& r) {
   return m;
 }
 
+// The VM trusts every operand it uses as an index or an enum: slots, the
+// constant pool, methods, task ids, jump targets and the operator, type and
+// element selectors. A payload is outside input (DESIGN.md §14), so each of
+// them is range-checked here, per instruction. Operand-stack depth is not.
+constexpr int32_t kMaxSlots = 1 << 16;
+
+template <typename Enum>
+bool within(int32_t v, Enum last) {
+  return v >= 0 && v <= static_cast<int32_t>(last);
+}
+
+bool below(int32_t v, size_t n) {
+  return v >= 0 && static_cast<size_t>(v) < n;
+}
+
+void check_operands(const bc::BytecodeModule& m) {
+  using bc::Op;
+  const bc::NumType kLastType = bc::NumType::kBit;
+  for (const bc::CompiledMethod& cm : m.methods) {
+    if (cm.num_slots < 0 || cm.num_slots > kMaxSlots || cm.num_params < 0 ||
+        cm.num_params > cm.num_slots) {
+      throw RuntimeError("bytecode-module payload: " + cm.qualified_name +
+                         " declares " + std::to_string(cm.num_params) +
+                         " parameter(s) in " + std::to_string(cm.num_slots) +
+                         " slot(s)");
+    }
+    for (size_t pc = 0; pc < cm.code.size(); ++pc) {
+      const bc::Instr& in = cm.code[pc];
+      bool ok = within(static_cast<int32_t>(in.op), Op::kFinishGraph);
+      if (ok) {
+        switch (in.op) {
+          case Op::kConst: ok = below(in.a, m.const_pool.size()); break;
+          case Op::kLoad:
+          case Op::kStore:
+            ok = below(in.a, static_cast<size_t>(cm.num_slots));
+            break;
+          case Op::kArith:
+            ok = within(in.a, bc::ArithOp::kNeg) && within(in.b, kLastType);
+            break;
+          case Op::kCmp:
+            ok = within(in.a, bc::CmpOp::kGe) && within(in.b, kLastType);
+            break;
+          case Op::kCast:
+            ok = within(in.a, kLastType) && within(in.b, kLastType);
+            break;
+          case Op::kIntrinsic:
+            ok = within(in.a, bc::Intrinsic::kFloor) &&
+                 within(in.b, kLastType);
+            break;
+          case Op::kJump:
+          case Op::kJumpIfFalse:
+          case Op::kJumpIfTrue:
+            ok = in.a >= 0 && static_cast<size_t>(in.a) <= cm.code.size();
+            break;
+          case Op::kCall:
+          case Op::kReduce:
+            ok = below(in.a, m.methods.size());
+            break;
+          case Op::kMap:
+            // b arguments, c a bitmask over them: at most 32.
+            ok = below(in.a, m.methods.size()) && in.b >= 0 && in.b <= 32;
+            break;
+          case Op::kNewArray: ok = within(in.a, bc::ElemCode::kBoxed); break;
+          case Op::kMakeTask:
+            ok = below(in.a, m.methods.size()) &&
+                 below(in.c, m.task_ids.size());
+            break;
+          default: break;
+        }
+      }
+      if (!ok) {
+        throw RuntimeError(
+            "bytecode-module payload: " + cm.qualified_name + " pc " +
+            std::to_string(pc) + " (op " +
+            std::to_string(static_cast<int>(in.op)) + " " +
+            std::to_string(in.a) + " " + std::to_string(in.b) + " " +
+            std::to_string(in.c) + ") has an operand out of range");
+      }
+    }
+  }
+}
+
 }  // namespace
 
 // -- BytecodeModule --------------------------------------------------------
@@ -272,6 +358,7 @@ std::unique_ptr<bc::BytecodeModule> decode_bytecode_module(
   if (!r.done()) {
     throw RuntimeError("bytecode-module payload has trailing bytes");
   }
+  check_operands(*m);
   return m;
 }
 

@@ -47,7 +47,8 @@ namespace lm::cache {
 // -- payload codecs --------------------------------------------------------
 
 std::vector<uint8_t> encode_bytecode_module(const bc::BytecodeModule& m);
-/// Throws RuntimeError on truncated/malformed bytes (the cache layer turns
+/// Throws RuntimeError on truncated/malformed bytes and on any operand the
+/// VM would use as an out-of-range index or enum (the cache layer turns
 /// that into a miss).
 std::unique_ptr<bc::BytecodeModule> decode_bytecode_module(
     std::span<const uint8_t> bytes);

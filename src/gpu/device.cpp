@@ -1,5 +1,6 @@
 #include "gpu/device.h"
 
+#include <algorithm>
 #include <thread>
 
 #include "obs/trace.h"
@@ -37,12 +38,13 @@ ElemCode elem_code_for(NumType t) {
   LM_UNREACHABLE("bad NumType");
 }
 
-GpuDevice::GpuDevice(GpuDeviceConfig config) : config_(config) {
-  compute_units_ = config.compute_units > 0
-                       ? config.compute_units
-                       : static_cast<int>(std::thread::hardware_concurrency());
-  if (compute_units_ < 1) compute_units_ = 1;
-}
+/// Launches smaller than this run on the calling thread (models the fixed
+/// cost floor of spinning up a grid for tiny problems).
+constexpr size_t kMinItemsForParallel = 4096;
+
+GpuDevice::GpuDevice()
+    : compute_units_(
+          std::max(1, static_cast<int>(std::thread::hardware_concurrency()))) {}
 
 std::string GpuDevice::describe() const {
   return name_ + " (" + std::to_string(compute_units_) + " compute units, " +
@@ -56,8 +58,7 @@ CValue GpuDevice::launch(const LoweredKernel& kernel,
 
   CValue out = CValue::make(elem_code_for(kernel.ret_type()), true, n);
 
-  const NativeKernelFn* native =
-      config_.allow_native ? registry_.find(kernel.task_id()) : nullptr;
+  const NativeKernelFn* native = registry_.find(kernel.task_id());
   if (native) stats_.native_launches.fetch_add(1, std::memory_order_relaxed);
 
   obs::TraceSpan span;
@@ -77,7 +78,7 @@ CValue GpuDevice::launch(const LoweredKernel& kernel,
     }
   };
 
-  if (n < config_.min_items_for_parallel || compute_units_ == 1) {
+  if (n < kMinItemsForParallel || compute_units_ == 1) {
     run_range(0, n);
     return out;
   }

@@ -76,17 +76,6 @@ class NativeKernelRegistry {
   std::unordered_map<std::string, NativeKernelFn> kernels_;
 };
 
-struct GpuDeviceConfig {
-  /// Compute units (worker threads). 0 → hardware concurrency.
-  int compute_units = 0;
-  /// Launches smaller than this run on the calling thread (models the
-  /// fixed cost floor of spinning up a grid for tiny problems).
-  size_t min_items_for_parallel = 4096;
-  /// When false the device always interprets kernel IR, never native
-  /// kernels (used to isolate the two paths in benchmarks).
-  bool allow_native = true;
-};
-
 /// Atomic: one GpuDevice is shared by every GPU artifact of a program, so
 /// device nodes stepping on different executor workers launch — and bump
 /// these — from different threads at once.
@@ -98,7 +87,8 @@ struct GpuStats {
 
 class GpuDevice {
  public:
-  explicit GpuDevice(GpuDeviceConfig config = {});
+  /// One compute unit (worker thread) per hardware thread.
+  GpuDevice();
 
   /// Executes `n` work items of `kernel` and returns the output buffer
   /// (one element of its return type per item).
@@ -121,7 +111,6 @@ class GpuDevice {
 
  private:
   std::string name_ = "simgpu0";
-  GpuDeviceConfig config_;
   int compute_units_;
   GpuStats stats_;
   NativeKernelRegistry registry_;

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "net/poll_loop.h"
-#include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "util/byte_buffer.h"
 
@@ -234,13 +233,13 @@ void RemoteSession::handle_reply_telemetry(
   uint32_t lane = rec->lane("remote " + endpoint_);
   std::string id_hex = trace_id_hex(reply.trace_id);
   for (const auto& sp : tele.spans) {
-    rec->complete_lane(lane, "remote", "srv:" + sp.name, sp.ts_us - offset,
-                       sp.dur_us,
-                       obs::JsonArgs()
-                           .add("endpoint", endpoint_)
-                           .add("trace_id", id_hex)
-                           .add("request_id", reply.request_id)
-                           .str());
+    rec->complete_on(lane, "remote", "srv:" + sp.name, sp.ts_us - offset,
+                     sp.dur_us,
+                     obs::JsonArgs()
+                         .add("endpoint", endpoint_)
+                         .add("trace_id", id_hex)
+                         .add("request_id", reply.request_id)
+                         .str());
   }
 }
 
@@ -274,8 +273,9 @@ void RemoteSession::mark_down(const std::string& why) {
   bool was_down = down_.exchange(true, std::memory_order_acq_rel);
   if (!was_down) {
     if (c_endpoint_down_) c_endpoint_down_->add();
-    obs::FlightRecorder::instance().record("fault", "endpoint-down",
-                                           endpoint_ + ": " + why);
+    obs::TraceRecorder::flight().instant(
+        "fault", "endpoint-down",
+        obs::JsonArgs().add("detail", endpoint_ + ": " + why).str());
   }
   // Pooled connections to a dead endpoint are poison; drop them so the
   // next attempt dials fresh.

@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "obs/flight_recorder.h"
+#include "obs/trace.h"
 #include "serde/buffer_pool.h"
 
 namespace lm::net {
@@ -143,8 +143,7 @@ TelemetryServer::Route TelemetryServer::respond(
                : Route{503, "Service Unavailable", "application/json"};
   }
   if (path == "/flight") {
-    body =
-        obs::FlightRecorder::instance().chrome_trace_json("telemetry-pull");
+    body = obs::TraceRecorder::flight().chrome_trace_json("telemetry-pull");
     return {200, "OK", "application/json"};
   }
   body = "no such endpoint (try /metrics, /healthz, /flight)\n";

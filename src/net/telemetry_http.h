@@ -5,7 +5,8 @@
 //
 //   GET /metrics  → Prometheus text exposition (format 0.0.4)
 //   GET /healthz  → {"status":"ok"|...}; 200 when healthy, 503 degraded
-//   GET /flight   → the process-wide FlightRecorder as Chrome-trace JSON
+//   GET /flight   → the flight recorder (TraceRecorder::flight()) as
+//                   Chrome-trace JSON
 //
 // The split keeps the dependency arrow intact: obs renders, net serves.
 // Mounted by `lmc --telemetry-port=N` (runtime side) and `tools/lmdev

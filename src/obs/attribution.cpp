@@ -16,7 +16,38 @@ struct Walker {
   const GraphRun& run;
   std::vector<Attribution::Segment> segs;  // descending; reversed at end
 
-  explicit Walker(const GraphRun& r) : run(r) {}
+  /// This graph's dispatch runs and their node, per thread row, by end.
+  using RowRun = std::pair<const DispatchRun*, int>;
+  std::map<uint32_t, std::vector<RowRun>> by_row;
+
+  explicit Walker(const GraphRun& r) : run(r) {
+    for (size_t i = 0; i < run.tasks.size(); ++i) {
+      for (const DispatchRun& d : run.tasks[i].runs) {
+        by_row[d.tid].emplace_back(&d, static_cast<int>(i));
+      }
+    }
+    for (auto& [row, runs] : by_row) {
+      std::sort(runs.begin(), runs.end(), [](const RowRun& a, const RowRun& b) {
+        return a.first->end < b.first->end;
+      });
+    }
+  }
+
+  /// The run of another task that held thread `row` last before `t`,
+  /// ending after `lo`: what a task queued for that thread waited behind.
+  /// Null when the thread ran nothing of this graph in (lo, t].
+  const RowRun* holder(int node, uint32_t row, double lo, double t) const {
+    auto it = by_row.find(row);
+    if (it == by_row.end()) return nullptr;
+    const std::vector<RowRun>& runs = it->second;
+    auto h = std::upper_bound(
+        runs.begin(), runs.end(), t + kEps,
+        [](double v, const RowRun& x) { return v < x.first->end; });
+    while (h != runs.begin() && (--h)->first->end > lo + kEps) {
+      if (h->second != node && h->first->start < t) return &*h;
+    }
+    return nullptr;
+  }
 
   void emit(int node, const char* cat, double lo, double hi) {
     emit(node, std::string(cat), lo, hi);
@@ -132,6 +163,20 @@ struct Walker {
         continue;
       }
       if (t > d->enq) {
+        // Queued for a thread that was running another task of this graph
+        // (a seeded run's only thread, or the worker whose local queue the
+        // wake landed in): that task held the thread, so the path goes on
+        // through its run. The gap between the two is dispatch overhead.
+        if (const RowRun* h = holder(cur, d->tid, std::max(d->enq, t0), t)) {
+          const double hi = std::min(t, h->first->end);
+          const double lo = std::max(h->first->start, t0);
+          emit(cur, "sched", hi, t);
+          cur = h->second;
+          consume_running(cur, run.tasks[static_cast<size_t>(cur)], lo, hi);
+          t = lo;
+          redirects = 0;
+          continue;
+        }
         emit(cur, "queue-wait", std::max(d->enq, t0), t);
         t = d->enq;
         redirects = 0;

@@ -107,6 +107,7 @@ std::vector<GraphRun> reconstruct_runs(const std::vector<TraceEvent>& events) {
       if (it == runs.end()) continue;
       TaskTimeline& tl = task_for(it->second, static_cast<int>(node), e.name);
       DispatchRun r;
+      r.tid = e.tid;
       r.start = e.ts_us;
       r.end = e.ts_us + e.dur_us;
       double queue_us = 0, park_us = 0, steps = 0;

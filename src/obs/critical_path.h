@@ -34,9 +34,9 @@ namespace lm::obs {
 /// Why a task parked between two dispatch runs.
 enum class ParkReason : uint8_t { kNone, kPop, kPush, kRpc };
 
-/// One coalesced executor dispatch: the task parked during
-/// [park0,enq) (reason != kNone), waited in the ready queue during
-/// [enq,start) and ran during [start,end). Times are recorder µs.
+/// One coalesced executor dispatch: the task parked during [park0,enq)
+/// (reason != kNone), waited in the ready queue during [enq,start) and ran
+/// during [start,end) on trace row `tid`. Times are recorder µs.
 struct DispatchRun {
   double park0 = 0;
   double enq = 0;
@@ -44,6 +44,7 @@ struct DispatchRun {
   double end = 0;
   ParkReason reason = ParkReason::kNone;
   uint64_t steps = 0;
+  uint32_t tid = 0;
 };
 
 /// One device batch drain inside a task's running time.

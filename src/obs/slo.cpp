@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
-#include "obs/flight_recorder.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 
@@ -50,16 +48,6 @@ bool holds(SloRule::Cmp cmp, double value, double threshold) {
     case SloRule::Cmp::kGe: return value >= threshold;
   }
   return true;
-}
-
-const char* cmp_text(SloRule::Cmp cmp) {
-  switch (cmp) {
-    case SloRule::Cmp::kLt: return "<";
-    case SloRule::Cmp::kLe: return "<=";
-    case SloRule::Cmp::kGt: return ">";
-    case SloRule::Cmp::kGe: return ">=";
-  }
-  return "?";
 }
 
 /// Nearest-rank percentile over the window (q in (0,100]).
@@ -227,22 +215,12 @@ std::vector<SloViolation> SloWatchdog::evaluate(const FleetSnapshot& snap) {
       v.threshold = threshold;
       ++total_violations_;
 
-      char detail[96];
-      std::snprintf(detail, sizeof(detail), "%s: %.6g !%s %.6g",
-                    ep.endpoint.c_str(), value, cmp_text(rule.cmp),
-                    threshold);
-      FlightRecorder::instance().record(
-          "slo", "violation", detail, -1.0,
-          static_cast<uint64_t>(value < 0 ? 0 : value),
-          static_cast<uint64_t>(threshold < 0 ? 0 : threshold));
-      if (TraceRecorder* rec = TraceRecorder::current()) {
-        rec->instant("slo", "slo:" + rule.text,
+      record_instant(TraceRecorder::current(), "slo", "slo:" + rule.text,
                      JsonArgs()
                          .add("endpoint", ep.endpoint)
                          .add("value", value)
                          .add("threshold", threshold)
                          .str());
-      }
       violations.push_back(std::move(v));
     }
   }

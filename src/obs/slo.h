@@ -18,10 +18,10 @@
 // Every rule is evaluated per endpoint against each FleetSnapshot.
 // rate()/gauge() rules only judge kUp endpoints (a down server has no
 // meaningful rate — scrape_staleness is the rule that catches it, and it
-// judges every endpoint that has ever been scraped). New violations are
-// recorded into the process FlightRecorder (category "slo") and, when a
-// TraceRecorder is installed, as Chrome-trace instants — so a soak's trace
-// shows exactly when the fleet left its envelope. `lmtop --check` /
+// judges every endpoint that has ever been scraped). Each new violation is
+// one "slo" instant, recorded into the flight recorder and, when a
+// TraceRecorder is installed, into the trace — so a soak's trace shows
+// exactly when the fleet left its envelope. `lmtop --check` /
 // `lmc --fleet-snapshot` turn a nonzero violation count into a nonzero
 // exit for CI.
 #pragma once
@@ -75,8 +75,8 @@ class SloWatchdog {
   explicit SloWatchdog(std::vector<SloRule> rules);
 
   /// Judges one snapshot. Returns this round's violations (also recorded
-  /// in the FlightRecorder and as trace instants), and accumulates
-  /// total_violations().
+  /// as instants in the flight recorder and any installed trace), and
+  /// accumulates total_violations().
   std::vector<SloViolation> evaluate(const FleetSnapshot& snap);
 
   uint64_t total_violations() const { return total_violations_; }

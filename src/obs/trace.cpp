@@ -143,6 +143,12 @@ TraceRecorder::TraceRecorder(size_t max_events_per_thread)
       max_events_per_thread_(max_events_per_thread ? max_events_per_thread
                                                    : 1) {}
 
+TraceRecorder& TraceRecorder::flight() {
+  // Leaked on purpose: task threads may record during process teardown.
+  static TraceRecorder* g = new TraceRecorder(256);
+  return *g;
+}
+
 TraceRecorder::~TraceRecorder() {
   TraceRecorder* self = this;
   g_current.compare_exchange_strong(self, nullptr,
@@ -182,20 +188,19 @@ TraceRecorder::Buffer& TraceRecorder::local_buffer() {
   return *raw;
 }
 
-void TraceRecorder::append(TraceEvent e) {
-  append_to(local_buffer(), std::move(e));
-}
-
 void TraceRecorder::append_to(Buffer& b, TraceEvent e) {
   e.tid = b.tid;
   std::lock_guard<std::mutex> lock(b.mu);  // uncontended except vs export
-  if (b.events.size() >= max_events_per_thread_) {
-    // Full buffer: drop, but never silently — the count rides along in the
-    // export metadata and the runtime's trace.dropped_events counter.
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+  if (b.events.size() < max_events_per_thread_) {
+    b.events.push_back(std::move(e));
     return;
   }
-  b.events.push_back(std::move(e));
+  // Full buffer: the newest event replaces the oldest, never silently —
+  // the count rides along in the export metadata and the runtime's
+  // trace.dropped_events counter.
+  b.events[b.next] = std::move(e);
+  if (++b.next == b.events.size()) b.next = 0;
+  dropped_.fetch_add(1, std::memory_order_relaxed);
 }
 
 uint32_t TraceRecorder::lane(const std::string& label) {
@@ -212,28 +217,24 @@ uint32_t TraceRecorder::lane(const std::string& label) {
   return raw->tid;
 }
 
-void TraceRecorder::complete_lane(uint32_t lane_tid, const char* category,
-                                  std::string name, double ts_us,
-                                  double dur_us, std::string args) {
-  Buffer* lane_buf = nullptr;
+uint32_t TraceRecorder::thread_row() { return local_buffer().tid; }
+
+void TraceRecorder::complete_on(uint32_t row, const char* category,
+                                std::string name, double ts_us, double dur_us,
+                                std::string args) {
+  Buffer* buf = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (Buffer* b : lanes_) {
-      if (b->tid == lane_tid) {
-        lane_buf = b;
-        break;
-      }
-    }
+    LM_CHECK_MSG(row >= 1 && row <= buffers_.size(),
+                 "complete_on: unknown row");
+    buf = buffers_[row - 1].get();
   }
-  LM_CHECK_MSG(lane_buf != nullptr, "complete_lane: unknown lane tid");
-  TraceEvent e;
-  e.phase = TraceEvent::Phase::kComplete;
-  e.category = category;
-  e.name = std::move(name);
-  e.args = std::move(args);
-  e.ts_us = ts_us;
-  e.dur_us = dur_us;
-  append_to(*lane_buf, std::move(e));
+  append_to(*buf, {.phase = TraceEvent::Phase::kComplete,
+                   .category = category,
+                   .name = std::move(name),
+                   .args = std::move(args),
+                   .ts_us = ts_us,
+                   .dur_us = dur_us});
 }
 
 void TraceRecorder::set_thread_name(std::string name) {
@@ -244,36 +245,31 @@ void TraceRecorder::set_thread_name(std::string name) {
 
 void TraceRecorder::complete(const char* category, std::string name,
                              double ts_us, double dur_us, std::string args) {
-  TraceEvent e;
-  e.phase = TraceEvent::Phase::kComplete;
-  e.category = category;
-  e.name = std::move(name);
-  e.args = std::move(args);
-  e.ts_us = ts_us;
-  e.dur_us = dur_us;
-  append(std::move(e));
+  append_to(local_buffer(), {.phase = TraceEvent::Phase::kComplete,
+                             .category = category,
+                             .name = std::move(name),
+                             .args = std::move(args),
+                             .ts_us = ts_us,
+                             .dur_us = dur_us});
 }
 
 void TraceRecorder::instant(const char* category, std::string name,
                             std::string args) {
-  TraceEvent e;
-  e.phase = TraceEvent::Phase::kInstant;
-  e.category = category;
-  e.name = std::move(name);
-  e.args = std::move(args);
-  e.ts_us = now_us();
-  append(std::move(e));
+  append_to(local_buffer(), {.phase = TraceEvent::Phase::kInstant,
+                             .category = category,
+                             .name = std::move(name),
+                             .args = std::move(args),
+                             .ts_us = now_us()});
 }
 
 void TraceRecorder::counter(const char* category, std::string name,
                             double value) {
-  TraceEvent e;
-  e.phase = TraceEvent::Phase::kCounter;
-  e.category = category;
-  e.name = std::move(name);
-  e.ts_us = now_us();
-  e.value = value;
-  append(std::move(e));
+  append_to(local_buffer(), {.phase = TraceEvent::Phase::kCounter,
+                             .category = category,
+                             .name = std::move(name),
+                             .args = {},
+                             .ts_us = now_us(),
+                             .value = value});
 }
 
 size_t TraceRecorder::event_count() const {
@@ -302,7 +298,10 @@ std::vector<TraceEvent> TraceRecorder::events() const {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& b : buffers_) {
       std::lock_guard<std::mutex> bl(b->mu);
-      out.insert(out.end(), b->events.begin(), b->events.end());
+      // Oldest first, so equal timestamps keep their recording order.
+      const auto oldest = b->events.begin() + static_cast<long>(b->next);
+      out.insert(out.end(), oldest, b->events.end());
+      out.insert(out.end(), b->events.begin(), oldest);
     }
   }
   std::stable_sort(out.begin(), out.end(),
@@ -312,7 +311,7 @@ std::vector<TraceEvent> TraceRecorder::events() const {
   return out;
 }
 
-std::string TraceRecorder::chrome_trace_json() const {
+std::string TraceRecorder::chrome_trace_json(const std::string& reason) const {
   std::vector<TraceEvent> evs = events();
   std::vector<std::pair<uint32_t, std::string>> lane_names;
   {
@@ -379,10 +378,14 @@ std::string TraceRecorder::chrome_trace_json() const {
   std::snprintf(idbuf, sizeof(idbuf), "%016llx",
                 static_cast<unsigned long long>(trace_id_));
   out += idbuf;
-  out += "\",\"droppedEvents\":";
-  out += std::to_string(dropped_events());
-  out += ",\"maxEventsPerThread\":";
-  out += std::to_string(max_events_per_thread_);
+  out += "\",";
+  const uint64_t dropped = dropped_events();
+  JsonArgs meta;
+  meta.add("droppedEvents", dropped)
+      .add("maxEventsPerThread", static_cast<uint64_t>(max_events_per_thread_))
+      .add("totalRecorded", static_cast<uint64_t>(evs.size()) + dropped);
+  if (!reason.empty()) meta.add("reason", reason);
+  out += meta.str();
   out += "}}";
   return out;
 }
@@ -406,6 +409,25 @@ void TraceSpan::end() {
   rec_->complete(category_, std::move(name_), t0_us_, t1 - t0_us_,
                  std::move(args_));
   rec_ = nullptr;
+}
+
+// ---------------------------------------------------------------------------
+// Always-on facts
+// ---------------------------------------------------------------------------
+
+void record_instant(TraceRecorder* trace, const char* category,
+                    std::string name, std::string args) {
+  if (trace) trace->instant(category, name, args);
+  TraceRecorder::flight().instant(category, std::move(name), std::move(args));
+}
+
+void record_complete(TraceRecorder* trace, const char* category,
+                     std::string name,
+                     std::chrono::steady_clock::time_point start,
+                     double dur_us, std::string args) {
+  if (trace) trace->complete(category, name, trace->to_us(start), dur_us, args);
+  TraceRecorder& f = TraceRecorder::flight();
+  f.complete(category, std::move(name), f.to_us(start), dur_us, std::move(args));
 }
 
 }  // namespace lm::obs

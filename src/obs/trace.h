@@ -5,6 +5,11 @@
 // recorder merges them on export into Chrome `chrome://tracing` /
 // Perfetto-compatible JSON.
 //
+// One recorder type serves both uses: an installed recorder is the trace,
+// and TraceRecorder::flight() is the always-on black box. Both keep each
+// thread's newest max_events_per_thread() events and count every
+// overwritten one in dropped_events().
+//
 // Cost model: when no recorder is installed, instrumentation must be a
 // single relaxed atomic load and no allocation. Call sites therefore guard
 // on TraceRecorder::current() before building event names:
@@ -76,14 +81,20 @@ class JsonArgs {
 
 class TraceRecorder {
  public:
-  /// Default per-thread event cap. Beyond it events are *dropped* (and
-  /// counted — see dropped_events()), never reallocated without bound: a
-  /// forgotten recorder on a long run must not eat the heap.
+  /// Default per-thread event cap. Beyond it a thread's oldest events are
+  /// overwritten (and counted — see dropped_events()), never reallocated
+  /// without bound: a forgotten recorder on a long run must not eat the
+  /// heap.
   static constexpr size_t kDefaultMaxEventsPerThread = 1u << 18;
 
   explicit TraceRecorder(
       size_t max_events_per_thread = kDefaultMaxEventsPerThread);
   ~TraceRecorder();  // uninstalls itself if still installed
+
+  /// The always-on black box: the process-wide recorder of 256 events per
+  /// thread. Never installed, created on first use and never destroyed
+  /// (threads may record during teardown).
+  static TraceRecorder& flight();
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
@@ -121,10 +132,13 @@ class TraceRecorder {
   /// Chrome `thread_name` metadata so the unified trace shows e.g.
   /// "remote 127.0.0.1:9000" as its own row under the client's pid.
   uint32_t lane(const std::string& label);
-  /// Appends a kComplete event to a lane from any thread.
-  void complete_lane(uint32_t lane_tid, const char* category,
-                     std::string name, double ts_us, double dur_us,
-                     std::string args = {});
+  /// The calling thread's row (its tid), created on first use.
+  uint32_t thread_row();
+  /// Appends a kComplete event to a row — a lane, or a thread's own row —
+  /// from any thread. The executor uses it to close a task's dispatch span
+  /// on the row of the thread that ran it.
+  void complete_on(uint32_t row, const char* category, std::string name,
+                   double ts_us, double dur_us, std::string args = {});
 
   /// Labels the *calling thread's* buffer so its row renders with a name
   /// ("worker-3", "poll-loop") instead of a bare tid. Idempotent; safe to
@@ -142,15 +156,18 @@ class TraceRecorder {
   size_t event_count() const;
   /// Merged snapshot of all thread buffers, sorted by timestamp.
   std::vector<TraceEvent> events() const;
-  /// The complete Chrome-trace document: {"traceEvents":[...],...}.
-  std::string chrome_trace_json() const;
+  /// The complete Chrome-trace document: {"traceEvents":[...],...}. Its
+  /// metadata carries the trace id, the drop count, the per-thread cap and
+  /// `totalRecorded` (held + dropped); a non-empty `reason` lands there too,
+  /// so a flight dump says why it exists.
+  std::string chrome_trace_json(const std::string& reason = {}) const;
   /// Number of distinct threads that recorded at least one event.
   size_t thread_count() const;
 
-  /// Events rejected because a per-thread buffer hit its cap. Surfaced in
-  /// the export metadata, the runtime's `trace.dropped_events` counter and
-  /// the performance report — a silently truncated trace reads as "nothing
-  /// else happened", which is worse than an honest drop count.
+  /// Events overwritten because a per-thread buffer was at its cap.
+  /// Surfaced in the export metadata, the runtime's `trace.dropped_events`
+  /// counter and the performance report — a silently truncated trace reads
+  /// as "nothing else happened", which is worse than an honest drop count.
   uint64_t dropped_events() const {
     return dropped_.load(std::memory_order_relaxed);
   }
@@ -161,11 +178,12 @@ class TraceRecorder {
     uint32_t tid = 0;
     std::string label;      // non-empty: a lane, not a thread buffer
     mutable std::mutex mu;  // uncontended: one writer (the owning thread)
+    /// Grows to the cap, then is a ring whose oldest event is at `next`.
     std::vector<TraceEvent> events;
+    size_t next = 0;
   };
 
   Buffer& local_buffer();
-  void append(TraceEvent e);
   void append_to(Buffer& b, TraceEvent e);
 
   static std::atomic<TraceRecorder*> g_current;
@@ -176,9 +194,20 @@ class TraceRecorder {
   const size_t max_events_per_thread_;
   std::atomic<uint64_t> dropped_{0};
   mutable std::mutex mu_;  // guards buffers_ vector growth + lane lookup
-  std::vector<std::unique_ptr<Buffer>> buffers_;
+  std::vector<std::unique_ptr<Buffer>> buffers_;  // buffers_[tid - 1]
   std::vector<Buffer*> lanes_;  // subset of buffers_ with a label
 };
+
+/// Records one always-on fact — a placement decision, a device drain, an
+/// SLO violation — into the flight recorder and, when `trace` is non-null,
+/// into that trace as well. The event is built once; each recorder stamps
+/// it on its own clock.
+void record_instant(TraceRecorder* trace, const char* category,
+                    std::string name, std::string args = {});
+void record_complete(TraceRecorder* trace, const char* category,
+                     std::string name,
+                     std::chrono::steady_clock::time_point start,
+                     double dur_us, std::string args = {});
 
 /// RAII span. Inert when default-constructed or when no recorder is
 /// installed; records a kComplete event on destruction otherwise.

@@ -12,6 +12,9 @@ namespace {
 /// Identifies the worker thread (and its executor) for queue routing.
 thread_local Executor* tls_exec = nullptr;
 thread_local size_t tls_worker = 0;
+/// Steps run on this thread, by any executor. A task's open "exec" span
+/// grows only while no other step has run on its thread since its own.
+thread_local uint64_t tls_steps = 0;
 
 const char* reason_name(ExecTask::BlockReason r) {
   switch (r) {
@@ -162,8 +165,15 @@ void Executor::flush_exec_span(ExecTask* t) {
   }
   a.add("steps", t->run_steps_);
   if (t->run_gap_ns_ > 0) a.add("gap_us", static_cast<double>(t->run_gap_ns_) / 1e3);
-  rec->complete("exec", t->trace_label_, start, end > start ? end - start : 0.0,
-                std::move(a).str());
+  const double dur = end > start ? end - start : 0.0;
+  // The span goes on the row of the thread its steps ran on, which is not
+  // the calling thread when the task moved.
+  if (t->run_trace_ == rec->trace_id()) {
+    rec->complete_on(t->run_row_, "exec", t->trace_label_, start, dur,
+                     std::move(a).str());
+  } else {
+    rec->complete("exec", t->trace_label_, start, dur, std::move(a).str());
+  }
 }
 
 void Executor::run_task(ExecTask* t) {
@@ -172,19 +182,29 @@ void Executor::run_task(ExecTask* t) {
   queue_wait_ns_.fetch_add(static_cast<uint64_t>(wait_ns),
                            std::memory_order_relaxed);
   if (!t->trace_label_.empty()) {
-    // Coalesce consecutive dispatches into one "exec" span: a span flushes
+    // Coalesce consecutive dispatches into one "exec" span. A span flushes
     // when the task actually parked in between (so the park/queue prologue
-    // is attributable) or when the queue gap is long enough to matter. The
-    // gap trigger is wall-clock-dependent, so deterministic replays
-    // (seed != 0) flush only on parks — span *counts* then depend solely
-    // on the schedule and byte-identical structural attribution holds.
+    // is attributable), when another step ran on its thread since its last
+    // one or it moved to another thread (a span covers its own thread's
+    // time and nothing else), or when the queue gap is long enough to
+    // matter. The gap trigger is wall-clock-dependent, so deterministic
+    // replays (seed != 0) skip it — span *counts* then depend solely on the
+    // schedule and byte-identical structural attribution holds.
     constexpr int64_t kCoalesceGapNs = 5000;
-    if (t->have_run_ && (t->parked_reason_ != ExecTask::BlockReason::kNone ||
-                         (seed_ == 0 && wait_ns > kCoalesceGapNs))) {
+    const bool contiguous =
+        t->last_thread_ == &tls_steps && t->last_thread_steps_ == tls_steps;
+    if (t->have_run_ &&
+        (!contiguous || t->parked_reason_ != ExecTask::BlockReason::kNone ||
+         (seed_ == 0 && wait_ns > kCoalesceGapNs))) {
       flush_exec_span(t);
     }
     if (!t->have_run_) {
       t->have_run_ = true;
+      t->run_trace_ = 0;
+      if (obs::TraceRecorder* rec = obs::TraceRecorder::current()) {
+        t->run_trace_ = rec->trace_id();
+        t->run_row_ = rec->thread_row();
+      }
       t->run_park_reason_ = t->parked_reason_;
       t->run_park0_ = t->last_step_end_tp_;
       t->run_enq_ = t->enq_tp_;
@@ -203,6 +223,8 @@ void Executor::run_task(ExecTask* t) {
   if (c_steps_) c_steps_->add();
   n_steps_.fetch_add(1, std::memory_order_relaxed);
   t->last_step_end_tp_ = std::chrono::steady_clock::now();
+  t->last_thread_ = &tls_steps;
+  t->last_thread_steps_ = ++tls_steps;
   t->parked_reason_ = r == ExecTask::StepResult::kBlocked
                           ? t->block_reason_
                           : ExecTask::BlockReason::kNone;

@@ -128,9 +128,17 @@ class ExecTask {
   BlockReason parked_reason_ = BlockReason::kNone;  // reason of last park
   std::chrono::steady_clock::time_point enq_tp_{};
   std::chrono::steady_clock::time_point last_step_end_tp_{};
-  // Coalesced "exec" span accumulator: consecutive dispatches with no park
-  // in between merge into one span (see Executor::run_task).
+  // The thread of the last step (its step counter) and that counter's value
+  // right after the step.
+  const uint64_t* last_thread_ = nullptr;
+  uint64_t last_thread_steps_ = 0;
+  // Coalesced "exec" span accumulator: consecutive dispatches on one thread
+  // with no park and no other step in between merge into one span (see
+  // Executor::run_task). run_trace_/run_row_: the recorder and the row of
+  // the thread the span's steps ran on (run_trace_ 0 when untraced).
   bool have_run_ = false;
+  uint64_t run_trace_ = 0;
+  uint32_t run_row_ = 0;
   BlockReason run_park_reason_ = BlockReason::kNone;
   std::chrono::steady_clock::time_point run_park0_{};
   std::chrono::steady_clock::time_point run_enq_{};

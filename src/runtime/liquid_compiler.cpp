@@ -179,29 +179,37 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
 
   // Artifact cache + compile service. Lookup order on every cacheable
   // artifact: local cache → remote fetcher → compile fresh (then store in
-  // rw mode). A payload that fails to decode is treated exactly like a
-  // miss — the cache can slow a compile down, never wrong it.
+  // rw mode). `decode` builds the artifact from a payload and throws on a
+  // bad one; a payload that fails is treated exactly like a miss — the
+  // cache can slow a compile down, never wrong it. A served payload reaches
+  // a writable local cache only after it decoded (so the next run skips the
+  // network too), never before: a hostile one must not outlive this run.
   std::shared_ptr<cache::ArtifactCache> ac;
   if (options.cache.mode != cache::CacheMode::kOff) {
     ac = std::make_shared<cache::ArtifactCache>(options.cache);
     cp->cache = ac;
   }
   const bool keyed = ac != nullptr || options.remote_fetch != nullptr;
-  auto try_fetch = [&](uint64_t key, const std::string& backend,
-                       const std::string& task_id)
-      -> std::optional<std::vector<uint8_t>> {
-    if (ac) {
-      if (auto p = ac->load(key, backend)) return p;
-    }
-    if (options.remote_fetch) {
-      if (auto p = options.remote_fetch(key, backend, task_id)) {
-        // Populate the local cache so the next run skips the network too.
+  auto try_fetch =
+      [&](uint64_t key, const std::string& backend, const std::string& task_id,
+          const std::function<void(const std::vector<uint8_t>&)>& decode) {
+        auto decodes = [&](const std::optional<std::vector<uint8_t>>& p) {
+          if (!p) return false;
+          try {
+            decode(*p);
+            return true;
+          } catch (const std::exception&) {
+            return false;
+          }
+        };
+        if (ac && decodes(ac->load(key, backend))) return true;
+        if (!options.remote_fetch) return false;
+        std::optional<std::vector<uint8_t>> p =
+            options.remote_fetch(key, backend, task_id);
+        if (!decodes(p)) return false;
         if (ac && ac->writable()) ac->store(key, backend, *p);
-        return p;
-      }
-    }
-    return std::nullopt;
-  };
+        return true;
+      };
 
   // 2. CPU backend: the whole program, unconditionally (§1, §3). The
   // module is keyed by the source text itself (the frontend is the
@@ -214,17 +222,15 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
           reinterpret_cast<const uint8_t*>(source.data()), source.size());
       bkey = cache::artifact_key(src, cache::kBackendBytecode, "");
       cp->artifact_keys["bytecode:<program>"] = bkey;
-      if (auto payload = try_fetch(bkey, cache::kBackendBytecode,
-                                   "<program>")) {
-        try {
-          cp->bytecode = cache::decode_bytecode_module(*payload);
-          bytecode_cached = true;
-          cp->backend_log.push_back("cpu: bytecode module (cached)");
-        } catch (const std::exception&) {
-          cp->bytecode.reset();
-        }
-      }
+      bytecode_cached = try_fetch(
+          bkey, cache::kBackendBytecode, "<program>",
+          [&](const std::vector<uint8_t>& p) {
+            cp->bytecode = cache::decode_bytecode_module(p);
+          });
     }
+    cp->backend_log.push_back(bytecode_cached
+                                  ? "cpu: bytecode module (cached)"
+                                  : "cpu: bytecode module");
     if (!cp->bytecode) {
       size_t diags_before = cp->diags.diagnostics().size();
       cp->bytecode = bc::compile_program(*cp->ast, cp->diags);
@@ -259,7 +265,7 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
   }
   const bool verify_ir = std::getenv("LM_VERIFY_IR") != nullptr;
 
-  cp->gpu_device = std::make_shared<gpu::GpuDevice>(options.gpu_config);
+  cp->gpu_device = std::make_shared<gpu::GpuDevice>();
 
   // Bytecode artifacts for every filter method appearing in any graph (the
   // guaranteed universal implementation) and every map/reduce method.
@@ -319,15 +325,15 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
     auto fetch_gpu = [&](std::optional<uint64_t> key,
                          const ArtifactManifest& mf)
         -> std::unique_ptr<GpuKernelArtifact> {
-      if (!key) return nullptr;
-      auto payload = try_fetch(*key, cache::kBackendGpu, mf.task_id);
-      if (!payload) return nullptr;
-      try {
-        return std::make_unique<GpuKernelArtifact>(
-            mf, cache::decode_kernel_program(*payload), cp->gpu_device);
-      } catch (const std::exception&) {
-        return nullptr;
+      std::unique_ptr<GpuKernelArtifact> art;
+      if (key) {
+        try_fetch(*key, cache::kBackendGpu, mf.task_id,
+                  [&](const std::vector<uint8_t>& p) {
+                    art = std::make_unique<GpuKernelArtifact>(
+                        mf, cache::decode_kernel_program(p), cp->gpu_device);
+                  });
       }
+      return art;
     };
     auto store_gpu = [&](std::optional<uint64_t> key,
                          const gpu::KernelProgram& prog) {
@@ -464,14 +470,14 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
     };
     auto fetch_fpga = [&](std::optional<uint64_t> key, const std::string& id)
         -> std::optional<fpga::FpgaCompileResult> {
-      if (!key) return std::nullopt;
-      auto payload = try_fetch(*key, cache::kBackendFpga, id);
-      if (!payload) return std::nullopt;
-      try {
-        return cache::decode_fpga_result(*payload);
-      } catch (const std::exception&) {
-        return std::nullopt;
+      std::optional<fpga::FpgaCompileResult> res;
+      if (key) {
+        try_fetch(*key, cache::kBackendFpga, id,
+                  [&](const std::vector<uint8_t>& p) {
+                    res = cache::decode_fpga_result(p);
+                  });
       }
+      return res;
     };
     auto store_fpga = [&](std::optional<uint64_t> key,
                           const fpga::FpgaCompileResult& r) {

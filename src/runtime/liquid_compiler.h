@@ -38,7 +38,6 @@ struct CompileOptions {
   bool enable_gpu = true;
   bool enable_fpga = true;
   bool fpga_pipelined = false;
-  gpu::GpuDeviceConfig gpu_config;
   /// Wire pre-compiled native kernels (the "vendor toolflow output") from
   /// the global registry into the GPU device for matching task ids.
   bool use_native_kernels = true;

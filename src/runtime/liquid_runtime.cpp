@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
 #include <optional>
 #include <thread>
 
-#include "obs/flight_recorder.h"
 #include "runtime/executor.h"
 #include "runtime/fifo.h"
 #include "runtime/placement.h"
@@ -132,14 +132,15 @@ struct LiquidRuntime::RtGraph {
   void note_error(std::exception_ptr e) {
     // The fault lands in the flight recorder before anything else: even if
     // teardown hangs, the black box already holds the story.
+    std::string what = "unknown exception";
     try {
       std::rethrow_exception(e);
     } catch (const std::exception& ex) {
-      obs::FlightRecorder::instance().record("fault", "task-error", ex.what());
+      what = ex.what();
     } catch (...) {
-      obs::FlightRecorder::instance().record("fault", "task-error",
-                                             "unknown exception");
     }
+    TraceRecorder::flight().instant("fault", "task-error",
+                                    JsonArgs().add("detail", what).str());
     std::lock_guard<std::mutex> lock(err_mu);
     if (!error) error = e;
     // Unblock everyone.
@@ -237,12 +238,6 @@ LiquidRuntime::LiquidRuntime(CompiledProgram& program, RuntimeConfig config)
       cost_models_.entry(e.task_id, to_string(d)).seed_static(e.us_per_elem);
       hot_->static_cost_seeds->add();
     }
-  }
-  if (config_.flight_ring_capacity != 0 &&
-      config_.flight_ring_capacity !=
-          obs::FlightRecorder::instance().ring_capacity()) {
-    obs::FlightRecorder::instance().set_ring_capacity(
-        config_.flight_ring_capacity);
   }
 }
 
@@ -501,10 +496,9 @@ std::vector<obs::Attribution> LiquidRuntime::attributions() const {
 
 void LiquidRuntime::dump_flight(const std::string& reason) const {
   if (config_.flight_dump_path.empty()) return;
-  if (obs::FlightRecorder::instance().dump_to_file(config_.flight_dump_path,
-                                                   reason)) {
-    hot_->flight_dumps->add();
-  }
+  std::ofstream out(config_.flight_dump_path);
+  out << TraceRecorder::flight().chrome_trace_json(reason);
+  if (out) hot_->flight_dumps->add();
 }
 
 const char* LiquidRuntime::placement_name() const {
@@ -526,54 +520,47 @@ void LiquidRuntime::record_substitution(SubstitutionRecord rec,
   } else if (rec.source == "measured") {
     hot_->placements_measured->add();
   }
-  obs::FlightRecorder::instance().record("decision", "substitution",
-                                         rec.task_ids);
-  if (TraceRecorder* r = TraceRecorder::current()) {
-    JsonArgs args;
-    args.add("tasks", rec.task_ids)
-        .add("device", to_string(rec.device))
-        .add("fused", rec.fused)
-        .add("policy", placement_name());
-    if (rec.remote) {
-      args.add("remote", true).add("endpoint", rec.endpoint);
-    }
-    if (config_.placement == Placement::kAdaptive) {
-      args.add("calibrated", rec.source == "measured");
-      if (rec.score_us_per_elem >= 0) {
-        args.add("score_us_per_elem", rec.score_us_per_elem);
-      }
-    }
-    if (!rec.source.empty()) args.add("source", rec.source);
-    std::string body = std::move(args).str();
-    if (!extra_args.empty()) {
-      body += ',';
-      body += extra_args;
-    }
-    r->instant("decision", "substitution", std::move(body));
+  JsonArgs args;
+  args.add("tasks", rec.task_ids)
+      .add("device", to_string(rec.device))
+      .add("fused", rec.fused)
+      .add("policy", placement_name());
+  if (rec.remote) {
+    args.add("remote", true).add("endpoint", rec.endpoint);
   }
+  if (config_.placement == Placement::kAdaptive) {
+    args.add("calibrated", rec.source == "measured");
+    if (rec.score_us_per_elem >= 0) {
+      args.add("score_us_per_elem", rec.score_us_per_elem);
+    }
+  }
+  if (!rec.source.empty()) args.add("source", rec.source);
+  std::string body = std::move(args).str();
+  if (!extra_args.empty()) {
+    body += ',';
+    body += extra_args;
+  }
+  obs::record_instant(TraceRecorder::current(), "decision", "substitution",
+                      std::move(body));
   std::lock_guard<std::mutex> lock(subs_mu_);
   substitutions_.push_back(std::move(rec));
 }
 
 void LiquidRuntime::record_resubstitution(ResubstitutionRecord rec) {
   hot_->resubstitutions->add();
-  obs::FlightRecorder::instance().record(
-      "decision", "resubstitution", rec.task_ids, /*dur_us=*/-1.0,
-      rec.at_batch, static_cast<uint64_t>(rec.live_us_per_elem * 1000.0));
-  if (TraceRecorder* r = TraceRecorder::current()) {
-    r->instant("decision", "resubstitution",
-               JsonArgs()
-                   .add("tasks", rec.task_ids)
-                   .add("reason", rec.reason)
-                   .add("from", to_string(rec.from))
-                   .add("to", to_string(rec.to))
-                   .add("live_us_per_elem", rec.live_us_per_elem)
-                   .add("calibrated_us_per_elem", rec.calibrated_us_per_elem)
-                   .add("before_p50_us", rec.before_p50_us)
-                   .add("before_p99_us", rec.before_p99_us)
-                   .add("at_batch", rec.at_batch)
-                   .str());
-  }
+  obs::record_instant(
+      TraceRecorder::current(), "decision", "resubstitution",
+      JsonArgs()
+          .add("tasks", rec.task_ids)
+          .add("reason", rec.reason)
+          .add("from", to_string(rec.from))
+          .add("to", to_string(rec.to))
+          .add("live_us_per_elem", rec.live_us_per_elem)
+          .add("calibrated_us_per_elem", rec.calibrated_us_per_elem)
+          .add("before_p50_us", rec.before_p50_us)
+          .add("before_p99_us", rec.before_p99_us)
+          .add("at_batch", rec.at_batch)
+          .str());
   // The swap is a "something changed mid-run" moment worth a black-box
   // snapshot: it captures the drain history that triggered the decision.
   dump_flight("resubstitution: " + rec.task_ids);
@@ -911,6 +898,9 @@ void LiquidRuntime::substitute(RtGraph& g) {
 // DeviceRun: per-device-node batch driver (§7 online profiling)
 // ---------------------------------------------------------------------------
 
+/// Smoothing factor of the per-(task, device) EWMA cost models.
+constexpr double kCostEwmaAlpha = 0.25;
+
 /// Drives one device node's drains: times every batch into the node's
 /// (task, device) cost model, accounts marshaling traffic, feeds the flight
 /// recorder, and — when the node carries calibrated alternatives — runs the
@@ -962,7 +952,6 @@ class LiquidRuntime::DeviceRun {
     b.ts = &cur_->transfer_stats();
     b.to0 = b.ts->bytes_to_device;
     b.from0 = b.ts->bytes_from_device;
-    b.t0_us = rec_ ? rec_->now_us() : 0;
     b.t0 = std::chrono::steady_clock::now();
     b.completion = std::make_shared<Completion>();
     cost_->begin_batch();
@@ -1017,8 +1006,9 @@ class LiquidRuntime::DeviceRun {
     } catch (const TransportError& e) {
       b.cost->end_batch();
       if (!b.artifact->is_remote() || node_.fallback == nullptr) throw;
-      obs::FlightRecorder::instance().record("fault", "remote-transport",
-                                             e.what());
+      TraceRecorder::flight().instant(
+          "fault", "remote-transport",
+          JsonArgs().add("detail", std::string(e.what())).str());
       ResubstitutionRecord rec;
       rec.task_ids = b.artifact->manifest().task_id;
       rec.from = b.artifact->manifest().device;
@@ -1043,19 +1033,18 @@ class LiquidRuntime::DeviceRun {
     double dt = std::chrono::duration<double>(t1 - b.t0).count();
     b.cost->end_batch();
     size_t n = b.inputs.size();
-    if (rec_) {
-      rec_->complete("task", "drain:" + b.artifact->manifest().task_id,
-                     b.t0_us, dt * 1e6,
-                     JsonArgs()
-                         .add("elements", static_cast<uint64_t>(n))
-                         .add("gid", trace_gid_)
-                         .add("node", trace_node_)
-                         .add("device", b.artifact->cost_label())
-                         .str());
-    }
     uint64_t dto = b.ts->bytes_to_device - b.to0;
     uint64_t dfrom = b.ts->bytes_from_device - b.from0;
-    b.cost->record_batch(dt, n, rt_.config_.cost_ewma_alpha);
+    obs::record_complete(rec_, "task", "drain:" + b.artifact->manifest().task_id,
+                         b.t0, dt * 1e6,
+                         JsonArgs()
+                             .add("elements", static_cast<uint64_t>(n))
+                             .add("bytes", dto + dfrom)
+                             .add("gid", trace_gid_)
+                             .add("node", trace_node_)
+                             .add("device", b.artifact->cost_label())
+                             .str());
+    b.cost->record_batch(dt, n, kCostEwmaAlpha);
     b.cost->record_transfer(dto, dfrom);
     rt_.hot_->device_batches->add();
     rt_.hot_->bytes_to_device->add(dto);
@@ -1064,9 +1053,6 @@ class LiquidRuntime::DeviceRun {
     elements_ += n;
     bytes_to_ += dto;
     bytes_from_ += dfrom;
-    obs::FlightRecorder::instance().record("task", "drain",
-                                           b.artifact->manifest().task_id,
-                                           dt * 1e6, n, dto + dfrom);
     maybe_resubstitute();
     return out;
   }
@@ -1137,7 +1123,6 @@ class LiquidRuntime::DeviceRun {
     obs::CostEntry* cost = nullptr;
     const TransferStats* ts = nullptr;
     uint64_t to0 = 0, from0 = 0;
-    double t0_us = 0;
     std::chrono::steady_clock::time_point t0;
   };
 
@@ -1643,7 +1628,7 @@ void LiquidRuntime::run_executor(RtGraph& g) {
 bool LiquidRuntime::try_map(const std::string& task_id,
                             std::span<const Value> args, uint32_t array_mask,
                             Value* out) {
-  if (!config_.accelerate_maps || config_.placement == Placement::kCpuOnly ||
+  if (config_.placement == Placement::kCpuOnly ||
       config_.placement == Placement::kFpgaOnly) {
     hot_->maps_interpreted->add();
     return false;
@@ -1660,7 +1645,7 @@ bool LiquidRuntime::try_map(const std::string& task_id,
 
 bool LiquidRuntime::try_reduce(const std::string& task_id, const Value& array,
                                Value* out) {
-  if (!config_.accelerate_maps || config_.placement == Placement::kCpuOnly ||
+  if (config_.placement == Placement::kCpuOnly ||
       config_.placement == Placement::kFpgaOnly) {
     hot_->reduces_interpreted->add();
     return false;

@@ -60,8 +60,6 @@ struct RuntimeConfig {
   /// (or at handle destruction) instead of concurrently with start(). This
   /// is the zero-thread mode for debugging and deterministic tests.
   uint64_t scheduler_seed = 0;
-  /// false → maps/reduces always interpret (isolates pipeline effects).
-  bool accelerate_maps = true;
   /// false → never substitute fused segment artifacts, only per-filter ones
   /// (the E6 fusion ablation).
   bool allow_fusion = true;
@@ -85,14 +83,10 @@ struct RuntimeConfig {
   size_t resubstitution_interval = 8;
   /// Relative drift that triggers a swap: live > calibrated × (1 + drift).
   double resubstitution_drift = 0.5;
-  /// Smoothing factor for the per-(task, device) EWMA cost models.
-  double cost_ewma_alpha = 0.25;
 
-  /// Flight recorder: per-thread ring size for the always-on black box
-  /// (applied to the process-wide recorder at runtime construction).
-  size_t flight_ring_capacity = 256;
-  /// Where Chrome-trace snapshots are dumped when a task faults or a drift
-  /// swap fires. Empty (the default) disables dumping; capture still runs.
+  /// Where the flight recorder (obs::TraceRecorder::flight()) is dumped as
+  /// a Chrome trace when a task faults or a drift swap fires. Empty (the
+  /// default) disables dumping; capture still runs.
   std::string flight_dump_path;
 
   /// Enable critical-path attribution (DESIGN.md §12) for executor graphs
@@ -271,14 +265,15 @@ class LiquidRuntime : public bc::TaskGraphHost, public bc::AccelHooks {
   std::shared_ptr<Executor> ensure_executor();
   /// Joins, drains FIFO/marshaling observability, rethrows graph errors.
   void finalize_graph(RtGraph& g);
-  /// Appends to the decision log and emits a substitution-decision trace
-  /// event (`extra_args` carries the losing candidates and their scores).
+  /// Appends to the decision log and records one substitution-decision
+  /// event in the flight recorder and any installed trace (`extra_args`
+  /// carries the losing candidates and their scores).
   void record_substitution(SubstitutionRecord rec, std::string extra_args);
-  /// Appends to the re-substitution log, emits decision trace + flight
-  /// events, and snapshots the flight recorder if a dump path is set.
+  /// Appends to the re-substitution log, records its decision event the
+  /// same way, and snapshots the flight recorder if a dump path is set.
   void record_resubstitution(ResubstitutionRecord rec);
-  /// Dumps the flight-recorder rings to config_.flight_dump_path (no-op
-  /// when the path is empty). Never throws.
+  /// Writes the flight recorder's Chrome trace, with `reason` in its
+  /// metadata, to config_.flight_dump_path (no-op when the path is empty).
   void dump_flight(const std::string& reason) const;
   /// Folds the installed recorder's drop count into trace.dropped_events.
   void sync_trace_drops() const;

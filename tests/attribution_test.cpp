@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -350,6 +352,77 @@ TEST(AttributionDeterminism, StructuralJsonIsByteIdenticalAcrossSeededRuns) {
   EXPECT_NE(first.find("\"structural\":true"), std::string::npos);
   EXPECT_EQ(first.find("wall_us"), std::string::npos);  // timing-free
   EXPECT_EQ(first, run_once());
+}
+
+// Every "exec" span covers one thread's time and nothing else, so no two of
+// them on one row may overlap. A task that another task interleaved with
+// on its thread, or that moved threads, closes its span first.
+void expect_no_exec_overlap_per_thread(const TraceRecorder& rec) {
+  std::map<uint32_t, std::vector<std::pair<double, double>>> by_tid;
+  for (const TraceEvent& e : rec.events()) {
+    if (e.phase != TraceEvent::Phase::kComplete ||
+        std::string(e.category) != "exec") {
+      continue;
+    }
+    by_tid[e.tid].emplace_back(e.ts_us, e.ts_us + e.dur_us);
+  }
+  ASSERT_FALSE(by_tid.empty());
+  for (auto& [tid, spans] : by_tid) {
+    std::sort(spans.begin(), spans.end());
+    for (size_t i = 1; i < spans.size(); ++i) {
+      EXPECT_LE(spans[i - 1].second, spans[i].first + 1e-3)
+          << "tid " << tid << ": exec span " << i - 1 << " ["
+          << spans[i - 1].first << ", " << spans[i - 1].second
+          << "] overlaps [" << spans[i].first << ", " << spans[i].second
+          << "]";
+    }
+  }
+}
+
+TEST(ExecSpans, SeededFpgaRunNeverOverlapsAndChargesTheFpga) {
+  // intpipe on 4096 ints with the pipeline on the FPGA, one seeded thread:
+  // the device node's RTL batches dominate the run, so the attribution must
+  // say so. A source span that swallowed the steps other tasks ran in
+  // between would charge the source with most of the wall instead.
+  const Workload& w = pipeline_suite()[0];
+  ASSERT_EQ(w.name, "intpipe");
+  auto cp = runtime::compile(w.lime_source);
+  ASSERT_TRUE(cp->ok());
+  TraceRecorder rec;
+  rec.install();
+  std::vector<Attribution> atts;
+  {
+    RuntimeConfig rc;
+    rc.placement = runtime::Placement::kFpgaOnly;
+    rc.scheduler_seed = 1;
+    LiquidRuntime rt(*cp, rc);
+    rt.call(w.entry, w.make_args(4096, 1));
+    atts = rt.attributions();
+  }
+  rec.uninstall();
+  expect_no_exec_overlap_per_thread(rec);
+  ASSERT_EQ(atts.size(), 1u);
+  ASSERT_FALSE(atts[0].categories.empty());
+  EXPECT_EQ(atts[0].categories.front().name, "compute:fpga/verilog")
+      << atts[0].to_text();
+}
+
+TEST(ExecSpans, ThreadedRunNeverOverlapsOnAThread) {
+  const Workload& w = pipeline_suite()[0];
+  ASSERT_EQ(w.name, "intpipe");
+  auto cp = runtime::compile(w.lime_source);
+  ASSERT_TRUE(cp->ok());
+  TraceRecorder rec;
+  rec.install();
+  {
+    RuntimeConfig rc;
+    rc.placement = runtime::Placement::kFpgaOnly;
+    rc.worker_threads = 4;
+    LiquidRuntime rt(*cp, rc);
+    for (int i = 0; i < 3; ++i) rt.call(w.entry, w.make_args(4096, 1));
+  }
+  rec.uninstall();
+  expect_no_exec_overlap_per_thread(rec);
 }
 
 TEST(AttributionTelemetry, AttrAndQueueWaitGaugesExported) {

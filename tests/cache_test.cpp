@@ -625,6 +625,160 @@ TEST(CodecTest, HostileKernelPayloadIsAMissNotACrash) {
   }
 }
 
+// -- hostile bytecode payloads ---------------------------------------------
+
+struct SpoiledModule {
+  const char* what;
+  std::function<void(bc::BytecodeModule&)> spoil;
+};
+
+/// The method `name` of `m`.
+bc::CompiledMethod& method_of(bc::BytecodeModule& m, const std::string& name) {
+  return m.methods.at(static_cast<size_t>(m.index_of(name)));
+}
+
+/// The first instruction of `cm` with opcode `op`.
+bc::Instr& first_of(bc::CompiledMethod& cm, bc::Op op) {
+  for (bc::Instr& in : cm.code) {
+    if (in.op == op) return in;
+  }
+  throw std::invalid_argument("no such instruction");
+}
+
+/// saxpy's bytecode module, each with one lie about an operand the VM uses
+/// as an index or an enum. Every one is well framed.
+std::vector<SpoiledModule> spoiled_module_variants() {
+  using bc::Op;
+  auto axpy = [](bc::BytecodeModule& m) -> bc::CompiledMethod& {
+    return method_of(m, "Saxpy.axpy");
+  };
+  auto replace_first = [axpy](bc::Instr in) {
+    return [axpy, in](bc::BytecodeModule& m) { axpy(m).code[0] = in; };
+  };
+  return {
+      {"load from slot 1000000", [axpy](bc::BytecodeModule& m) {
+         first_of(axpy(m), Op::kLoad).a = 1000000;
+       }},
+      {"load from slot -1", [axpy](bc::BytecodeModule& m) {
+         first_of(axpy(m), Op::kLoad).a = -1;
+       }},
+      {"constant past the pool", [axpy](bc::BytecodeModule& m) {
+         axpy(m).code[0] = {Op::kConst,
+                            static_cast<int32_t>(m.const_pool.size())};
+       }},
+      {"jump past the end", [axpy](bc::BytecodeModule& m) {
+         bc::CompiledMethod& cm = axpy(m);
+         cm.code.insert(cm.code.begin(),
+                        {Op::kJump, static_cast<int32_t>(cm.code.size()) + 2});
+       }},
+      {"call past the methods", [axpy](bc::BytecodeModule& m) {
+         axpy(m).code[0] = {Op::kCall, static_cast<int32_t>(m.methods.size())};
+       }},
+      {"map past the methods", [](bc::BytecodeModule& m) {
+         first_of(method_of(m, "Saxpy.run"), Op::kMap).a =
+             static_cast<int32_t>(m.methods.size());
+       }},
+      {"map over 33 arguments", [](bc::BytecodeModule& m) {
+         first_of(method_of(m, "Saxpy.run"), Op::kMap).b = 33;
+       }},
+      {"task id past the table", [axpy](bc::BytecodeModule& m) {
+         axpy(m).code[0] = {Op::kMakeTask, 0, 0,
+                            static_cast<int32_t>(m.task_ids.size())};
+       }},
+      {"unknown opcode", replace_first({static_cast<Op>(200)})},
+      {"arith operator past kNeg", [axpy](bc::BytecodeModule& m) {
+         first_of(axpy(m), Op::kArith).a = 11;
+       }},
+      {"unknown NumType", [axpy](bc::BytecodeModule& m) {
+         first_of(axpy(m), Op::kArith).b = 9;
+       }},
+      {"compare operator past kGe", replace_first({Op::kCmp, 6, 0})},
+      {"cast to an unknown NumType", replace_first({Op::kCast, 0, 6})},
+      {"intrinsic past kFloor", replace_first({Op::kIntrinsic, 10, 2})},
+      {"unknown element code", replace_first({Op::kNewArray, 7})},
+      {"more parameters than slots", [axpy](bc::BytecodeModule& m) {
+         axpy(m).num_params = axpy(m).num_slots + 1;
+       }},
+      {"2^20 slots", [axpy](bc::BytecodeModule& m) {
+         axpy(m).num_slots = 1 << 20;
+       }},
+  };
+}
+
+/// saxpy's bytecode payload with one variant's lie applied.
+std::vector<uint8_t> spoiled_saxpy_module(const SpoiledModule& bad) {
+  auto cp = runtime::compile(saxpy_workload().lime_source);
+  EXPECT_TRUE(cp->ok()) << cp->diags.to_string();
+  bc::BytecodeModule m = *cp->bytecode;
+  bad.spoil(m);
+  return encode_bytecode_module(m);
+}
+
+TEST(CodecTest, BytecodePayloadsThatLieAboutTheirOperandsAreRejected) {
+  EXPECT_NO_THROW(decode_bytecode_module(
+      spoiled_saxpy_module({"intact", [](bc::BytecodeModule&) {}})));
+  for (const SpoiledModule& bad : spoiled_module_variants()) {
+    EXPECT_THROW(decode_bytecode_module(spoiled_saxpy_module(bad)),
+                 lm::RuntimeError)
+        << bad.what;
+  }
+}
+
+TEST(CodecTest, HostileBytecodePayloadIsAMissNotACrash) {
+  // A compile service that serves saxpy's module with a lie in it: the
+  // compiler must compile the module locally, as for any miss (DESIGN.md
+  // §14), and the lie must not reach the local cache, where every later
+  // run would load it again.
+  const workloads::Workload& w = saxpy_workload();
+  std::vector<Value> args = w.make_args(64, 7);
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "lm-cache-test-hostile-bytecode";
+  CacheConfig cache;
+  cache.mode = CacheMode::kReadWrite;
+  cache.dir = dir.string();
+  for (const SpoiledModule& bad : spoiled_module_variants()) {
+    SCOPED_TRACE(bad.what);
+    fs::remove_all(dir);
+    std::vector<uint8_t> payload = spoiled_saxpy_module(bad);
+    runtime::CompileOptions opts;
+    opts.cache = cache;
+    opts.remote_fetch = [&payload](uint64_t, const std::string& backend,
+                                   const std::string&)
+        -> std::optional<std::vector<uint8_t>> {
+      if (backend != kBackendBytecode) return std::nullopt;
+      return payload;
+    };
+    auto cp = runtime::compile(w.lime_source, opts);
+    ASSERT_TRUE(cp->ok()) << cp->diags.to_string();
+    const auto& log = cp->backend_log;
+    EXPECT_NE(std::find(log.begin(), log.end(), "cpu: bytecode module"),
+              log.end());
+    EXPECT_EQ(std::find(log.begin(), log.end(),
+                        "cpu: bytecode module (cached)"),
+              log.end());
+    runtime::RuntimeConfig rc;
+    rc.placement = runtime::Placement::kCpuOnly;
+    {
+      runtime::LiquidRuntime rt(*cp, rc);
+      EXPECT_TRUE(workloads::results_match(rt.call(w.entry, args),
+                                           w.reference(args), 0.0));
+    }
+    // The key's entry, if any, is the module compiled here, never the
+    // served one.
+    CacheConfig ro = cache;
+    ro.mode = CacheMode::kReadOnly;
+    ArtifactCache local(ro);
+    std::optional<std::vector<uint8_t>> entry =
+        local.load(cp->artifact_keys.at("bytecode:<program>"),
+                   kBackendBytecode);
+    if (entry) {
+      EXPECT_NE(*entry, payload);
+      EXPECT_EQ(*entry, encode_bytecode_module(*cp->bytecode));
+    }
+  }
+  fs::remove_all(dir);
+}
+
 // -- warm-start differential ----------------------------------------------
 
 int32_t run_drive(runtime::CompiledProgram& cp,

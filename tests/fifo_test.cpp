@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "runtime/artifact.h"
-#include "obs/flight_recorder.h"
+#include "obs/trace.h"
 #include "runtime/fifo.h"
 #include "runtime/liquid_compiler.h"
 #include "runtime/liquid_runtime.h"
@@ -603,9 +603,8 @@ TEST(FifoShutdown, FaultAfterSuccessfulBatchesStillUnwinds) {
 TEST(FifoShutdown, FaultLandsInFlightRecorder) {
   expect_fault_unwinds("P.b", 1);
   bool saw = false;
-  for (const auto& ev : obs::FlightRecorder::instance().snapshot()) {
-    if (std::string(ev.category) == "fault" &&
-        std::string(ev.name) == "task-error") {
+  for (const auto& ev : obs::TraceRecorder::flight().events()) {
+    if (std::string(ev.category) == "fault" && ev.name == "task-error") {
       saw = true;
     }
   }

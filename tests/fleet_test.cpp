@@ -20,11 +20,11 @@
 #include "net/socket.h"
 #include "net/telemetry_http.h"
 #include "obs/fleet.h"
-#include "obs/flight_recorder.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "util/error.h"
 
 namespace lm {
@@ -377,17 +377,20 @@ TEST(SloTest, WatchdogFlagsRateViolationAndRecordsIt) {
       << err;
   obs::SloWatchdog dog(rules);
   EXPECT_TRUE(dog.evaluate(up_snapshot(0.2, 0)).empty());
-  uint64_t flight_before = obs::FlightRecorder::instance().total_recorded();
+  obs::TraceRecorder& flight = obs::TraceRecorder::flight();
+  auto flight_total = [&] {
+    return flight.event_count() + flight.dropped_events();
+  };
+  uint64_t flight_before = flight_total();
   auto violations = dog.evaluate(up_snapshot(3.5, 0));
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].endpoint, "127.0.0.1:7");
   EXPECT_NEAR(violations[0].value, 3.5, 1e-9);
   EXPECT_EQ(dog.total_violations(), 1u);
   // The violation is in the flight recorder under category "slo".
-  EXPECT_GT(obs::FlightRecorder::instance().total_recorded(),
-            flight_before);
+  EXPECT_GT(flight_total(), flight_before);
   bool found = false;
-  for (const auto& e : obs::FlightRecorder::instance().snapshot()) {
+  for (const auto& e : flight.events()) {
     if (std::string(e.category) == "slo") found = true;
   }
   EXPECT_TRUE(found);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -221,6 +222,65 @@ TEST(TraceRecorderTest, DropCountRidesInExportMetadata) {
   EXPECT_EQ(doc.at("metadata").at("droppedEvents").num, 5.0);
   EXPECT_EQ(doc.at("metadata").at("maxEventsPerThread").num, 3.0);
   EXPECT_EQ(doc.at("traceEvents").arr.size(), 3u);
+}
+
+TEST(TraceRecorderTest, FullBufferKeepsTheNewestEvents) {
+  TraceRecorder rec(/*max_events_per_thread=*/3);
+  for (int i = 0; i < 8; ++i) rec.instant("t", "e" + std::to_string(i));
+  std::vector<TraceEvent> evs = rec.events();
+  ASSERT_EQ(evs.size(), 3u);
+  EXPECT_EQ(evs[0].name, "e5");
+  EXPECT_EQ(evs[1].name, "e6");
+  EXPECT_EQ(evs[2].name, "e7");
+  Json doc = parse_or_die(rec.chrome_trace_json("why"));
+  EXPECT_EQ(doc.at("metadata").at("totalRecorded").num, 8.0);
+  EXPECT_EQ(doc.at("metadata").at("reason").str, "why");
+}
+
+TEST(FlightRecorder, ConcurrentRecordPastCapacityWhileRendering) {
+  // The flight recorder's shape: a small ring per thread, written by many
+  // threads at once while something renders it (a /flight pull, a fault
+  // dump). Every thread overruns its ring ten times over.
+  constexpr size_t kCap = 16;
+  constexpr int kThreads = 8;
+  constexpr size_t kPerThread = 10 * kCap;
+  TraceRecorder rec(kCap);
+  std::atomic<bool> stop{false};
+  std::atomic<int> renders{0};
+  std::thread renderer([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      parse_or_die(rec.chrome_trace_json("concurrent"));
+      renders.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&rec] {
+      for (size_t i = 0; i < kPerThread; ++i) {
+        rec.instant("test", "spin", JsonArgs().add("i", i).str());
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  stop.store(true, std::memory_order_release);
+  renderer.join();
+  EXPECT_GT(renders.load(), 0);
+
+  EXPECT_EQ(rec.event_count() + rec.dropped_events(), kThreads * kPerThread);
+  std::map<uint32_t, std::vector<uint64_t>> held;
+  for (const TraceEvent& e : rec.events()) {
+    Json args = parse_or_die("{" + e.args + "}");
+    held[e.tid].push_back(static_cast<uint64_t>(args.at("i").num));
+  }
+  ASSERT_EQ(held.size(), static_cast<size_t>(kThreads));
+  for (const auto& [tid, is] : held) {
+    EXPECT_LE(is.size(), kCap) << "tid " << tid;
+    // What a thread holds is its newest events.
+    for (uint64_t i : is) EXPECT_GE(i, kPerThread - kCap) << "tid " << tid;
+  }
+  Json doc = parse_or_die(rec.chrome_trace_json("done"));
+  EXPECT_EQ(doc.at("metadata").at("totalRecorded").num,
+            static_cast<double>(kThreads * kPerThread));
 }
 
 TEST(TraceRecorderTest, NoDropsExportsZeroInMetadata) {

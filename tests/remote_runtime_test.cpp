@@ -22,7 +22,6 @@
 
 #include "net/attach.h"
 #include "net/server.h"
-#include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "runtime/liquid_runtime.h"
 #include "tests/decision_log_test_util.h"
@@ -203,9 +202,8 @@ TEST(RemoteRuntime, ServerDeathMidStreamFallsBackToBytecode) {
 
   // The black box caught the transport fault.
   bool flight_saw_fault = false;
-  for (const auto& ev : obs::FlightRecorder::instance().snapshot()) {
-    if (std::string(ev.category) == "fault" &&
-        std::string(ev.name) == "remote-transport") {
+  for (const auto& ev : obs::TraceRecorder::flight().events()) {
+    if (std::string(ev.category) == "fault" && ev.name == "remote-transport") {
       flight_saw_fault = true;
     }
   }

@@ -12,7 +12,7 @@
 #include <string>
 
 #include "obs/cost_model.h"
-#include "obs/flight_recorder.h"
+#include "obs/trace.h"
 #include "runtime/liquid_runtime.h"
 #include "tests/json_test_util.h"
 #include "workloads/workloads.h"
@@ -293,24 +293,23 @@ TEST(FlightRecorderIntegration, SuccessfulRunNeverDumps) {
 }
 
 TEST(FlightRecorder, RingOverwritesOldestAndCountsTotal) {
-  obs::FlightRecorder& fr = obs::FlightRecorder::instance();
-  fr.clear();
-  size_t cap = fr.ring_capacity();
+  obs::TraceRecorder& fr = obs::TraceRecorder::flight();
+  size_t cap = fr.max_events_per_thread();
   ASSERT_GT(cap, 0u);
-  uint64_t before = fr.total_recorded();
+  auto total = [&] { return fr.event_count() + fr.dropped_events(); };
+  uint64_t before = total();
   for (size_t i = 0; i < cap + 10; ++i) {
-    fr.record("test", "ring-spin", "x", -1.0, i);
+    fr.instant("test", "ring-spin", obs::JsonArgs().add("i", i).str());
   }
   // This thread's ring holds at most `cap` of them; the total keeps
   // counting past the overwrite.
-  EXPECT_GE(fr.total_recorded(), before + cap + 10);
+  EXPECT_GE(total(), before + cap + 10);
   size_t held = 0;
-  for (const auto& e : fr.snapshot()) {
-    if (std::string(e.name) == "ring-spin") ++held;
+  for (const auto& e : fr.events()) {
+    if (e.name == "ring-spin") ++held;
   }
   EXPECT_LE(held, cap);
   EXPECT_GE(held, std::min<size_t>(cap, 1));
-  fr.clear();
 }
 
 // ---------------------------------------------------------------------------
