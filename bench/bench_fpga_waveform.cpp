@@ -11,6 +11,7 @@
 #include "bench/bench_util.h"
 #include "fpga/device.h"
 #include "fpga/synth.h"
+#include "gpu/kernel_compiler.h"
 #include "lime/frontend.h"
 #include "util/rng.h"
 
@@ -30,11 +31,9 @@ class Bitflip {
 
 fpga::FpgaCompileResult make_artifact(bool pipelined) {
   static lime::FrontendResult fr = lime::compile_source(kSource);
-  const lime::MethodDecl* flip =
-      fr.program->find_class("Bitflip")->find_method("flip");
-  fpga::FpgaSynthOptions opts;
-  opts.pipelined = pipelined;
-  return fpga::synthesize_filter(*flip, opts);
+  auto kernel = gpu::compile_kernel(
+      *fr.program->find_class("Bitflip")->find_method("flip"));
+  return fpga::synthesize(*kernel.program, {pipelined});
 }
 
 serde::CValue make_bits(size_t n) {

@@ -10,6 +10,7 @@
 #include "fpga/device.h"
 #include "fpga/synth.h"
 #include "fpga/verilog_emit.h"
+#include "gpu/kernel_compiler.h"
 #include "lime/frontend.h"
 
 namespace {
@@ -36,8 +37,15 @@ int main(int argc, char** argv) {
   const lime::MethodDecl* flip =
       fr.program->find_class("Bitflip")->find_method("flip");
 
-  // Synthesize the Fig. 4 module (the non-pipelined FSM the paper shows).
-  auto artifact = fpga::synthesize_filter(*flip);
+  // Synthesize the Fig. 4 module (the non-pipelined FSM the paper shows)
+  // from the filter's kernel IR.
+  auto kernel = gpu::compile_kernel(*flip);
+  if (!kernel.ok()) {
+    std::cerr << "kernel compiler declined: " << kernel.exclusion_reason
+              << "\n";
+    return 1;
+  }
+  auto artifact = fpga::synthesize(*kernel.program);
   if (!artifact.ok()) {
     std::cerr << "synthesis declined: " << artifact.exclusion_reason << "\n";
     return 1;

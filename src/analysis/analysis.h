@@ -10,14 +10,15 @@
 //                duplicate connections, rate mismatches, shared state
 //                across relocation brackets)
 //   LM210–LM214  FIFO capacity / deadlock verification over static
-//                push/pop rates (deadlock.h), backed by the interval
-//                abstract-interpretation tier (intervals.h)
+//                push/pop rates (deadlock.h)
 //   LM301–LM315  IR well-formedness (ir_verify.h), run between compiler
 //                passes when LM_VERIFY_IR=1
 //
-// The runtime compiler driver calls analyze_program on every compile; the
-// findings merge into the program's DiagnosticEngine and the demoted set
-// gates backend artifact creation.
+// runtime::compile() calls analyze_program on every compile. It
+// runs every analysis above but the IR verifiers, and builds the static
+// cost model (cost_estimate.h, from the interval tier's loop trip counts,
+// intervals.h); the findings merge into the program's DiagnosticEngine and
+// the demoted set gates backend artifact creation.
 #pragma once
 
 #include <unordered_set>
@@ -32,15 +33,9 @@
 namespace lm::analysis {
 
 struct AnalysisOptions {
-  bool check_locals = true;    // LM101–LM103
-  bool check_effects = true;   // LM110–LM111
-  bool check_graphs = true;    // LM201–LM205
-  bool check_deadlock = true;  // LM210–LM214 (deadlock.h)
   /// FIFO capacity the deadlock verifier proves against; <= 0 → the
   /// runtime default (kDefaultFifoCapacity).
   int64_t fifo_capacity = 0;
-  /// Build the static per-(task, device) cost model (cost_estimate.h).
-  bool estimate_costs = true;
 };
 
 struct AnalysisResult {

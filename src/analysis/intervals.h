@@ -8,9 +8,9 @@
 // a few precise joins, then runs bounded narrowing passes to recover the
 // precision widening threw away.
 //
-// Consumers:
-//   * loop trip-count bounds       → static cost estimator (cost_estimate.h)
-//   * per-slot / return ranges     → deadlock verifier rate facts, lmc output
+// Consumer: the static cost estimator (cost_estimate.cpp), which reads the
+// loop trip-count bounds. Nothing reads the per-slot and return ranges
+// outside the tests.
 #pragma once
 
 #include <cstdint>

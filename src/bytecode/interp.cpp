@@ -197,6 +197,7 @@ Value Interpreter::run_frame(const CompiledMethod& m,
         locals[static_cast<size_t>(in.a)] = pop();
         break;
       case Op::kDup:
+        LM_CHECK_MSG(!stack.empty(), "operand stack underflow");
         stack.push_back(stack.back());
         break;
       case Op::kDup2: {

@@ -54,7 +54,7 @@ inline constexpr uint32_t kCacheFormatVersion = 3;
 /// mixed into every artifact key so entries cannot survive a codegen
 /// change. Bump alongside any backend lowering change that alters emitted
 /// artifacts without changing their serialized *format*.
-inline constexpr const char* kToolchainVersion = "lm-toolchain-2";
+inline constexpr const char* kToolchainVersion = "lm-toolchain-3";
 
 /// Backend id strings used as the `backend` key/header component.
 inline constexpr const char* kBackendBytecode = "bytecode";

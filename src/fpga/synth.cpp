@@ -1,21 +1,18 @@
 #include "fpga/synth.h"
 
-#include <functional>
-#include <unordered_map>
+#include <utility>
 
-#include "bytecode/compiler.h"
 #include "bytecode/ops.h"
 #include "util/error.h"
 
 namespace lm::fpga {
 
-using lime::as;
-using lime::BinOp;
-using lime::ExprKind;
-using lime::StmtKind;
-using lime::TypeKind;
-using lime::TypeRef;
-using lime::UnOp;
+using gpu::ArithOp;
+using gpu::CmpOp;
+using gpu::Intrinsic;
+using gpu::KInstr;
+using gpu::KOp;
+using gpu::NumType;
 using rtl::h_binary;
 using rtl::h_const;
 using rtl::h_mux;
@@ -30,489 +27,484 @@ namespace {
 
 struct Exclude {
   std::string reason;
-  /// Position of the offending construct; line 0 means "the method as a
-  /// whole" and the catch site substitutes the method's declaration loc.
-  SourceLoc loc{};
 };
 
-constexpr int kMaxInlineDepth = 8;
+constexpr const char* kNoFloat =
+    "floating point is not supported by the FPGA backend";
+constexpr const char* kDataLoop =
+    "loop bound is not a compile-time constant (cannot unroll)";
+/// Work one synthesis may do: IR instructions run, plus one per 16
+/// registers a branch on data copies and one per return its join guards.
+constexpr size_t kMaxSteps = size_t{1} << 20;
+/// How deeply branches on data may nest in one another; each level is a
+/// frame of run().
+constexpr int kMaxBranchDepth = 256;
 
-bool is_signed_type(const TypeRef& t) {
-  return t->kind == TypeKind::kInt || t->kind == TypeKind::kLong;
+int width_of(NumType t) {
+  switch (t) {
+    case NumType::kBool:
+    case NumType::kBit:
+      return 1;
+    case NumType::kI32:
+      return 32;
+    case NumType::kI64:
+      return 64;
+    case NumType::kF32:
+    case NumType::kF64:
+      throw Exclude{kNoFloat};
+  }
+  throw Exclude{"unknown type in kernel IR"};
 }
 
-/// The symbolic machine state during if-converted execution.
-struct ExecState {
-  std::unordered_map<int, HExprPtr> env;  // local slot → value
-  HExprPtr returned;  // 1-bit flag: a return already fired on this path
-  HExprPtr result;    // accumulated return value
-};
+bool is_signed(NumType t) { return t == NumType::kI32 || t == NumType::kI64; }
 
-class Synthesizer {
+/// The control-flow successors of `pc` for finding joins. A kRet goes on
+/// to the next instruction, the code after the statement that returned,
+/// so a branch with a returning arm joins where its other arm goes on;
+/// node n is the exit.
+int successors(const std::vector<KInstr>& code, int pc, int out[2]) {
+  const KInstr& k = code[static_cast<size_t>(pc)];
+  switch (k.op) {
+    case KOp::kJump:
+      out[0] = k.imm;
+      return 1;
+    case KOp::kJumpIfFalse:
+      out[0] = pc + 1;
+      out[1] = k.imm;
+      return 2;
+    default:
+      out[0] = pc + 1;
+      return 1;
+  }
+}
+
+/// Immediate post-dominator of each instruction (Cooper, Harvey and
+/// Kennedy's iteration over the reversed CFG); node n = code.size() is the
+/// exit, reached by falling off the end. -1 marks an instruction with no
+/// path to the exit.
+std::vector<int> post_dominators(const std::vector<KInstr>& code) {
+  const int n = static_cast<int>(code.size());
+  std::vector<std::vector<int>> preds(static_cast<size_t>(n) + 1);
+  int s[2];
+  for (int pc = 0; pc < n; ++pc) {
+    for (int i = 0, m = successors(code, pc, s); i < m; ++i) {
+      preds[static_cast<size_t>(s[i])].push_back(pc);
+    }
+  }
+  // Postorder of the reversed CFG from the exit, which numbers highest.
+  std::vector<int> order;
+  std::vector<int> number(static_cast<size_t>(n) + 1, -1);
+  std::vector<char> seen(static_cast<size_t>(n) + 1, 0);
+  std::vector<std::pair<int, size_t>> stack{{n, 0}};
+  seen[static_cast<size_t>(n)] = 1;
+  while (!stack.empty()) {
+    auto& [v, next] = stack.back();
+    const std::vector<int>& in = preds[static_cast<size_t>(v)];
+    if (next < in.size()) {
+      const int u = in[next++];
+      if (!seen[static_cast<size_t>(u)]) {
+        seen[static_cast<size_t>(u)] = 1;
+        stack.emplace_back(u, 0);
+      }
+      continue;
+    }
+    number[static_cast<size_t>(v)] = static_cast<int>(order.size());
+    order.push_back(v);
+    stack.pop_back();
+  }
+  std::vector<int> ipdom(static_cast<size_t>(n) + 1, -1);
+  ipdom[static_cast<size_t>(n)] = n;
+  auto at = [](std::vector<int>& v, int i) -> int& {
+    return v[static_cast<size_t>(i)];
+  };
+  auto intersect = [&](int a, int b) {
+    while (a != b) {
+      while (at(number, a) < at(number, b)) a = at(ipdom, a);
+      while (at(number, b) < at(number, a)) b = at(ipdom, b);
+    }
+    return a;
+  };
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      if (*it == n) continue;
+      int best = -1;
+      for (int i = 0, m = successors(code, *it, s); i < m; ++i) {
+        if (at(ipdom, s[i]) < 0) continue;
+        best = best < 0 ? s[i] : intersect(s[i], best);
+      }
+      if (best != at(ipdom, *it)) {
+        at(ipdom, *it) = best;
+        changed = true;
+      }
+    }
+  }
+  return ipdom;
+}
+
+/// Runs one kernel program symbolically: each register holds the netlist
+/// expression of its value. A kRet ends only the inputs that reach it: it
+/// records its value, guarded by the branches on data that led there, and
+/// the other arms of those branches go on from their joins, so the code
+/// after a join is built once.
+class Datapath {
  public:
-  Synthesizer(const FpgaSynthOptions& options) : options_(options) {}
+  Datapath(const gpu::KernelProgram& program, std::vector<HExprPtr> params)
+      : p_(program),
+        n_(static_cast<int>(program.code.size())),
+        ret_width_(width_of(program.ret_type)),
+        params_(std::move(params)),
+        ipdom_(post_dominators(program.code)),
+        trips_(static_cast<size_t>(n_) + 1, 0) {}
 
-  /// Symbolically executes `m` with the given parameter value expressions
-  /// and returns the datapath expression for its result.
-  HExprPtr run(const lime::MethodDecl& m, const std::vector<HExprPtr>& args) {
-    return inline_method(m, args);
+  HExprPtr run() {
+    Path path{Regs(static_cast<size_t>(p_.num_regs)), {}, false};
+    run(0, n_, path, -1, 0);
+    if (!path.done) throw Exclude{"control falls off the end of the kernel"};
+    // The first return whose guard holds wins, and one of them holds.
+    HExprPtr result = path.returns.back().value;
+    for (auto r = path.returns.rbegin() + 1; r != path.returns.rend(); ++r) {
+      const HExprPtr& g = r->guard;
+      result = g->kind == rtl::HKind::kUnary && g->un_op == HUnOp::kNot
+                   ? h_mux(g->a, result, r->value)
+                   : h_mux(g, r->value, result);
+    }
+    return result;
   }
 
  private:
-  HExprPtr inline_method(const lime::MethodDecl& m,
-                         const std::vector<HExprPtr>& args) {
-    if (static_cast<int>(call_stack_.size()) > kMaxInlineDepth) {
-      throw Exclude{"inline depth exceeded"};
-    }
-    for (const auto* f : call_stack_) {
-      if (f == &m) throw Exclude{"recursive call to " + m.qualified_name()};
-    }
-    if (!m.body) throw Exclude{"method has no body"};
-    call_stack_.push_back(&m);
+  using Regs = std::vector<HExprPtr>;
 
-    ExecState st;
-    st.returned = h_const(1, 0);
-    st.result = h_const(fpga_width(m.return_type), 0);
-    size_t ai = 0;
-    // Instance methods (value-enum operators) bind `this` at slot 0.
-    if (!m.is_static) {
-      LM_CHECK(!args.empty());
-      st.env[0] = args[ai++];
-    }
-    for (const auto& p : m.params) {
-      LM_CHECK(ai < args.size());
-      st.env[p.slot] = h_resize(args[ai++], fpga_width(p.type),
-                                is_signed_type(p.type));
-    }
-    exec_block(*m.body, st);
-    call_stack_.pop_back();
-    return st.result;
-  }
+  /// A value a kRet returned for the inputs `guard` holds for (null: all).
+  struct Return {
+    HExprPtr guard;
+    HExprPtr value;
+  };
 
-  // -- statements --
-  void exec_block(const lime::BlockStmt& b, ExecState& st) {
-    for (const auto& s : b.stmts) {
-      if (s) exec_stmt(*s, st);
-    }
-  }
+  /// The inputs that reach one point of the program: the registers of
+  /// those that have not returned, and what the others returned.
+  struct Path {
+    Regs regs;
+    std::vector<Return> returns;  // in order; the first that holds wins
+    bool done = false;            // every input has returned
+  };
 
-  void exec_stmt(const lime::Stmt& s, ExecState& st) {
-    switch (s.kind) {
-      case StmtKind::kBlock:
-        exec_block(as<lime::BlockStmt>(s), st);
-        return;
-      case StmtKind::kExpr: {
-        const auto& es = as<lime::ExprStmt>(s);
-        if (es.expr) eval(*es.expr, st);
-        return;
-      }
-      case StmtKind::kVarDecl: {
-        const auto& vd = as<lime::VarDeclStmt>(s);
-        // `var` declarations carry no declared type; the initializer's
-        // synthesis excludes any unsupported construct on its own.
-        if (!vd.declared_type) {
-          if (!vd.init) throw Exclude{"'var' local without initializer"};
-          st.env[vd.slot] = eval(*vd.init, st);
+  /// Runs `path` from `pc` until control reaches `stop` (the join of the
+  /// enclosing branch on data, or the exit) or every input has returned.
+  /// `floor` is that branch: a jump to it or above it would loop through
+  /// it. `depth` counts the branches on data around this arm.
+  void run(int pc, int stop, Path& path, int floor, int depth) {
+    for (;;) {
+      if (pc == stop) return;
+      if (pc == n_) throw Exclude{"control falls off the end of the kernel"};
+      charge(1);
+      const KInstr& k = p_.code[static_cast<size_t>(pc)];
+      int next = pc + 1;
+      switch (k.op) {
+        case KOp::kRet:
+          path.returns.push_back({nullptr, use(path.regs, k.a, ret_width_)});
+          path.done = true;
           return;
-        }
-        switch (vd.declared_type->kind) {
-          case lime::TypeKind::kBit:
-          case lime::TypeKind::kBoolean:
-          case lime::TypeKind::kInt:
-          case lime::TypeKind::kClass:
-          case lime::TypeKind::kLong:
+        case KOp::kJump:
+          next = k.imm;
+          break;
+        case KOp::kJumpIfFalse: {
+          HExprPtr cond = use(path.regs, k.a, 1);
+          if (cond->is_const()) {
+            if (cond->value == 0) next = k.imm;
             break;
-          default:
-            throw Exclude{"local '" + vd.name + "' of type " +
-                              vd.declared_type->to_string() +
-                              " is not synthesizable",
-                          vd.loc};
+          }
+          // A branch on data: both arms run to the join, then merge.
+          const int join = ipdom_[static_cast<size_t>(pc)];
+          if (join < 0) throw Exclude{kDataLoop};
+          if (depth == kMaxBranchDepth) {
+            throw Exclude{"datapath nests more than " +
+                          std::to_string(kMaxBranchDepth) +
+                          " branches on data"};
+          }
+          charge(path.regs.size() / 16);
+          Path fall{path.regs, {}, false};
+          Path jump{std::move(path.regs), {}, false};
+          go(pc, pc + 1, pc);
+          run(pc + 1, join, fall, pc, depth + 1);
+          go(pc, k.imm, pc);
+          run(k.imm, join, jump, pc, depth + 1);
+          charge(fall.returns.size() + jump.returns.size());
+          merge(cond, fall, jump, path);
+          if (path.done) return;
+          pc = join;
+          continue;
         }
-        int w = fpga_width(vd.declared_type);
-        st.env[vd.slot] = vd.init ? eval(*vd.init, st) : h_const(w, 0);
-        return;
+        default:
+          define(k, path.regs);
+          break;
       }
-      case StmtKind::kIf: {
-        const auto& is = as<lime::IfStmt>(s);
-        HExprPtr cond = eval(*is.cond, st);
-        if (cond->is_const()) {
-          if (cond->value) {
-            exec_stmt(*is.then_stmt, st);
-          } else if (is.else_stmt) {
-            exec_stmt(*is.else_stmt, st);
-          }
-          return;
-        }
-        // If-conversion: run both arms on clones, mux-join the state.
-        ExecState then_st = st;
-        ExecState else_st = st;
-        exec_stmt(*is.then_stmt, then_st);
-        if (is.else_stmt) exec_stmt(*is.else_stmt, else_st);
-        merge(cond, then_st, else_st, st);
-        return;
-      }
-      case StmtKind::kFor: {
-        const auto& fs = as<lime::ForStmt>(s);
-        if (fs.init) exec_stmt(*fs.init, st);
-        int iterations = 0;
-        for (;;) {
-          if (fs.cond) {
-            HExprPtr c = eval(*fs.cond, st);
-            if (!c->is_const()) {
-              throw Exclude{
-                  "loop bound is not a compile-time constant (cannot unroll)"};
-            }
-            if (!c->value) break;
-          }
-          if (++iterations > options_.max_unroll) {
-            throw Exclude{"loop exceeds the unroll budget of " +
-                          std::to_string(options_.max_unroll)};
-          }
-          exec_stmt(*fs.body, st);
-          if (fs.update) eval(*fs.update, st);
-        }
-        return;
-      }
-      case StmtKind::kWhile: {
-        const auto& ws = as<lime::WhileStmt>(s);
-        int iterations = 0;
-        for (;;) {
-          HExprPtr c = eval(*ws.cond, st);
-          if (!c->is_const()) {
-            throw Exclude{"while condition is not a compile-time constant"};
-          }
-          if (!c->value) break;
-          if (++iterations > options_.max_unroll) {
-            throw Exclude{"loop exceeds the unroll budget"};
-          }
-          exec_stmt(*ws.body, st);
-        }
-        return;
-      }
-      case StmtKind::kReturn: {
-        const auto& rs = as<lime::ReturnStmt>(s);
-        if (!rs.value) throw Exclude{"void return in a filter"};
-        HExprPtr v = eval(*rs.value, st);
-        // First-return-wins under if-conversion.
-        st.result = h_mux(st.returned, st.result, v);
-        st.returned = h_const(1, 1);
-        return;
-      }
-      case StmtKind::kBreak:
-      case StmtKind::kContinue:
-        throw Exclude{"break/continue is not synthesizable here"};
+      go(pc, next, floor);
+      pc = next;
     }
   }
 
-  void merge(const HExprPtr& cond, const ExecState& t, const ExecState& e,
-             ExecState& out) {
-    out.env.clear();
-    // Slots present in either arm (seeded from the pre-branch state which
-    // both clones extend).
-    for (const auto& [slot, tv] : t.env) {
-      auto it = e.env.find(slot);
-      if (it == e.env.end()) continue;  // branch-local variable, drop
-      out.env[slot] =
-          tv == it->second ? tv : h_mux(cond, tv, it->second);
+  void charge(size_t steps) {
+    steps_ += steps;
+    if (steps_ > kMaxSteps) {
+      throw Exclude{"datapath exceeds the synthesis budget of " +
+                    std::to_string(kMaxSteps) + " steps"};
     }
-    out.returned = h_mux(cond, t.returned, e.returned);
-    out.result = h_mux(cond, t.result, e.result);
   }
 
-  // -- expressions --
-  HExprPtr eval(const lime::Expr& ex, ExecState& st) {
-    switch (ex.kind) {
-      case ExprKind::kIntLit: {
-        const auto& l = as<lime::IntLitExpr>(ex);
-        return h_const(l.is_long ? 64 : 32, static_cast<uint64_t>(l.value));
-      }
-      case ExprKind::kFloatLit:
-        throw Exclude{"floating point is not supported by the FPGA backend"};
-      case ExprKind::kBoolLit:
-        return h_const(1, as<lime::BoolLitExpr>(ex).value ? 1 : 0);
-      case ExprKind::kBitLit:
-        throw Exclude{"bit-array literal in a filter body"};
-      case ExprKind::kName: {
-        const auto& n = as<lime::NameExpr>(ex);
-        if (n.ref == lime::NameRefKind::kLocal) {
-          auto it = st.env.find(n.slot);
-          if (it == st.env.end()) throw Exclude{"use of array-typed local"};
-          return it->second;
-        }
-        if (n.ref == lime::NameRefKind::kEnumConst) {
-          return h_const(32, static_cast<uint64_t>(n.enum_ordinal));
-        }
-        if (auto v = bc::eval_const_expr(n)) return const_to_hexpr(*v);
-        throw Exclude{"field access in a filter body"};
-      }
-      case ExprKind::kThis: {
-        auto it = st.env.find(0);
-        LM_CHECK(it != st.env.end());
-        return it->second;
-      }
-      case ExprKind::kUnary: {
-        const auto& u = as<lime::UnaryExpr>(ex);
-        if (u.op == UnOp::kUserOp) {
-          HExprPtr recv = eval(*u.operand, st);
-          return inline_method(*u.user_method, {recv});
-        }
-        HExprPtr v = eval(*u.operand, st);
-        switch (u.op) {
-          case UnOp::kNeg:
-            check_integral(u.operand->type, "negation");
-            return h_unary(HUnOp::kNeg, v);
-          case UnOp::kNot:
-            return h_unary(HUnOp::kNot, v);
-          case UnOp::kBitNot:
-            return h_unary(HUnOp::kNot, v);
-          case UnOp::kUserOp:
-            break;
-        }
-        LM_UNREACHABLE("bad unary");
-      }
-      case ExprKind::kBinary:
-        return eval_binary(as<lime::BinaryExpr>(ex), st);
-      case ExprKind::kAssign: {
-        const auto& a = as<lime::AssignExpr>(ex);
-        if (a.target->kind != ExprKind::kName) {
-          throw Exclude{"assignment through memory in a filter body"};
-        }
-        const auto& n = as<lime::NameExpr>(*a.target);
-        LM_CHECK(n.ref == lime::NameRefKind::kLocal);
-        HExprPtr v = eval(*a.value, st);
-        if (a.compound) {
-          auto it = st.env.find(n.slot);
-          LM_CHECK(it != st.env.end());
-          v = apply_binop(a.op, a.target->type, it->second, v);
-        }
-        st.env[n.slot] = v;
-        return v;
-      }
-      case ExprKind::kTernary: {
-        const auto& t = as<lime::TernaryExpr>(ex);
-        HExprPtr c = eval(*t.cond, st);
-        HExprPtr a = eval(*t.then_expr, st);
-        HExprPtr b = eval(*t.else_expr, st);
-        return h_mux(c, a, b);
-      }
-      case ExprKind::kCall: {
-        const auto& c = as<lime::CallExpr>(ex);
-        using B = lime::CallExpr::Builtin;
-        switch (c.builtin) {
-          case B::kNone:
-            break;
-          case B::kAbs: {
-            check_integral(c.type, "Math.abs");
-            HExprPtr v = eval(*c.args[0], st);
-            HExprPtr zero = h_const(v->width, 0);
-            return h_mux(h_binary(HBinOp::kLtS, v, zero),
-                         h_unary(HUnOp::kNeg, v), v);
-          }
-          case B::kMin: case B::kMax: {
-            check_integral(c.type, "Math.min/max");
-            HExprPtr a = eval(*c.args[0], st);
-            HExprPtr b = eval(*c.args[1], st);
-            HExprPtr a_lt = h_binary(HBinOp::kLtS, a, b);
-            return c.builtin == B::kMin ? h_mux(a_lt, a, b)
-                                        : h_mux(a_lt, b, a);
-          }
-          default:
-            throw Exclude{"Math intrinsic '" + c.method +
-                          "' is not synthesizable (floating point)"};
-        }
-        LM_CHECK(c.resolved != nullptr);
-        if (!c.resolved->is_pure) {
-          throw Exclude{"call to impure method '" +
-                        c.resolved->qualified_name() + "'"};
-        }
-        std::vector<HExprPtr> args;
-        if (!c.resolved->is_static) {
-          LM_CHECK(c.receiver != nullptr);
-          args.push_back(eval(*c.receiver, st));
-        }
-        for (const auto& a : c.args) args.push_back(eval(*a, st));
-        return inline_method(*c.resolved, args);
-      }
-      case ExprKind::kCast: {
-        const auto& c = as<lime::CastExpr>(ex);
-        if (c.target->is_floating() || c.operand->type->is_floating()) {
-          throw Exclude{"floating point is not supported by the FPGA backend"};
-        }
-        HExprPtr v = eval(*c.operand, st);
-        return h_resize(v, fpga_width(c.target),
-                        is_signed_type(c.operand->type));
-      }
-      case ExprKind::kField: {
-        const auto& f = as<lime::FieldExpr>(ex);
-        if (f.enum_ordinal >= 0) {
-          return h_const(f.enum_class ? 32 : 1,
-                         static_cast<uint64_t>(f.enum_ordinal));
-        }
-        if (auto v = bc::eval_const_expr(f)) return const_to_hexpr(*v);
-        throw Exclude{"field access in a filter body", f.loc};
-      }
-      case ExprKind::kIndex:
-        throw Exclude{"array access in a filter body (no memory "
-                      "inference in this backend)",
-                      ex.loc};
-      case ExprKind::kNewArray:
-        throw Exclude{"array allocation in a filter body", ex.loc};
-      case ExprKind::kMap: case ExprKind::kReduce: case ExprKind::kTask:
-      case ExprKind::kRelocate: case ExprKind::kConnect:
-        throw Exclude{"task/map/reduce operator in a filter body", ex.loc};
+  /// Accounts one control transfer. A backward one is a taken back-edge of
+  /// a loop with a constant bound; a forward one enters its target afresh.
+  void go(int from, int to, int floor) {
+    if (to <= floor) throw Exclude{kDataLoop};
+    int& trips = trips_[static_cast<size_t>(to)];
+    if (to > from) {
+      trips = 0;
+    } else if (++trips > kMaxUnroll) {
+      throw Exclude{"loop exceeds the unroll budget of " +
+                    std::to_string(kMaxUnroll)};
     }
-    LM_UNREACHABLE("unhandled expression");
   }
 
-  /// Materializes a compile-time constant as a netlist literal.
-  static HExprPtr const_to_hexpr(const bc::Value& v) {
-    switch (v.kind()) {
-      case bc::ValueKind::kInt:
-        return h_const(32, static_cast<uint32_t>(v.as_i32()));
-      case bc::ValueKind::kLong:
-        return h_const(64, static_cast<uint64_t>(v.as_i64()));
-      case bc::ValueKind::kBool:
-        return h_const(1, v.as_bool() ? 1 : 0);
-      case bc::ValueKind::kBit:
-        return h_const(1, v.as_bit() ? 1 : 0);
+  /// Appends the returns of both arms of a branch on `cond` to `out`'s and
+  /// joins their registers. Each arm's returns hold only for its inputs,
+  /// unless an arm before it returned for all of them. Only the inputs that
+  /// did not return read the registers, so an arm where all returned keeps
+  /// none, and a register the two arms disagree on becomes a mux.
+  static void merge(const HExprPtr& cond, Path& fall, Path& jump, Path& out) {
+    const bool fall_first = fall.done || !jump.done;
+    Path& first = fall_first ? fall : jump;
+    Path& second = fall_first ? jump : fall;
+    HExprPtr not_cond = h_unary(HUnOp::kNot, cond);
+    const HExprPtr first_cond = fall_first ? cond : not_cond;
+    const HExprPtr second_cond =
+        first.done ? nullptr : fall_first ? not_cond : cond;
+    for (Path* arm : {&first, &second}) {
+      const HExprPtr& c = arm == &first ? first_cond : second_cond;
+      for (Return& r : arm->returns) {
+        out.returns.push_back(
+            {!c ? r.guard : !r.guard ? c : h_binary(HBinOp::kAnd, c, r.guard),
+             std::move(r.value)});
+      }
+    }
+    out.done = fall.done && jump.done;
+    if (fall.done || jump.done) {
+      out.regs = std::move(fall.done ? jump.regs : fall.regs);
+      return;
+    }
+    out.regs = std::move(fall.regs);
+    for (size_t r = 0; r < out.regs.size(); ++r) {
+      out.regs[r] = merge(cond, out.regs[r], jump.regs[r]);
+    }
+  }
+
+  /// A value both arms of a branch on `cond` computed. One written on only
+  /// one arm is dead after the join, and reading it excludes the task.
+  static HExprPtr merge(const HExprPtr& cond, const HExprPtr& fall,
+                        const HExprPtr& jump) {
+    if (!fall || !jump) return nullptr;
+    if (fall == jump) return fall;
+    if (fall->width != jump->width) throw Exclude{"kernel IR is ill-typed"};
+    return h_mux(cond, fall, jump);
+  }
+
+  const HExprPtr& use(const Regs& regs, uint16_t r) const {
+    if (r >= regs.size() || !regs[r]) {
+      throw Exclude{"kernel IR reads r" + std::to_string(r) +
+                    " before writing it"};
+    }
+    return regs[r];
+  }
+
+  const HExprPtr& use(const Regs& regs, uint16_t r, int width) const {
+    const HExprPtr& v = use(regs, r);
+    if (v->width != width) throw Exclude{"kernel IR is ill-typed"};
+    return v;
+  }
+
+  void define(const KInstr& k, Regs& regs) {
+    if (k.dst >= regs.size()) throw Exclude{"kernel IR register out of range"};
+    HExprPtr v;
+    switch (k.op) {
+      case KOp::kLoadParam:
+        if (k.a >= params_.size()) {
+          throw Exclude{"kernel IR parameter out of range"};
+        }
+        v = params_[k.a];
+        break;
+      case KOp::kLoadConst:
+        if (k.a >= p_.consts.size()) {
+          throw Exclude{"kernel IR constant out of range"};
+        }
+        v = constant(p_.consts[k.a]);
+        break;
+      case KOp::kLoadElem:
+      case KOp::kArrayLen:
+        throw Exclude{"array access in a filter body (no memory inference "
+                      "in this backend)"};
+      case KOp::kMov:
+        v = use(regs, k.a);
+        break;
+      case KOp::kArith:
+        v = arith(k, regs);
+        break;
+      case KOp::kNeg:
+        v = h_unary(HUnOp::kNeg, use(regs, k.a, width_of(k.t)));
+        break;
+      case KOp::kCmp: {
+        const int w = width_of(k.t);
+        v = h_binary(compare_op(k.aux), use(regs, k.a, w), use(regs, k.b, w));
+        break;
+      }
+      case KOp::kNot:
+      case KOp::kBitFlip:
+        v = h_unary(HUnOp::kNot, use(regs, k.a, 1));
+        break;
+      case KOp::kCast:
+        v = cast(use(regs, k.a, width_of(k.t)), k.t, k.t2);
+        break;
+      case KOp::kIntrinsic:
+        v = intrinsic(k, regs);
+        break;
       default:
-        throw Exclude{"constant type not representable on the FPGA"};
+        throw Exclude{"unknown kernel IR opcode"};
     }
+    regs[k.dst] = std::move(v);
   }
 
-  void check_integral(const TypeRef& t, const char* what) {
-    if (t->is_floating()) {
-      throw Exclude{std::string(what) +
-                    " on floating point is not synthesizable"};
+  static HExprPtr constant(const gpu::KConst& c) {
+    const int w = width_of(c.type);
+    const uint64_t bits = w == 1    ? uint64_t{c.value.b != 0}
+                          : w == 32 ? static_cast<uint32_t>(c.value.i32)
+                                    : static_cast<uint64_t>(c.value.i64);
+    return h_const(w, bits);
+  }
+
+  static HBinOp compare_op(uint8_t aux) {
+    switch (static_cast<CmpOp>(aux)) {
+      case CmpOp::kEq: return HBinOp::kEq;
+      case CmpOp::kNe: return HBinOp::kNe;
+      case CmpOp::kLt: return HBinOp::kLtS;
+      case CmpOp::kLe: return HBinOp::kLeS;
+      case CmpOp::kGt: return HBinOp::kGtS;
+      case CmpOp::kGe: return HBinOp::kGeS;
     }
+    throw Exclude{"unknown comparison in kernel IR"};
   }
 
-  /// Java masks a shift distance to the operand width (& 31 for int, & 63
-  /// for long), as the VM and the GPU simulator do. A constant distance
-  /// folds here, so the datapath keeps its constant shift.
-  static HExprPtr shift_distance(const HExprPtr& l, const HExprPtr& r) {
-    HExprPtr d = h_resize(r, l->width, false);
-    return h_binary(HBinOp::kAnd, d,
-                    h_const(l->width, l->width > 32 ? 63 : 31));
-  }
-
-  HExprPtr apply_binop(BinOp op, const TypeRef& operand_type, HExprPtr l,
-                       HExprPtr r) {
+  HExprPtr arith(const KInstr& k, const Regs& regs) const {
+    const int w = width_of(k.t);
+    const auto op = static_cast<ArithOp>(k.aux);
+    const HExprPtr& a = use(regs, k.a, w);
+    if (op == ArithOp::kNeg) return h_unary(HUnOp::kNeg, a);
+    if (op == ArithOp::kShl || op == ArithOp::kShr) {
+      // Java masks a shift distance to the operand width (& 31 for int,
+      // & 63 for long), as the VM and the GPU simulator do. A constant
+      // distance folds here, so the datapath keeps its constant shift.
+      HExprPtr d = h_binary(HBinOp::kAnd, h_resize(use(regs, k.b), w, false),
+                            h_const(w, w > 32 ? 63 : 31));
+      const HBinOp shift = op == ArithOp::kShl ? HBinOp::kShl
+                           : is_signed(k.t)    ? HBinOp::kShrA
+                                               : HBinOp::kShrL;
+      return h_binary(shift, a, d);
+    }
+    const HExprPtr& b = use(regs, k.b, w);
     switch (op) {
-      case BinOp::kAdd: return h_binary(HBinOp::kAdd, l, r);
-      case BinOp::kSub: return h_binary(HBinOp::kSub, l, r);
-      case BinOp::kMul: return h_binary(HBinOp::kMul, l, r);
-      case BinOp::kDiv:
-      case BinOp::kRem:
-        // Constant folding may still succeed (unrolled loops with constant
-        // operands); otherwise there is no combinational divider.
-        if (l->is_const() && r->is_const()) {
-          if (r->value == 0) throw Exclude{"constant division by zero"};
-          int64_t v = bc::ops::div_rem(
-              op == BinOp::kDiv ? bc::ArithOp::kDiv : bc::ArithOp::kRem,
-              rtl::sign_extend(l->value, l->width),
-              rtl::sign_extend(r->value, r->width));
-          return h_const(l->width, static_cast<uint64_t>(v));
+      case ArithOp::kAdd: return h_binary(HBinOp::kAdd, a, b);
+      case ArithOp::kSub: return h_binary(HBinOp::kSub, a, b);
+      case ArithOp::kMul: return h_binary(HBinOp::kMul, a, b);
+      case ArithOp::kAnd: return h_binary(HBinOp::kAnd, a, b);
+      case ArithOp::kOr: return h_binary(HBinOp::kOr, a, b);
+      case ArithOp::kXor: return h_binary(HBinOp::kXor, a, b);
+      case ArithOp::kDiv:
+      case ArithOp::kRem: {
+        // Constant operands still fold (unrolled loops); otherwise there
+        // is no combinational divider.
+        if (!a->is_const() || !b->is_const()) {
+          throw Exclude{"integer division has no combinational form here"};
         }
-        throw Exclude{"integer division has no combinational form here"};
-      case BinOp::kAnd: return h_binary(HBinOp::kAnd, l, r);
-      case BinOp::kOr: return h_binary(HBinOp::kOr, l, r);
-      case BinOp::kXor: return h_binary(HBinOp::kXor, l, r);
-      case BinOp::kShl:
-        return h_binary(HBinOp::kShl, l, shift_distance(l, r));
-      case BinOp::kShr:
-        // Lime follows Java: >> on signed ints is arithmetic.
-        return h_binary(is_signed_type(operand_type) ? HBinOp::kShrA
-                                                     : HBinOp::kShrL,
-                        l, shift_distance(l, r));
-      case BinOp::kLAnd: return h_binary(HBinOp::kAnd, l, r);
-      case BinOp::kLOr: return h_binary(HBinOp::kOr, l, r);
-      case BinOp::kEq: return h_binary(HBinOp::kEq, l, r);
-      case BinOp::kNe: return h_binary(HBinOp::kNe, l, r);
-      case BinOp::kLt: return h_binary(HBinOp::kLtS, l, r);
-      case BinOp::kLe: return h_binary(HBinOp::kLeS, l, r);
-      case BinOp::kGt: return h_binary(HBinOp::kGtS, l, r);
-      case BinOp::kGe: return h_binary(HBinOp::kGeS, l, r);
+        if (b->value == 0) throw Exclude{"constant division by zero"};
+        const int64_t q = bc::ops::div_rem(op, rtl::sign_extend(a->value, w),
+                                           rtl::sign_extend(b->value, w));
+        return h_const(w, static_cast<uint64_t>(q));
+      }
+      default:
+        throw Exclude{"unknown arithmetic operator in kernel IR"};
     }
-    LM_UNREACHABLE("bad binop");
   }
 
-  HExprPtr eval_binary(const lime::BinaryExpr& b, ExecState& st) {
-    if (b.lhs->type->is_floating()) {
-      throw Exclude{"floating point is not supported by the FPGA backend"};
+  /// Java's conversion: to boolean is `!= 0`; otherwise the value
+  /// truncates, or extends by the sign of its source type.
+  static HExprPtr cast(const HExprPtr& v, NumType from, NumType to) {
+    const int w = width_of(to);
+    if (to == NumType::kBool && v->width > 1) {
+      return h_binary(HBinOp::kNe, v, h_const(v->width, 0));
     }
-    HExprPtr l = eval(*b.lhs, st);
-    HExprPtr r = eval(*b.rhs, st);
-    return apply_binop(b.op, b.lhs->type, l, r);
+    return h_resize(v, w, is_signed(from));
   }
 
-  const FpgaSynthOptions& options_;
-  std::vector<const lime::MethodDecl*> call_stack_;
+  HExprPtr intrinsic(const KInstr& k, const Regs& regs) const {
+    const auto fn = static_cast<Intrinsic>(k.aux);
+    const int w = width_of(k.t);
+    switch (fn) {
+      case Intrinsic::kAbs: {
+        const HExprPtr& v = use(regs, k.a, w);
+        return h_mux(h_binary(HBinOp::kLtS, v, h_const(w, 0)),
+                     h_unary(HUnOp::kNeg, v), v);
+      }
+      case Intrinsic::kMin:
+      case Intrinsic::kMax: {
+        const HExprPtr& a = use(regs, k.a, w);
+        const HExprPtr& b = use(regs, k.b, w);
+        HExprPtr a_lt = h_binary(HBinOp::kLtS, a, b);
+        return fn == Intrinsic::kMin ? h_mux(a_lt, a, b) : h_mux(a_lt, b, a);
+      }
+      default:
+        throw Exclude{std::string("Math intrinsic '") + bc::to_string(fn) +
+                      "' is not synthesizable (floating point)"};
+    }
+  }
+
+  const gpu::KernelProgram& p_;
+  const int n_;
+  const int ret_width_;
+  const std::vector<HExprPtr> params_;
+  const std::vector<int> ipdom_;
+  /// Per instruction: back-edges taken to it since control last entered it
+  /// from ahead.
+  std::vector<int> trips_;
+  size_t steps_ = 0;
 };
 
-}  // namespace
-
-int fpga_width(const TypeRef& type) {
-  switch (type->kind) {
-    case TypeKind::kBit:
-    case TypeKind::kBoolean:
-      return 1;
-    case TypeKind::kInt:
-    case TypeKind::kClass:  // enum ordinal
-      return 32;
-    case TypeKind::kLong:
-      return 64;
-    default:
-      throw InternalError("type " + type->to_string() +
-                          " has no FPGA representation");
+std::string module_name_for(const std::string& task_id) {
+  std::string s = task_id;
+  for (char& c : s) {
+    if (c == '.' || c == ':') c = '_';
   }
+  return s;
 }
 
-namespace {
-
-void check_filter_suitable(const lime::MethodDecl& method) {
-  if (!method.is_pure) {
-    throw Exclude{"method " + method.qualified_name() + " is not pure"};
-  }
-  if (method.return_type->is_floating()) {
-    throw Exclude{"floating point is not supported by the FPGA backend"};
-  }
-  for (const auto& p : method.params) {
-    if (p.type->is_floating()) {
-      throw Exclude{"floating point is not supported by the FPGA backend"};
-    }
-    if (p.type->is_array_like()) {
-      throw Exclude{"array parameters are not synthesizable here"};
-    }
-  }
-}
-
-/// Wraps a datapath over the first method's parameters in the Fig. 4
-/// read/compute/publish handshake (or the pipelined variant). The datapath
-/// callback receives the input-register expressions in parameter order.
-FpgaCompileResult wrap_datapath(
-    const std::string& module_name, const lime::MethodDecl& head,
-    const lime::TypeRef& result_type, const FpgaSynthOptions& options,
-    const std::function<rtl::HExprPtr(Synthesizer&,
-                                      const std::vector<HExprPtr>&)>& build) {
+/// Wraps the program's datapath in the Fig. 4 read/compute/publish
+/// handshake (or the pipelined variant).
+FpgaCompileResult wrap_datapath(const gpu::KernelProgram& program,
+                                const FpgaSynthOptions& options) {
   FpgaCompileResult result;
   auto module = std::make_unique<rtl::Module>();
-  module->name = module_name;
+  module->name = module_name_for(program.task_id);
 
   using rtl::SigKind;
   rtl::SigId rst = module->add_signal("rst", 1, SigKind::kInput);
   rtl::SigId in_ready = module->add_signal("inReady", 1, SigKind::kInput);
 
   FpgaPortMeta ports;
-  ports.arity = static_cast<int>(head.params.size());
+  ports.arity = static_cast<int>(program.params.size());
   ports.pipelined = options.pipelined;
   ports.latency = 3;
   ports.initiation_interval = options.pipelined ? 1 : 3;
-  ports.out_width = fpga_width(result_type);
+  ports.out_width = width_of(program.ret_type);
 
   std::vector<rtl::SigId> in_data, in_regs;
-  for (size_t i = 0; i < head.params.size(); ++i) {
-    int w = fpga_width(head.params[i].type);
+  for (size_t i = 0; i < program.params.size(); ++i) {
+    int w = width_of(program.params[i].type);
     std::string pname = "inData" + std::to_string(i);
     in_data.push_back(module->add_signal(pname, w, SigKind::kInput));
     in_regs.push_back(
@@ -527,14 +519,11 @@ FpgaCompileResult wrap_datapath(
   rtl::SigId result_reg =
       module->add_signal("result", ports.out_width, SigKind::kReg);
 
-  Synthesizer synth(options);
   std::vector<HExprPtr> args;
   for (size_t i = 0; i < in_regs.size(); ++i) {
     args.push_back(h_sig(in_regs[i], module->sig(in_regs[i]).width));
   }
-  HExprPtr datapath = build(synth, args);
-  datapath =
-      h_resize(datapath, ports.out_width, is_signed_type(result_type));
+  HExprPtr datapath = Datapath(program, std::move(args)).run();
 
   HExprPtr rst_e = h_sig(rst, 1);
   HExprPtr in_ready_e = h_sig(in_ready, 1);
@@ -596,68 +585,30 @@ FpgaCompileResult wrap_datapath(
   return result;
 }
 
-std::string module_name_for(const std::string& qualified) {
-  std::string s = qualified;
-  for (char& c : s) {
-    if (c == '.' || c == ':') c = '_';
-  }
-  return s;
-}
-
 }  // namespace
 
-FpgaCompileResult synthesize_filter(const lime::MethodDecl& method,
-                                    const FpgaSynthOptions& options) {
+FpgaCompileResult synthesize(const gpu::KernelProgram& program,
+                             const FpgaSynthOptions& options) {
   try {
-    check_filter_suitable(method);
-    return wrap_datapath(
-        module_name_for(method.qualified_name()), method, method.return_type,
-        options,
-        [&method](Synthesizer& synth, const std::vector<HExprPtr>& args) {
-          return synth.run(method, args);
-        });
-  } catch (const Exclude& ex) {
-    FpgaCompileResult result;
-    result.exclusion_reason = ex.reason;
-    result.exclusion_loc = ex.loc.line > 0 ? ex.loc : method.loc;
-    return result;
-  }
-}
-
-FpgaCompileResult synthesize_segment(
-    const std::vector<const lime::MethodDecl*>& chain,
-    const FpgaSynthOptions& options) {
-  LM_CHECK(!chain.empty());
-  if (chain.size() == 1) return synthesize_filter(*chain[0], options);
-  try {
-    std::string name = "seg";
-    for (const auto* m : chain) {
-      check_filter_suitable(*m);
-      name += "_" + module_name_for(m->qualified_name());
-    }
-    for (size_t i = 1; i < chain.size(); ++i) {
-      if (chain[i]->params.size() != 1) {
-        throw Exclude{"fused segment stage '" + chain[i]->qualified_name() +
-                      "' must be unary"};
+    if (program.params.empty()) throw Exclude{"a filter takes no input"};
+    if (program.num_regs < 0) throw Exclude{"kernel IR register out of range"};
+    for (const KInstr& k : program.code) {
+      if ((k.op == KOp::kJump || k.op == KOp::kJumpIfFalse) &&
+          (k.imm < 0 || static_cast<size_t>(k.imm) > program.code.size())) {
+        throw Exclude{"kernel IR jumps out of range"};
       }
     }
-    return wrap_datapath(
-        name, *chain[0], chain.back()->return_type, options,
-        [&chain](Synthesizer& synth, const std::vector<HExprPtr>& args) {
-          // Compose the datapaths combinationally, resizing at each stage
-          // boundary exactly as a value would convert.
-          HExprPtr cur = synth.run(*chain[0], args);
-          for (size_t i = 1; i < chain.size(); ++i) {
-            cur = h_resize(cur, fpga_width(chain[i]->params[0].type),
-                           is_signed_type(chain[i - 1]->return_type));
-            cur = synth.run(*chain[i], {cur});
-          }
-          return cur;
-        });
+    for (const gpu::KernelParam& p : program.params) {
+      if (p.mode == gpu::ParamMode::kWholeArray) {
+        throw Exclude{"array parameters are not synthesizable here"};
+      }
+      width_of(p.type);
+    }
+    width_of(program.ret_type);
+    return wrap_datapath(program, options);
   } catch (const Exclude& ex) {
     FpgaCompileResult result;
     result.exclusion_reason = ex.reason;
-    result.exclusion_loc = ex.loc.line > 0 ? ex.loc : chain[0]->loc;
     return result;
   }
 }

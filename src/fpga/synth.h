@@ -1,21 +1,34 @@
 // The FPGA device compiler (§3, §5): behavioural synthesis of relocated
-// filter tasks into RTL modules. The Verilog artifact text is a pure
-// function of the module (verilog_emit.h), printed only when read.
+// filter tasks and fused segments into RTL modules. The Verilog artifact
+// text is a pure function of the module (verilog_emit.h), printed only when
+// read.
 //
-// Suitability filter (constructs excluded by this backend, per §3's
-// per-device exclusion rule):
+// Synthesis reads the kernel IR that the GPU compiler builds for the same
+// filter or segment (gpu/kernel_ir.h), so purity, recursion, inlining,
+// constant folding and segment arity are decided once, by
+// gpu::compile_kernel and gpu::compile_segment_kernel. On top of their
+// exclusions, this backend excludes (per §3's per-device exclusion rule):
 //   * floating-point types (no FP cores in this backend — the paper calls
 //     its FPGA backend "a work in progress" with a growing feature set),
-//   * integer division/remainder (no combinational divider),
-//   * arrays and allocation (no memory inference),
-//   * unbounded loops (while, or for-loops whose trip count is not a
-//     compile-time constant), break/continue,
-//   * recursion; calls to pure methods are inlined, bounded loops unrolled.
+//   * integer division/remainder unless both operands are constant (no
+//     combinational divider),
+//   * array operands: element loads, lengths and whole-array parameters
+//     (no memory inference),
+//   * loops whose exit depends on data. A loop with a constant trip count
+//     unrolls, up to kMaxUnroll taken back-edges per entry to the loop.
+//
+// The datapath comes from running the IR symbolically: each register holds
+// a netlist expression. A branch whose condition folds to a constant
+// follows one edge. A branch on data runs both arms up to their join (the
+// immediate post-dominator; a kRet goes on to the next instruction) and
+// muxes the registers whose values differ. A kRet records its value for
+// the inputs that reach it, and the first recorded value whose condition
+// holds is the result.
 //
 // The synthesized module reproduces the Fig. 4 interface and timing:
 // read (1 cycle) → compute (1 cycle) → publish (1 cycle), with these ports:
 //
-//   in : rst, inReady (input valid), inData0..k-1 (one per filter param)
+//   in : rst, inReady (input valid), inData0..k-1 (one per kernel param)
 //   out: inTake (ready to accept), outReady (output valid), outData
 //
 // Two microarchitectures are generated from the same datapath:
@@ -29,14 +42,16 @@
 #include <string>
 #include <vector>
 
-#include "lime/ast.h"
+#include "gpu/kernel_ir.h"
 #include "rtl/netlist.h"
 
 namespace lm::fpga {
 
+/// Taken back-edges one entry to a loop may unroll before exclusion.
+inline constexpr int kMaxUnroll = 4096;
+
 struct FpgaSynthOptions {
   bool pipelined = false;
-  int max_unroll = 4096;  // total loop iterations before exclusion
 };
 
 struct FpgaPortMeta {
@@ -55,29 +70,17 @@ struct FpgaPortMeta {
 struct FpgaCompileResult {
   std::unique_ptr<rtl::Module> module;  // null when excluded
   FpgaPortMeta ports;
+  /// Why the backend declined. Kernel IR carries no source positions, so
+  /// the compiler reports an exclusion at the task's declaration.
   std::string exclusion_reason;
-  /// Source position of the construct that triggered the exclusion (the
-  /// method declaration when no finer position is known).
-  SourceLoc exclusion_loc{};
 
   bool ok() const { return module != nullptr; }
 };
 
-/// Synthesizes one filter method. The task identifier (manifest key) is the
-/// method's qualified name.
-FpgaCompileResult synthesize_filter(const lime::MethodDecl& method,
-                                    const FpgaSynthOptions& options = {});
-
-/// Synthesizes a fused pipeline segment into a single module: the datapaths
-/// of consecutive filters compose combinationally (out = f_k(...f_1(in))),
-/// sharing one read/compute/publish wrapper. All filters after the first
-/// must be unary. The module name and task id derive from the whole chain.
-FpgaCompileResult synthesize_segment(
-    const std::vector<const lime::MethodDecl*>& chain,
-    const FpgaSynthOptions& options = {});
-
-/// Bit width of a Lime type on the FPGA (bit/boolean→1, int/enum→32,
-/// long→64). Throws InternalError for unsynthesizable types.
-int fpga_width(const lime::TypeRef& type);
+/// Synthesizes the kernel IR of one relocated filter or fused segment. The
+/// module is named after the program's task id ("Bitflip.flip" →
+/// Bitflip_flip, "seg:P.a:P.b" → seg_P_a_P_b).
+FpgaCompileResult synthesize(const gpu::KernelProgram& program,
+                             const FpgaSynthOptions& options = {});
 
 }  // namespace lm::fpga

@@ -81,31 +81,15 @@ DeviceServer::DeviceServer(const runtime::CompiledProgram& program,
 DeviceServer::~DeviceServer() { stop(); }
 
 void DeviceServer::start() {
-  listener_ = std::make_unique<Listener>(opts_.port);
-  port_ = listener_->port();
+  port_ = acceptor_.start(opts_.port);
   endpoint_ = "127.0.0.1:" + std::to_string(port_);
-  accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
-void DeviceServer::accept_loop() {
-  for (;;) {
-    Socket s = listener_->accept();
-    if (!s.valid()) return;  // listener closed
-    if (stopping_.load(std::memory_order_acquire)) return;
-    auto conn = std::make_unique<Conn>();
-    conn->sock = std::move(s);
-    Conn* raw = conn.get();
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.push_back(std::move(conn));
-    conns_.back()->th = std::thread([this, raw] { serve(raw); });
-  }
-}
-
-void DeviceServer::serve(Conn* conn) {
+void DeviceServer::serve(Socket& sock) {
   active_conns_.fetch_add(1, std::memory_order_relaxed);
   try {
     for (;;) {
-      Frame req = read_frame(conn->sock, no_deadline());
+      Frame req = read_frame(sock, no_deadline());
       ReplyTelemetry tele;
       tele.recv_ts_us = now_us();
       c_requests_.add();
@@ -119,7 +103,7 @@ void DeviceServer::serve(Conn* conn) {
       tele.send_ts_us = now_us();
       reply.aux = encode_telemetry(tele);
       c_bytes_out_.add(wire_size(reply));
-      write_frame(conn->sock, reply, no_deadline());
+      write_frame(sock, reply, no_deadline());
       if (reply.type == FrameType::kProcessOk) {
         // The batch payload came out of the wire pool (handle()'s kProcess
         // case); recycle its storage now that the bytes are on the socket.
@@ -279,40 +263,11 @@ void DeviceServer::collect_histograms(
   out.push_back(obs::HistogramSample::from("server.exec_us", exec_hist_));
 }
 
-void DeviceServer::drop_all_connections() {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (auto& c : conns_) c->sock.shutdown_both();
-}
-
 void DeviceServer::abrupt_stop() {
   crashed_.store(true, std::memory_order_release);
-  stopping_.store(true, std::memory_order_release);
-  if (listener_) listener_->close();
-  drop_all_connections();
+  acceptor_.abort();
 }
 
-void DeviceServer::stop() {
-  stopping_.store(true, std::memory_order_release);
-  if (listener_) listener_->close();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  drop_all_connections();
-  // No new connections can appear now (accept thread joined), so the list
-  // is stable without the lock — but hold it anyway for clarity.
-  std::vector<std::unique_ptr<Conn>> conns;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns.swap(conns_);
-  }
-  for (auto& c : conns) {
-    if (c->th.joinable()) {
-      // A serve thread that called abrupt_stop() is in this list; joining
-      // it from itself would deadlock — but abrupt_stop() returns out of
-      // serve() immediately, so by the time stop() runs on another thread
-      // the serve thread is exiting. Self-join cannot happen because
-      // stop() is never called from a serve thread.
-      c->th.join();
-    }
-  }
-}
+void DeviceServer::stop() { acceptor_.stop(); }
 
 }  // namespace lm::net

@@ -1,13 +1,13 @@
 // DeviceServer: hosts a compiled program's device artifacts over TCP.
 //
 // The server side of the remote-device transport (DESIGN.md §9). It owns a
-// listener plus one thread per connection; each connection is served
-// sequentially in request order (responses echo the request id, so a
-// pipelining client can stuff many kProcess frames down one connection and
-// read the replies back in sequence). Artifacts live in the program's
-// store; a per-artifact mutex serializes concurrent batches from different
-// connections because device simulators (the RTL filter in particular) are
-// stateful across process() calls.
+// listener plus one thread per connection (net/acceptor.h); each
+// connection is served sequentially in request order (responses echo the
+// request id, so a pipelining client can stuff many kProcess frames down
+// one connection and read the replies back in sequence). Artifacts live in
+// the program's store; a per-artifact mutex serializes concurrent batches
+// from different connections because device simulators (the RTL filter in
+// particular) are stateful across process() calls.
 #pragma once
 
 #include <atomic>
@@ -16,10 +16,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "net/acceptor.h"
 #include "net/frame.h"
 #include "net/protocol.h"
 #include "obs/histogram.h"
@@ -96,19 +96,12 @@ class DeviceServer {
   void collect_histograms(std::vector<obs::HistogramSample>& out) const;
 
  private:
-  struct Conn {
-    Socket sock;
-    std::thread th;
-  };
-
-  void accept_loop();
-  void serve(Conn* conn);
+  void serve(Socket& sock);
   /// Builds the reply to one request frame (never throws; artifact
   /// failures become kError frames). Fills `tele` with server-side spans
   /// for traced kProcess requests; serve() adds the receive/send
   /// timestamps and piggybacks the block on the reply.
   Frame handle(const Frame& req, ReplyTelemetry& tele);
-  void drop_all_connections();
   /// Microseconds since this server was constructed — the "server clock"
   /// every ReplyTelemetry timestamp is expressed in.
   double now_us() const {
@@ -129,14 +122,9 @@ class DeviceServer {
   /// One lock per served artifact (see file comment).
   std::unordered_map<runtime::Artifact*, std::unique_ptr<std::mutex>> locks_;
 
-  std::unique_ptr<Listener> listener_;
-  std::thread accept_thread_;
   uint16_t port_ = 0;
   std::string endpoint_;
 
-  std::mutex conns_mu_;
-  std::vector<std::unique_ptr<Conn>> conns_;
-  std::atomic<bool> stopping_{false};
   std::atomic<bool> crashed_{false};
   std::atomic<uint64_t> served_{0};
   std::atomic<int64_t> active_conns_{0};
@@ -154,6 +142,8 @@ class DeviceServer {
   obs::MetricsRegistry::Counter& c_artifact_fetches_ =
       metrics_.counter("server.artifact_fetches");
   obs::LatencyHistogram exec_hist_;
+  /// Last, so it stops (and joins every serve thread) first.
+  Acceptor acceptor_{[this](Socket& sock) { serve(sock); }};
 };
 
 }  // namespace lm::net

@@ -36,37 +36,11 @@ TelemetryServer::TelemetryServer(const obs::TelemetryHub& hub, Options opts)
 TelemetryServer::~TelemetryServer() { stop(); }
 
 void TelemetryServer::start() {
-  listener_ = std::make_unique<Listener>(opts_.port);
-  port_ = listener_->port();
+  port_ = acceptor_.start(opts_.port);
   endpoint_ = "127.0.0.1:" + std::to_string(port_);
-  accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
-void TelemetryServer::accept_loop() {
-  for (;;) {
-    Socket s = listener_->accept();
-    if (!s.valid()) return;  // listener closed
-    if (stopping_.load(std::memory_order_acquire)) return;
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    // Reap finished connections first: a 10 Hz scraper over a long soak
-    // would otherwise accumulate one dead thread per request.
-    for (auto it = conns_.begin(); it != conns_.end();) {
-      if ((*it)->done.load(std::memory_order_acquire)) {
-        if ((*it)->th.joinable()) (*it)->th.join();
-        it = conns_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    auto conn = std::make_unique<Conn>();
-    conn->sock = std::move(s);
-    Conn* raw = conn.get();
-    conns_.push_back(std::move(conn));
-    conns_.back()->th = std::thread([this, raw] { serve(raw); });
-  }
-}
-
-void TelemetryServer::serve(Conn* conn) {
+void TelemetryServer::serve(Socket& sock) {
   Deadline dl = deadline_in_ms(opts_.request_timeout_ms);
   try {
     // Read until the end of the request head (blank line) or the cap; the
@@ -76,7 +50,7 @@ void TelemetryServer::serve(Conn* conn) {
     while (head.size() < kMaxRequestBytes &&
            head.find("\r\n\r\n") == std::string::npos &&
            head.find("\n\n") == std::string::npos) {
-      size_t n = conn->sock.recv_some(buf, dl);
+      size_t n = sock.recv_some(buf, dl);
       if (n == 0) break;  // peer closed early
       head.append(reinterpret_cast<const char*>(buf), n);
     }
@@ -94,7 +68,7 @@ void TelemetryServer::serve(Conn* conn) {
     release_scratch(std::move(body));
     requests_.fetch_add(1, std::memory_order_relaxed);
     try {
-      conn->sock.send_all({response.data(), response.size()}, dl);
+      sock.send_all({response.data(), response.size()}, dl);
     } catch (const TransportError&) {
       serde::wire_pool().release(std::move(response));
       throw;
@@ -103,12 +77,7 @@ void TelemetryServer::serve(Conn* conn) {
   } catch (const TransportError&) {
     // Scraper went away or wedged past the deadline: drop the connection.
   }
-  // Connection: close — the peer reads until EOF, so end the stream here.
-  // The fd itself is released when the Conn is destroyed (reap or stop(),
-  // both after joining this thread): shutdown only reads the fd, so it
-  // cannot race with stop() waking a wedged connection the same way.
-  conn->sock.shutdown_both();
-  conn->done.store(true, std::memory_order_release);
+  // Connection: close — the acceptor ends the stream when this returns.
 }
 
 TelemetryServer::Route TelemetryServer::respond(
@@ -166,20 +135,7 @@ void TelemetryServer::release_scratch(std::string&& s) {
   scratch_.push_back(std::move(s));
 }
 
-void TelemetryServer::stop() {
-  stopping_.store(true, std::memory_order_release);
-  if (listener_) listener_->close();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::unique_ptr<Conn>> conns;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns.swap(conns_);
-  }
-  for (auto& c : conns) {
-    c->sock.shutdown_both();
-    if (c->th.joinable()) c->th.join();
-  }
-}
+void TelemetryServer::stop() { acceptor_.stop(); }
 
 int http_get(const std::string& host, uint16_t port, const std::string& path,
              std::string* body, int timeout_ms) {

@@ -17,13 +17,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "net/socket.h"
+#include "net/acceptor.h"
 #include "obs/telemetry.h"
 
 namespace lm::net {
@@ -60,17 +58,7 @@ class TelemetryServer {
   }
 
  private:
-  struct Conn {
-    Socket sock;
-    std::thread th;
-    /// Set by the serve thread when it is finished with `sock`; the accept
-    /// loop only joins/destroys (and thereby closes) conns that flagged
-    /// done — it must never probe `sock` while serve still owns it.
-    std::atomic<bool> done{false};
-  };
-
-  void accept_loop();
-  void serve(Conn* conn);
+  void serve(Socket& sock);
   /// Routes one request: fills `body` (cleared first) and returns the
   /// status line ingredients. `body` is a recycled scratch string so the
   /// steady-state scrape path reuses capacity instead of allocating.
@@ -85,19 +73,16 @@ class TelemetryServer {
 
   const obs::TelemetryHub& hub_;
   Options opts_;
-  std::unique_ptr<Listener> listener_;
-  std::thread accept_thread_;
   uint16_t port_ = 0;
   std::string endpoint_;
-  std::mutex conns_mu_;
-  std::vector<std::unique_ptr<Conn>> conns_;
-  std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> requests_{0};
   /// Retired body-scratch strings; capped. Response framing itself goes
   /// through serde::wire_pool(), so a warm scraper holds both counters
   /// flat (telemetry_test pins this).
   std::mutex scratch_mu_;
   std::vector<std::string> scratch_;
+  /// Last, so it stops (and joins every serve thread) first.
+  Acceptor acceptor_{[this](Socket& sock) { serve(sock); }};
 };
 
 /// Minimal HTTP/1.0 GET for lmtop, the tests and the benches — the repo

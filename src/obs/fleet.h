@@ -64,14 +64,13 @@ struct ParsedScrape {
 inline constexpr size_t kMaxExpositionLineBytes = 64 * 1024;
 inline constexpr size_t kMaxExpositionSamples = 1u << 16;
 
-/// Parses Prometheus text exposition (the subset validate_prometheus_text
-/// accepts, minus the trailing-newline requirement being the only check —
-/// this one builds values). Returns false and sets *error on the first
-/// problem: malformed grammar, non-finite sample value (our exporters
-/// never emit NaN/Inf; from a scrape they mean corruption), duplicate
-/// series, oversized line, sample without a preceding TYPE, or a body that
-/// does not end in '\n' (truncated mid-transfer). On failure *out is left
-/// empty — never partially filled.
+/// Parses Prometheus text exposition: the repo's one reader of it, which
+/// validate_prometheus_text and lmtop call too. Returns false and sets
+/// *error on the first problem: malformed grammar, non-finite sample value
+/// (our exporters never emit NaN/Inf; from a scrape they mean corruption),
+/// duplicate series, oversized line, sample without a preceding TYPE, or a
+/// body that does not end in '\n' (truncated mid-transfer). On failure
+/// *out is left empty — never partially filled; `out` may be null.
 bool parse_exposition(std::string_view body, ParsedScrape* out,
                       std::string* error);
 

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "obs/fleet.h"
 #include "obs/histogram.h"
 #include "obs/trace.h"
 
@@ -317,182 +316,8 @@ std::string TelemetryHub::health_json(bool* healthy) const {
 // Prometheus text validation
 // ---------------------------------------------------------------------------
 
-namespace {
-
-struct LineParser {
-  const std::string& s;
-  size_t i = 0;
-  explicit LineParser(const std::string& line) : s(line) {}
-  bool done() const { return i >= s.size(); }
-  char peek() const { return i < s.size() ? s[i] : '\0'; }
-  void skip_ws() {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) ++i;
-  }
-  bool parse_name(std::string* out, bool label) {
-    size_t start = i;
-    if (done()) return false;
-    if (label ? !label_name_start_char(s[i]) : !name_start_char(s[i])) {
-      return false;
-    }
-    ++i;
-    while (i < s.size() && (label ? label_name_char(s[i]) : name_char(s[i]))) {
-      ++i;
-    }
-    *out = s.substr(start, i - start);
-    return true;
-  }
-};
-
-bool parse_sample_value(const std::string& tok) {
-  if (tok.empty()) return false;
-  if (tok == "+Inf" || tok == "-Inf" || tok == "NaN") return true;
-  char* end = nullptr;
-  std::strtod(tok.c_str(), &end);
-  return end && *end == '\0';
-}
-
-}  // namespace
-
 bool validate_prometheus_text(const std::string& body, std::string* error) {
-  auto fail = [&](size_t lineno, const std::string& why) {
-    if (error) *error = "line " + std::to_string(lineno) + ": " + why;
-    return false;
-  };
-
-  if (!body.empty() && body.back() != '\n') {
-    return fail(0, "exposition must end with a newline");
-  }
-
-  std::map<std::string, std::string> typed;  // family -> type
-  size_t lineno = 0;
-  size_t pos = 0;
-  while (pos < body.size()) {
-    size_t nl = body.find('\n', pos);
-    std::string line = body.substr(pos, nl - pos);
-    pos = nl + 1;
-    ++lineno;
-    if (line.empty()) continue;
-
-    if (line[0] == '#') {
-      LineParser p(line);
-      ++p.i;  // '#'
-      p.skip_ws();
-      std::string kw;
-      while (!p.done() && p.peek() != ' ' && p.peek() != '\t') {
-        kw += p.s[p.i++];
-      }
-      if (kw != "TYPE" && kw != "HELP") continue;  // free-form comment
-      p.skip_ws();
-      std::string family;
-      if (!p.parse_name(&family, /*label=*/false)) {
-        return fail(lineno, "bad metric name in # " + kw);
-      }
-      if (kw == "TYPE") {
-        p.skip_ws();
-        std::string type;
-        while (!p.done() && p.peek() != ' ' && p.peek() != '\t') {
-          type += p.s[p.i++];
-        }
-        if (type != "counter" && type != "gauge" && type != "histogram" &&
-            type != "summary" && type != "untyped") {
-          return fail(lineno, "unknown TYPE '" + type + "'");
-        }
-        if (typed.count(family)) {
-          return fail(lineno, "duplicate TYPE for family " + family);
-        }
-        typed[family] = type;
-      }
-      continue;
-    }
-
-    // Sample line: name [{labels}] value [timestamp]
-    LineParser p(line);
-    std::string name;
-    if (!p.parse_name(&name, /*label=*/false)) {
-      return fail(lineno, "bad metric name");
-    }
-    if (p.peek() == '{') {
-      ++p.i;
-      bool first = true;
-      while (true) {
-        p.skip_ws();
-        if (p.peek() == '}') {
-          ++p.i;
-          break;
-        }
-        if (!first) {
-          return fail(lineno, "expected ',' or '}' in label set");
-        }
-        while (true) {
-          std::string lname;
-          if (!p.parse_name(&lname, /*label=*/true)) {
-            return fail(lineno, "bad label name");
-          }
-          if (p.peek() != '=') return fail(lineno, "expected '=' after label");
-          ++p.i;
-          if (p.peek() != '"') return fail(lineno, "label value not quoted");
-          ++p.i;
-          bool closed = false;
-          while (!p.done()) {
-            char c = p.s[p.i++];
-            if (c == '\\') {
-              if (p.done()) return fail(lineno, "dangling escape");
-              ++p.i;
-            } else if (c == '"') {
-              closed = true;
-              break;
-            }
-          }
-          if (!closed) return fail(lineno, "unterminated label value");
-          if (p.peek() == ',') {
-            ++p.i;
-            continue;
-          }
-          break;
-        }
-        first = false;
-      }
-    }
-    p.skip_ws();
-    std::string value_tok;
-    while (!p.done() && p.peek() != ' ' && p.peek() != '\t') {
-      value_tok += p.s[p.i++];
-    }
-    if (!parse_sample_value(value_tok)) {
-      return fail(lineno, "bad sample value '" + value_tok + "'");
-    }
-    p.skip_ws();
-    if (!p.done()) {
-      // Optional timestamp: integer milliseconds.
-      std::string ts;
-      while (!p.done() && p.peek() != ' ' && p.peek() != '\t') {
-        ts += p.s[p.i++];
-      }
-      char* end = nullptr;
-      std::strtoll(ts.c_str(), &end, 10);
-      if (!end || *end != '\0' || ts.empty()) {
-        return fail(lineno, "bad timestamp '" + ts + "'");
-      }
-      p.skip_ws();
-      if (!p.done()) return fail(lineno, "trailing garbage after timestamp");
-    }
-
-    // Our contract: every sample belongs to a family announced by TYPE.
-    std::string family = name;
-    for (const char* suffix : {"_bucket", "_sum", "_count"}) {
-      if (!typed.count(family) && name.size() > std::strlen(suffix) &&
-          name.compare(name.size() - std::strlen(suffix), std::string::npos,
-                       suffix) == 0) {
-        std::string stripped =
-            name.substr(0, name.size() - std::strlen(suffix));
-        if (typed.count(stripped)) family = stripped;
-      }
-    }
-    if (!typed.count(family)) {
-      return fail(lineno, "sample '" + name + "' has no preceding # TYPE");
-    }
-  }
-  return true;
+  return parse_exposition(body, nullptr, error);
 }
 
 // ---------------------------------------------------------------------------

@@ -94,7 +94,8 @@ std::string prometheus_label_escape(const std::string& v);
 /// Validates the subset of the Prometheus text format we emit (and that
 /// any conforming scraper must accept): `# HELP`/`# TYPE` comments, then
 /// `name{labels} value` samples with legal names and finite decimal
-/// values, every sample preceded by a TYPE for its family. Returns false
+/// values, every sample preceded by a TYPE for its family. It is
+/// parse_exposition (obs/fleet.h) without the parsed result. Returns false
 /// and sets *error to "line N: why" on the first malformed line. Used by
 /// the tests AND `lmtop --check`, which is what tools/check.sh points at
 /// the live endpoints at 10 Hz.

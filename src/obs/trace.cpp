@@ -175,16 +175,44 @@ double TraceRecorder::now_us() const {
       .count();
 }
 
+/// The flight recorder outlives every thread, so a thread hands its row
+/// back when it exits, and a process that keeps starting short-lived
+/// threads holds a bounded number of rows. Any other recorder may be gone
+/// by then, so its rows are left alone.
+struct TraceRecorder::FlightRow {
+  Buffer* row = nullptr;
+
+  ~FlightRow() {
+    if (!row) return;
+    {
+      std::lock_guard<std::mutex> bl(row->mu);
+      row->label.clear();
+    }
+    TraceRecorder& fr = flight();
+    std::lock_guard<std::mutex> lock(fr.mu_);
+    fr.free_rows_.push_back(row);
+  }
+};
+
+thread_local TraceRecorder::FlightRow TraceRecorder::t_flight_row_;
+
 TraceRecorder::Buffer& TraceRecorder::local_buffer() {
   for (const TlsEntry& e : t_buffers) {
     if (e.recorder_id == id_) return *static_cast<Buffer*>(e.buffer);
   }
   std::lock_guard<std::mutex> lock(mu_);
-  auto buf = std::make_unique<Buffer>();
-  buf->tid = static_cast<uint32_t>(buffers_.size() + 1);
-  Buffer* raw = buf.get();
-  buffers_.push_back(std::move(buf));
+  Buffer* raw;
+  if (!free_rows_.empty()) {
+    raw = free_rows_.back();
+    free_rows_.pop_back();
+  } else {
+    auto buf = std::make_unique<Buffer>();
+    buf->tid = static_cast<uint32_t>(buffers_.size() + 1);
+    raw = buf.get();
+    buffers_.push_back(std::move(buf));
+  }
   t_buffers.push_back({id_, raw});
+  if (this == &flight()) t_flight_row_.row = raw;
   return *raw;
 }
 

@@ -183,6 +183,11 @@ class TraceRecorder {
     size_t next = 0;
   };
 
+  /// The calling thread's flight-recorder row, handed back to free_rows_
+  /// when the thread exits (trace.cpp).
+  struct FlightRow;
+  static thread_local FlightRow t_flight_row_;
+
   Buffer& local_buffer();
   void append_to(Buffer& b, TraceEvent e);
 
@@ -196,6 +201,9 @@ class TraceRecorder {
   mutable std::mutex mu_;  // guards buffers_ vector growth + lane lookup
   std::vector<std::unique_ptr<Buffer>> buffers_;  // buffers_[tid - 1]
   std::vector<Buffer*> lanes_;  // subset of buffers_ with a label
+  /// Rows of exited threads, each taken by the next thread that records
+  /// (the flight recorder's only: see FlightRow).
+  std::vector<Buffer*> free_rows_;
 };
 
 /// Records one always-on fact — a placement decision, a device drain, an

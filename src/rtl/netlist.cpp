@@ -19,6 +19,25 @@ bool is_comparison(HBinOp op) {
 
 }  // namespace
 
+HExpr::~HExpr() {
+  std::vector<HExprPtr> owned;
+  auto detach = [&owned](HExprPtr& p) {
+    if (p && p.use_count() == 1) owned.push_back(std::move(p));
+  };
+  detach(a);
+  detach(b);
+  detach(c);
+  while (!owned.empty()) {
+    HExprPtr n = std::move(owned.back());
+    owned.pop_back();
+    // The last owner may take the operands of the node it frees.
+    auto& node = const_cast<HExpr&>(*n);
+    detach(node.a);
+    detach(node.b);
+    detach(node.c);
+  }
+}
+
 HExprPtr h_const(int width, uint64_t value) {
   auto e = std::make_shared<HExpr>();
   e->kind = HKind::kConst;

@@ -50,6 +50,10 @@ struct HExpr {
   HBinOp bin_op = HBinOp::kAdd;
   HExprPtr a, b, c;     // operands (c = mux else-branch)
 
+  /// Frees the operands this node alone owns without recursing: unrolled
+  /// datapaths nest deeper than the stack.
+  ~HExpr();
+
   bool is_const() const { return kind == HKind::kConst; }
 };
 

@@ -171,6 +171,20 @@ GpuKernelArtifact::GpuKernelArtifact(ArtifactManifest manifest,
                        " parameters, its task " +
                        std::to_string(manifest_.param_types.size()));
   }
+  // The executor and FPGA synthesis read registers by these types, and
+  // marshaling converts by the task's.
+  for (size_t i = 0; i < program_->params.size(); ++i) {
+    const lime::TypeRef& t = manifest_.param_types[i];
+    if (program_->params[i].type !=
+        bc::num_type_for(t->is_array_like() ? t->elem : t)) {
+      throw RuntimeError("kernel " + program_->task_id + " parameter " +
+                         std::to_string(i) + " disagrees with its task's type");
+    }
+  }
+  if (program_->ret_type != bc::num_type_for(manifest_.return_type)) {
+    throw RuntimeError("kernel " + program_->task_id +
+                       " returns another type than its task");
+  }
 }
 
 std::vector<Value> GpuKernelArtifact::process(

@@ -157,8 +157,8 @@ class BytecodeArtifact final : public Artifact {
 class GpuKernelArtifact final : public Artifact {
  public:
   /// Lowers `program` once, for all its launches (gpu/lowered.h). Throws
-  /// RuntimeError when the program is malformed or takes a different
-  /// number of parameters than the manifest's task.
+  /// RuntimeError when the program is malformed, or when its parameters or
+  /// return type differ in number or type from the manifest's task.
   GpuKernelArtifact(ArtifactManifest manifest,
                     std::unique_ptr<gpu::KernelProgram> program,
                     std::shared_ptr<gpu::GpuDevice> device);

@@ -1,6 +1,7 @@
 #include "runtime/liquid_compiler.h"
 
 #include <cstdlib>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "analysis/analysis.h"
@@ -155,15 +156,37 @@ class MapMethodCollector {
   std::unordered_set<const lime::MethodDecl*> seen_;
 };
 
-ArtifactManifest manifest_for(const lime::MethodDecl& m, DeviceKind device) {
+/// One relocated filter, fused relocated segment, or map/reduce method:
+/// the unit each device backend compiles.
+struct Region {
+  std::string id;  // the task id, or the segment id of a fused chain
+  std::vector<const lime::MethodDecl*> chain;
+  std::vector<std::string> members;  // the chain's task ids
+};
+
+ArtifactManifest manifest_for(const Region& r, DeviceKind device) {
   ArtifactManifest mf;
-  mf.task_id = m.qualified_name();
+  mf.task_id = r.id;
   mf.device = device;
-  for (const auto& p : m.params) mf.param_types.push_back(p.type);
-  mf.return_type = m.return_type;
-  mf.arity = static_cast<int>(m.params.size());
+  for (const auto& p : r.chain.front()->params) {
+    mf.param_types.push_back(p.type);
+  }
+  mf.return_type = r.chain.back()->return_type;
+  mf.arity = static_cast<int>(r.chain.front()->params.size());
   return mf;
 }
+
+/// One backend's outcome on one region.
+struct Built {
+  std::unique_ptr<Artifact> artifact;  // null when the backend declined
+  bool cached = false;
+  bool dropped = false;  // failed LM_VERIFY_IR verification
+  std::string reason;    // why there is no artifact
+  SourceLoc loc;
+  /// The GPU's: the kernel IR its artifact validated, which FPGA synthesis
+  /// reads after the artifact moved to the store. Null: no IR.
+  const gpu::KernelProgram* program = nullptr;
+};
 
 }  // namespace
 
@@ -277,7 +300,7 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
     int idx = cp->bytecode->index_of(id);
     LM_CHECK_MSG(idx >= 0, "no bytecode for " << id);
     cp->store.add(std::make_unique<BytecodeArtifact>(
-        manifest_for(*m, DeviceKind::kCpu), *cp->bytecode, idx));
+        manifest_for({id, {m}, {id}}, DeviceKind::kCpu), *cp->bytecode, idx));
     // Per-task CPU artifacts wrap the module; when the module itself came
     // from cache, no compilation happened here either.
     cp->backend_log.push_back("cpu: compiled " + id +
@@ -295,284 +318,186 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
   auto map_methods = collector.collect(*cp->ast);
   for (const auto* m : map_methods) add_bytecode_artifact(m);
 
-  // 4. GPU backend (§3: autonomous, may decline per task).
-  if (options.enable_gpu) {
-    std::unordered_set<std::string> gpu_done;
-    // Compile flags that change the emitted kernel participate in the key.
-    const std::string gpu_flags = verify_ir ? "verify" : "";
-    auto wire_native = [&](const std::string& id) {
-      if (!options.use_native_kernels) return;
-      if (const auto* fn = gpu::NativeKernelRegistry::global().find(id)) {
-        cp->gpu_device->registry().add(id, *fn);
+  // 4. Device backends (§3: each autonomous, each may decline per task).
+  //    A region is one relocated filter or one fused relocated segment (so
+  //    "prefer larger" applies on every device); map/reduce methods are
+  //    GPU-only regions. Each region is lowered to kernel IR once: the GPU
+  //    runs that IR, and the FPGA synthesizes its module from it.
+  std::vector<Region> regions;
+  std::unordered_set<std::string> region_ids;
+  auto add_region = [&](std::vector<const lime::MethodDecl*> chain) {
+    Region r;
+    for (const auto* m : chain) r.members.push_back(m->qualified_name());
+    r.id = chain.size() == 1 ? r.members[0]
+                             : ArtifactStore::segment_id(r.members);
+    r.chain = std::move(chain);
+    if (region_ids.insert(r.id).second) regions.push_back(std::move(r));
+  };
+  for (const auto* m : cp->graphs.relocated_filter_methods()) add_region({m});
+  for (const auto& g : cp->graphs.graphs) {
+    for (const auto& [first, last] : g.relocated_segments()) {
+      std::vector<const lime::MethodDecl*> chain;
+      bool demoted = false;
+      for (int i = first; i <= last; ++i) {
+        const ir::TaskNodeInfo& n = g.nodes[static_cast<size_t>(i)];
+        chain.push_back(n.method);
+        demoted |= cp->demoted_tasks.count(n.task_id) > 0;
       }
-    };
-    // Key of one task's (or chain's) kernel, or nullopt when uncacheable.
-    auto gpu_key = [&](const std::vector<std::string>& roots,
-                      const std::string& task_id) -> std::optional<uint64_t> {
-      if (!keyed) return std::nullopt;
-      ByteWriter cb;
-      if (!cache::canonical_chain_bytes(*cp->bytecode, roots, cb)) {
-        return std::nullopt;
-      }
-      uint64_t key = cache::artifact_key(cb.bytes(), cache::kBackendGpu,
-                                         gpu_flags);
-      cp->artifact_keys["gpu:" + task_id] = key;
-      return key;
-    };
-    // A cached or served kernel is outside input (DESIGN.md §14): building
-    // its artifact lowers it, which checks every index the executor trusts,
-    // and a payload that fails any check is a miss.
-    auto fetch_gpu = [&](std::optional<uint64_t> key,
-                         const ArtifactManifest& mf)
-        -> std::unique_ptr<GpuKernelArtifact> {
-      std::unique_ptr<GpuKernelArtifact> art;
-      if (key) {
-        try_fetch(*key, cache::kBackendGpu, mf.task_id,
-                  [&](const std::vector<uint8_t>& p) {
-                    art = std::make_unique<GpuKernelArtifact>(
-                        mf, cache::decode_kernel_program(p), cp->gpu_device);
-                  });
-      }
-      return art;
-    };
-    auto store_gpu = [&](std::optional<uint64_t> key,
-                         const gpu::KernelProgram& prog) {
-      if (key && ac && ac->writable()) {
-        ac->store(*key, cache::kBackendGpu, cache::encode_kernel_program(prog));
-      }
-    };
-    auto add_gpu_kernel = [&](const lime::MethodDecl* m) {
-      if (!m) return;
-      std::string id = m->qualified_name();
-      if (!gpu_done.insert(id).second) return;
-      if (cp->demoted_tasks.count(id)) {
-        cp->backend_log.push_back("gpu: demoted " + id +
-                                  " — effect verifier (LM110)");
-        cp->suitability.push_back({"LM403", DeviceKind::kGpu, id, m->loc,
-                                   "demoted by the effect verifier"});
-        return;
-      }
-      std::optional<uint64_t> key = gpu_key({id}, id);
-      ArtifactManifest mf = manifest_for(*m, DeviceKind::kGpu);
-      std::unique_ptr<GpuKernelArtifact> art = fetch_gpu(key, mf);
-      const bool from_cache = art != nullptr;
-      if (!art) {
-        auto r = gpu::compile_kernel(*m);
-        if (!r.ok()) {
-          cp->backend_log.push_back("gpu: excluded " + id + " — " +
-                                    r.exclusion_reason);
-          cp->suitability.push_back({"LM401", DeviceKind::kGpu, id,
-                                     r.exclusion_loc, r.exclusion_reason});
-          return;
-        }
-        if (verify_ir &&
-            analysis::verify_kernel(*r.program, cp->diags) > 0) {
-          cp->backend_log.push_back("gpu: dropped " + id +
-                                    " — kernel IR verification failed");
-          return;
-        }
-        store_gpu(key, *r.program);
-        art = std::make_unique<GpuKernelArtifact>(
-            std::move(mf), std::move(r.program), cp->gpu_device);
-      }
-      wire_native(id);
-      cp->store.add(std::move(art));
-      cp->backend_log.push_back(from_cache ? "gpu: compiled " + id + " (cached)"
-                                           : "gpu: compiled " + id);
-    };
-
-    // Per-filter kernels and fused segment kernels for relocated regions.
-    for (const auto& g : cp->graphs.graphs) {
-      for (const auto& [first, last] : g.relocated_segments()) {
-        std::vector<const lime::MethodDecl*> chain;
-        std::vector<std::string> ids;
-        for (int i = first; i <= last; ++i) {
-          chain.push_back(g.nodes[static_cast<size_t>(i)].method);
-          ids.push_back(g.nodes[static_cast<size_t>(i)].task_id);
-          add_gpu_kernel(g.nodes[static_cast<size_t>(i)].method);
-        }
-        bool seg_demoted = false;
-        for (const auto& id : ids) seg_demoted |= cp->demoted_tasks.count(id) > 0;
-        if (chain.size() > 1 && !seg_demoted) {
-          std::string seg_id = ArtifactStore::segment_id(ids);
-          if (gpu_done.insert(seg_id).second) {
-            std::vector<std::string> roots;
-            for (const auto* cm : chain) roots.push_back(cm->qualified_name());
-            std::optional<uint64_t> key = gpu_key(roots, seg_id);
-            ArtifactManifest mf;
-            mf.task_id = seg_id;
-            mf.device = DeviceKind::kGpu;
-            for (const auto& p : chain.front()->params) {
-              mf.param_types.push_back(p.type);
-            }
-            mf.return_type = chain.back()->return_type;
-            mf.arity = static_cast<int>(chain.front()->params.size());
-            std::unique_ptr<GpuKernelArtifact> art = fetch_gpu(key, mf);
-            const bool from_cache = art != nullptr;
-            if (!art) {
-              auto r = gpu::compile_segment_kernel(chain);
-              if (r.ok() && verify_ir &&
-                  analysis::verify_kernel(*r.program, cp->diags) > 0) {
-                cp->backend_log.push_back("gpu: dropped segment " + seg_id +
-                                          " — kernel IR verification failed");
-                continue;
-              }
-              if (!r.ok()) {
-                cp->backend_log.push_back("gpu: excluded segment " + seg_id +
-                                          " — " + r.exclusion_reason);
-                cp->suitability.push_back({"LM401", DeviceKind::kGpu, seg_id,
-                                           r.exclusion_loc,
-                                           r.exclusion_reason});
-                continue;
-              }
-              store_gpu(key, *r.program);
-              art = std::make_unique<GpuKernelArtifact>(
-                  std::move(mf), std::move(r.program), cp->gpu_device);
-            }
-            wire_native(seg_id);
-            cp->store.add(std::move(art));
-            cp->backend_log.push_back(
-                from_cache ? "gpu: compiled fused segment " + seg_id +
-                                 " (cached)"
-                           : "gpu: compiled fused segment " + seg_id);
-          }
-        }
-      }
+      if (chain.size() > 1 && !demoted) add_region(std::move(chain));
     }
-    // Map/reduce kernels.
-    for (const auto* m : map_methods) add_gpu_kernel(m);
   }
+  const size_t relocated_regions = regions.size();
+  for (const auto* m : map_methods) add_region({m});
 
-  // 5. FPGA backend: one module per relocated filter, plus a fused module
-  //    per relocated segment (so "prefer larger" applies on this device
-  //    too).
-  if (options.enable_fpga) {
-    std::unordered_set<std::string> fpga_done;
-    fpga::FpgaSynthOptions synth_opts;
-    synth_opts.pipelined = options.fpga_pipelined;
-    // Synthesis options change the emitted module, so they key the entry.
-    const std::string fpga_flags =
-        std::string("pipelined=") + (synth_opts.pipelined ? "1" : "0") +
-        ",max_unroll=" + std::to_string(synth_opts.max_unroll) +
-        (verify_ir ? ",verify" : "");
-    auto fpga_key = [&](const std::vector<std::string>& roots,
-                        const std::string& task_id)
-        -> std::optional<uint64_t> {
-      if (!keyed) return std::nullopt;
-      ByteWriter cb;
-      if (!cache::canonical_chain_bytes(*cp->bytecode, roots, cb)) {
-        return std::nullopt;
-      }
-      uint64_t key = cache::artifact_key(cb.bytes(), cache::kBackendFpga,
-                                         fpga_flags);
-      cp->artifact_keys["fpga:" + task_id] = key;
-      return key;
-    };
-    auto fetch_fpga = [&](std::optional<uint64_t> key, const std::string& id)
-        -> std::optional<fpga::FpgaCompileResult> {
-      std::optional<fpga::FpgaCompileResult> res;
-      if (key) {
-        try_fetch(*key, cache::kBackendFpga, id,
-                  [&](const std::vector<uint8_t>& p) {
-                    res = cache::decode_fpga_result(p);
-                  });
-      }
-      return res;
-    };
-    auto store_fpga = [&](std::optional<uint64_t> key,
-                          const fpga::FpgaCompileResult& r) {
-      if (key && ac && ac->writable()) {
-        ac->store(*key, cache::kBackendFpga, cache::encode_fpga_result(r));
-      }
-    };
-    for (const auto* m : cp->graphs.relocated_filter_methods()) {
-      std::string id = m->qualified_name();
-      if (!fpga_done.insert(id).second) continue;
-      if (cp->demoted_tasks.count(id)) {
-        cp->backend_log.push_back("fpga: demoted " + id +
-                                  " — effect verifier (LM110)");
-        cp->suitability.push_back({"LM403", DeviceKind::kFpga, id, m->loc,
-                                   "demoted by the effect verifier"});
-        continue;
-      }
-      std::optional<uint64_t> key = fpga_key({id}, id);
-      std::optional<fpga::FpgaCompileResult> res = fetch_fpga(key, id);
-      const bool from_cache = res.has_value();
-      if (!res) {
-        auto r = fpga::synthesize_filter(*m, synth_opts);
-        if (!r.ok()) {
-          cp->backend_log.push_back("fpga: excluded " + id + " — " +
-                                    r.exclusion_reason);
-          cp->suitability.push_back({"LM402", DeviceKind::kFpga, id,
-                                     r.exclusion_loc, r.exclusion_reason});
-          continue;
-        }
-        if (verify_ir && analysis::verify_module(*r.module, cp->diags) > 0) {
-          cp->backend_log.push_back("fpga: dropped " + id +
-                                    " — RTL verification failed");
-          continue;
-        }
-        store_fpga(key, r);
-        res = std::move(r);
-      }
-      cp->store.add(std::make_unique<FpgaModuleArtifact>(
-          manifest_for(*m, DeviceKind::kFpga), std::move(*res)));
-      cp->backend_log.push_back(from_cache
-                                    ? "fpga: compiled " + id + " (cached)"
-                                    : "fpga: compiled " + id);
+  // Compile flags that change the emitted artifacts participate in keys.
+  const std::string flags = verify_ir ? "verify" : "";
+  // Key of one region's artifact for `backend`, or nullopt when uncacheable.
+  auto region_key = [&](const Region& r, const char* backend,
+                        bool exported) -> std::optional<uint64_t> {
+    if (!keyed) return std::nullopt;
+    ByteWriter cb;
+    if (!cache::canonical_chain_bytes(*cp->bytecode, r.members, cb)) {
+      return std::nullopt;
     }
-    for (const auto& g : cp->graphs.graphs) {
-      for (const auto& [first, last] : g.relocated_segments()) {
-        if (last - first + 1 < 2) continue;
-        std::vector<const lime::MethodDecl*> chain;
-        std::vector<std::string> ids;
-        for (int i = first; i <= last; ++i) {
-          chain.push_back(g.nodes[static_cast<size_t>(i)].method);
-          ids.push_back(g.nodes[static_cast<size_t>(i)].task_id);
-        }
-        std::string seg_id = ArtifactStore::segment_id(ids);
-        if (!fpga_done.insert(seg_id).second) continue;
-        bool seg_demoted = false;
-        for (const auto& id : ids) {
-          seg_demoted |= cp->demoted_tasks.count(id) > 0;
-        }
-        if (seg_demoted) continue;
-        std::vector<std::string> roots;
-        for (const auto* cm : chain) roots.push_back(cm->qualified_name());
-        std::optional<uint64_t> key = fpga_key(roots, seg_id);
-        std::optional<fpga::FpgaCompileResult> res = fetch_fpga(key, seg_id);
-        const bool from_cache = res.has_value();
-        if (!res) {
-          auto r = fpga::synthesize_segment(chain, synth_opts);
-          if (!r.ok()) {
-            cp->backend_log.push_back("fpga: excluded segment " + seg_id +
-                                      " — " + r.exclusion_reason);
-            cp->suitability.push_back({"LM402", DeviceKind::kFpga, seg_id,
-                                       r.exclusion_loc, r.exclusion_reason});
-            continue;
-          }
-          if (verify_ir && analysis::verify_module(*r.module, cp->diags) > 0) {
-            cp->backend_log.push_back("fpga: dropped segment " + seg_id +
-                                      " — RTL verification failed");
-            continue;
-          }
-          store_fpga(key, r);
-          res = std::move(r);
-        }
-        ArtifactManifest mf;
-        mf.task_id = seg_id;
-        mf.device = DeviceKind::kFpga;
-        for (const auto& p : chain.front()->params) {
-          mf.param_types.push_back(p.type);
-        }
-        mf.return_type = chain.back()->return_type;
-        mf.arity = static_cast<int>(chain.front()->params.size());
-        cp->store.add(std::make_unique<FpgaModuleArtifact>(std::move(mf),
-                                                           std::move(*res)));
-        cp->backend_log.push_back(
-            from_cache ? "fpga: compiled fused segment " + seg_id + " (cached)"
-                       : "fpga: compiled fused segment " + seg_id);
+    uint64_t key = cache::artifact_key(cb.bytes(), backend, flags);
+    if (exported) cp->artifact_keys[std::string(backend) + ":" + r.id] = key;
+    return key;
+  };
+
+  // One kernel IR per region, shared by both backends: served by the cache
+  // or the compile service when either has it, compiled otherwise. A served
+  // program is outside input (DESIGN.md §14): building its GPU artifact
+  // lowers it, which checks every index the executor and synthesis trust,
+  // and a payload that fails any check is a miss for both backends. With
+  // the GPU disabled the artifact is built all the same, never published,
+  // and the IR's cache entry is still read and written: it is the FPGA's
+  // input too.
+  std::unordered_map<std::string, Built> irs;
+  auto lower = [&](const Region& r) -> Built& {
+    auto [it, fresh] = irs.try_emplace(r.id);
+    Built& ir = it->second;
+    if (!fresh) return ir;
+    ArtifactManifest mf = manifest_for(r, DeviceKind::kGpu);
+    std::optional<uint64_t> key =
+        region_key(r, cache::kBackendGpu, options.enable_gpu);
+    std::unique_ptr<GpuKernelArtifact> artifact;
+    if (key) {
+      try_fetch(*key, cache::kBackendGpu, r.id,
+                [&](const std::vector<uint8_t>& p) {
+                  artifact = std::make_unique<GpuKernelArtifact>(
+                      mf, cache::decode_kernel_program(p), cp->gpu_device);
+                });
+    }
+    ir.cached = artifact != nullptr;
+    if (!artifact) {
+      auto kr = gpu::compile_segment_kernel(r.chain);
+      if (!kr.ok()) {
+        ir.reason = kr.exclusion_reason;
+        ir.loc = kr.exclusion_loc;
+        return ir;
       }
+      if (verify_ir && analysis::verify_kernel(*kr.program, cp->diags) > 0) {
+        ir.dropped = true;
+        ir.reason = "kernel IR verification failed";
+        return ir;
+      }
+      if (key && ac && ac->writable()) {
+        ac->store(*key, cache::kBackendGpu,
+                  cache::encode_kernel_program(*kr.program));
+      }
+      artifact = std::make_unique<GpuKernelArtifact>(
+          std::move(mf), std::move(kr.program), cp->gpu_device);
+    }
+    ir.program = &artifact->program();
+    ir.artifact = std::move(artifact);
+    return ir;
+  };
+
+  auto build_gpu = [&](const Region& r) -> Built& {
+    Built& ir = lower(r);
+    if (ir.artifact && options.use_native_kernels) {
+      if (const auto* fn = gpu::NativeKernelRegistry::global().find(r.id)) {
+        cp->gpu_device->registry().add(r.id, *fn);
+      }
+    }
+    return ir;
+  };
+
+  // FPGA cache entries hold netlists, so a hit needs no kernel IR.
+  auto build_fpga = [&](const Region& r) {
+    Built b;
+    std::optional<uint64_t> key = region_key(r, cache::kBackendFpga, true);
+    std::optional<fpga::FpgaCompileResult> res;
+    if (key) {
+      try_fetch(*key, cache::kBackendFpga, r.id,
+                [&](const std::vector<uint8_t>& p) {
+                  res = cache::decode_fpga_result(p);
+                });
+    }
+    b.cached = res.has_value();
+    if (!res) {
+      const Built& ir = lower(r);
+      if (!ir.program) {
+        return Built{nullptr, false, ir.dropped, ir.reason, ir.loc};
+      }
+      fpga::FpgaCompileResult synth = fpga::synthesize(*ir.program);
+      if (!synth.ok()) {
+        b.reason = synth.exclusion_reason;
+        b.loc = r.chain.front()->loc;
+        return b;
+      }
+      if (verify_ir && analysis::verify_module(*synth.module, cp->diags) > 0) {
+        b.dropped = true;
+        b.reason = "RTL verification failed";
+        return b;
+      }
+      if (key && ac && ac->writable()) {
+        ac->store(*key, cache::kBackendFpga, cache::encode_fpga_result(synth));
+      }
+      res = std::move(synth);
+    }
+    b.artifact = std::make_unique<FpgaModuleArtifact>(
+        manifest_for(r, DeviceKind::kFpga), std::move(*res));
+    return b;
+  };
+
+  // Runs one backend on one region, then logs the artifact or the reason
+  // it declined (LM401/LM402), and stores the artifact.
+  auto publish = [&](const Region& r, DeviceKind device, auto&& build) {
+    const bool gpu = device == DeviceKind::kGpu;
+    const std::string tag = gpu ? "gpu: " : "fpga: ";
+    const bool segment = r.chain.size() > 1;
+    if (!segment && cp->demoted_tasks.count(r.id)) {
+      cp->backend_log.push_back(tag + "demoted " + r.id +
+                                " — effect verifier (LM110)");
+      cp->suitability.push_back({"LM403", device, r.id, r.chain[0]->loc,
+                                 "demoted by the effect verifier"});
+      return;
+    }
+    // The GPU's outcome stays in `irs` for FPGA synthesis: only its
+    // artifact moves to the store.
+    auto&& b = build(r);
+    const std::string what = (segment ? "segment " : "") + r.id;
+    if (!b.artifact) {
+      cp->backend_log.push_back(tag + (b.dropped ? "dropped " : "excluded ") +
+                                what + " — " + b.reason);
+      if (!b.dropped) {
+        cp->suitability.push_back(
+            {gpu ? "LM401" : "LM402", device, r.id, b.loc, b.reason});
+      }
+      return;
+    }
+    cp->store.add(std::move(b.artifact));
+    cp->backend_log.push_back(tag + "compiled " + (segment ? "fused " : "") +
+                              what + (b.cached ? " (cached)" : ""));
+  };
+
+  if (options.enable_gpu) {
+    for (const Region& r : regions) publish(r, DeviceKind::kGpu, build_gpu);
+  }
+  if (options.enable_fpga) {
+    for (size_t i = 0; i < relocated_regions; ++i) {
+      publish(regions[i], DeviceKind::kFpga, build_fpga);
     }
   }
 

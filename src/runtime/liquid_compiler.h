@@ -9,9 +9,9 @@
 // compiles the entire program."
 //
 // compile() runs: frontend → bytecode (whole program) → static task-graph
-// discovery → GPU backend (fused segment kernels, per-filter kernels, and
-// map/reduce kernels) → FPGA backend (per-filter modules) → artifact store
-// population with manifests.
+// discovery → kernel IR, once per relocated filter and fused segment →
+// GPU backend (that IR, plus map/reduce kernels) → FPGA backend (modules
+// synthesized from that IR) → artifact store population with manifests.
 #pragma once
 
 #include <functional>
@@ -37,7 +37,6 @@ namespace lm::runtime {
 struct CompileOptions {
   bool enable_gpu = true;
   bool enable_fpga = true;
-  bool fpga_pipelined = false;
   /// Wire pre-compiled native kernels (the "vendor toolflow output") from
   /// the global registry into the GPU device for matching task ids.
   bool use_native_kernels = true;

@@ -565,17 +565,24 @@ std::vector<SpoiledKernel> spoiled_kernel_variants() {
   };
 }
 
-/// saxpy's GPU payload with one variant's lie applied.
-std::vector<uint8_t> spoiled_saxpy_payload(const SpoiledKernel& bad) {
-  auto cp = runtime::compile(saxpy_workload().lime_source);
+/// The kernel IR payload of `task` in `w` with one variant's lie applied.
+std::vector<uint8_t> spoiled_kernel_payload(const workloads::Workload& w,
+                                            const std::string& task,
+                                            const SpoiledKernel& bad) {
+  auto cp = runtime::compile(w.lime_source);
   EXPECT_TRUE(cp->ok()) << cp->diags.to_string();
   auto* ga = dynamic_cast<runtime::GpuKernelArtifact*>(
-      cp->store.find("Saxpy.axpy", runtime::DeviceKind::kGpu));
+      cp->store.find(task, runtime::DeviceKind::kGpu));
   EXPECT_NE(ga, nullptr);
   if (!ga) return {};
   gpu::KernelProgram program = ga->program();
   bad.spoil(program);
   return encode_kernel_program(program);
+}
+
+/// saxpy's GPU payload with one variant's lie applied.
+std::vector<uint8_t> spoiled_saxpy_payload(const SpoiledKernel& bad) {
+  return spoiled_kernel_payload(saxpy_workload(), "Saxpy.axpy", bad);
 }
 
 TEST(CodecTest, KernelPayloadsThatLieAboutTheirIrAreRejected) {
@@ -591,13 +598,18 @@ TEST(CodecTest, KernelPayloadsThatLieAboutTheirIrAreRejected) {
 TEST(CodecTest, HostileKernelPayloadIsAMissNotACrash) {
   // A compile service that serves saxpy's kernel with a lie in its IR: the
   // compiler must compile the kernel locally, as for any miss (DESIGN.md
-  // §14). The last variant lowers, but takes a parameter its task does not
-  // have, which the artifact rejects.
+  // §14). The last two variants lower, but take a parameter, or types,
+  // their task does not have, which the artifact rejects.
   const workloads::Workload& w = saxpy_workload();
   std::vector<SpoiledKernel> variants = spoiled_kernel_variants();
   variants.push_back({"a parameter the task does not have",
                       [](gpu::KernelProgram& p) {
                         p.params.push_back(p.params.back());
+                      }});
+  variants.push_back({"a parameter and return type the task does not have",
+                      [](gpu::KernelProgram& p) {
+                        p.params[0].type = bc::NumType::kI64;
+                        p.ret_type = bc::NumType::kI64;
                       }});
   for (const SpoiledKernel& bad : variants) {
     SCOPED_TRACE(bad.what);
@@ -615,14 +627,103 @@ TEST(CodecTest, HostileKernelPayloadIsAMissNotACrash) {
                         "gpu: compiled Saxpy.axpy"),
               cp->backend_log.end());
 
+    std::vector<Value> args = w.make_args(64, 7);
+    for (runtime::Placement placement :
+         {runtime::Placement::kGpuOnly, runtime::Placement::kFpgaOnly}) {
+      runtime::RuntimeConfig rc;
+      rc.placement = placement;
+      runtime::LiquidRuntime rt(*cp, rc);
+      Value got = rt.call(w.entry, args);
+      EXPECT_TRUE(workloads::results_match(got, w.reference(args), 0.0));
+      EXPECT_EQ(rt.stats().maps_accelerated,
+                placement == runtime::Placement::kGpuOnly ? 1u : 0u);
+    }
+  }
+}
+
+TEST(CodecTest, HostileKernelPayloadIsAMissForFpgaSynthesis) {
+  // FPGA synthesis reads the same kernel IR: with the GPU backend off, a
+  // served IR that fails validation is a miss, and the module comes from
+  // a local compile of the kernel.
+  const workloads::Workload& w = crc8_workload();
+  std::vector<SpoiledKernel> variants = spoiled_kernel_variants();
+  variants.push_back({"a parameter the task does not have",
+                      [](gpu::KernelProgram& p) {
+                        p.params.push_back(p.params.back());
+                      }});
+  variants.push_back({"a parameter and return type the task does not have",
+                      [](gpu::KernelProgram& p) {
+                        p.params[0].type = bc::NumType::kI64;
+                        p.ret_type = bc::NumType::kI64;
+                      }});
+  for (const SpoiledKernel& bad : variants) {
+    SCOPED_TRACE(bad.what);
+    std::vector<uint8_t> payload = spoiled_kernel_payload(w, "Crc8.crc8", bad);
+    runtime::CompileOptions opts;
+    opts.enable_gpu = false;
+    opts.remote_fetch = [&payload](uint64_t, const std::string& backend,
+                                   const std::string&)
+        -> std::optional<std::vector<uint8_t>> {
+      if (backend != kBackendGpu) return std::nullopt;
+      return payload;
+    };
+    auto cp = runtime::compile(w.lime_source, opts);
+    ASSERT_TRUE(cp->ok()) << cp->diags.to_string();
+    EXPECT_NE(std::find(cp->backend_log.begin(), cp->backend_log.end(),
+                        "fpga: compiled Crc8.crc8"),
+              cp->backend_log.end());
+
     runtime::RuntimeConfig rc;
-    rc.placement = runtime::Placement::kGpuOnly;
+    rc.placement = runtime::Placement::kFpgaOnly;
     runtime::LiquidRuntime rt(*cp, rc);
     std::vector<Value> args = w.make_args(64, 7);
     Value got = rt.call(w.entry, args);
     EXPECT_TRUE(workloads::results_match(got, w.reference(args), 0.0));
-    EXPECT_EQ(rt.stats().maps_accelerated, 1u);
+    ASSERT_EQ(rt.stats().substitutions.size(), 1u);
+    EXPECT_EQ(rt.stats().substitutions[0].device, runtime::DeviceKind::kFpga);
   }
+}
+
+TEST(CodecTest, ServedKernelNestingTooDeeplyIsExcludedNotACrash) {
+  // A valid served IR for Crc8.crc8 whose every branch on data skips to
+  // its return: each branch nests in the arm of the one before, more deeply
+  // than synthesis recurses.
+  const workloads::Workload& w = crc8_workload();
+  constexpr int kBranches = 1 << 17;
+  std::vector<uint8_t> payload = spoiled_kernel_payload(
+      w, "Crc8.crc8",
+      {"branches nested to the end", [](gpu::KernelProgram& p) {
+         gpu::KConst zero;
+         p.consts = {zero};
+         p.num_regs = 3;
+         p.code = {{gpu::KOp::kLoadParam, 0, 0},
+                   {gpu::KOp::kLoadConst, 1, 0},
+                   {gpu::KOp::kCmp, 2, 0, 1,
+                    static_cast<uint8_t>(gpu::CmpOp::kEq)}};
+         for (int i = 0; i < kBranches; ++i) {
+           p.code.push_back({gpu::KOp::kJumpIfFalse, 0, 2, 0, 0,
+                             gpu::NumType::kI32, gpu::NumType::kI32,
+                             3 + kBranches});
+         }
+         p.code.push_back({gpu::KOp::kRet, 0, 0});
+       }});
+  runtime::CompileOptions opts;
+  opts.remote_fetch = [&payload](uint64_t, const std::string& backend,
+                                 const std::string&)
+      -> std::optional<std::vector<uint8_t>> {
+    if (backend != kBackendGpu) return std::nullopt;
+    return payload;
+  };
+  auto cp = runtime::compile(w.lime_source, opts);
+  ASSERT_TRUE(cp->ok()) << cp->diags.to_string();
+  const auto& log = cp->backend_log;
+  EXPECT_NE(std::find(log.begin(), log.end(),
+                      "gpu: compiled Crc8.crc8 (cached)"),
+            log.end());
+  EXPECT_NE(std::find(log.begin(), log.end(),
+                      "fpga: excluded Crc8.crc8 — datapath nests more than "
+                      "256 branches on data"),
+            log.end());
 }
 
 // -- hostile bytecode payloads ---------------------------------------------
@@ -777,6 +878,33 @@ TEST(CodecTest, HostileBytecodePayloadIsAMissNotACrash) {
     }
   }
   fs::remove_all(dir);
+}
+
+TEST(CodecTest, DupOnAnEmptyOperandStackThrows) {
+  // The decoder checks operands, not operand-stack depth: a served module
+  // whose Saxpy.axpy starts by duplicating the top of its empty stack
+  // decodes, and the VM must refuse the instruction when it runs.
+  const workloads::Workload& w = saxpy_workload();
+  std::vector<uint8_t> payload = spoiled_saxpy_module(
+      {"dup on an empty stack", [](bc::BytecodeModule& m) {
+         method_of(m, "Saxpy.axpy").code[0] = {bc::Op::kDup};
+       }});
+  runtime::CompileOptions opts;
+  opts.remote_fetch = [&payload](uint64_t, const std::string& backend,
+                                 const std::string&)
+      -> std::optional<std::vector<uint8_t>> {
+    if (backend != kBackendBytecode) return std::nullopt;
+    return payload;
+  };
+  auto cp = runtime::compile(w.lime_source, opts);
+  ASSERT_TRUE(cp->ok()) << cp->diags.to_string();
+  const auto& log = cp->backend_log;
+  EXPECT_NE(std::find(log.begin(), log.end(), "cpu: bytecode module (cached)"),
+            log.end());
+  runtime::RuntimeConfig rc;
+  rc.placement = runtime::Placement::kCpuOnly;
+  runtime::LiquidRuntime rt(*cp, rc);
+  EXPECT_ANY_THROW(rt.call(w.entry, w.make_args(64, 7)));
 }
 
 // -- warm-start differential ----------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <stdexcept>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "fpga/device.h"
 #include "fpga/synth.h"
 #include "fpga/verilog_emit.h"
+#include "gpu/kernel_compiler.h"
 #include "rtl/sim.h"
 #include "tests/lime_test_util.h"
 #include "util/hash.h"
@@ -64,6 +66,19 @@ const lime::MethodDecl* method(const Built& b, const std::string& cls,
   return c->find_method(m);
 }
 
+/// Lowers `chain` to kernel IR and synthesizes its module, as compile()
+/// does: an exclusion by either compiler is the result's reason.
+FpgaCompileResult synth(const std::vector<const lime::MethodDecl*>& chain,
+                        FpgaSynthOptions options = {}) {
+  auto kernel = gpu::compile_segment_kernel(chain);
+  if (!kernel.ok()) {
+    FpgaCompileResult excluded;
+    excluded.exclusion_reason = kernel.exclusion_reason;
+    return excluded;
+  }
+  return synthesize(*kernel.program, options);
+}
+
 const workloads::Workload& pipeline_workload(const std::string& name) {
   for (const auto& w : workloads::pipeline_suite()) {
     if (w.name == name) return w;
@@ -77,7 +92,7 @@ const workloads::Workload& pipeline_workload(const std::string& name) {
 
 TEST(Synth, BitflipSynthesizes) {
   auto b = build(lime::testing::figure1_source());
-  auto r = synthesize_filter(*method(b, "Bitflip", "flip"));
+  auto r = synth({method(b, "Bitflip", "flip")});
   ASSERT_TRUE(r.ok()) << r.exclusion_reason;
   EXPECT_EQ(r.module->name, "Bitflip_flip");
   EXPECT_EQ(r.ports.out_width, 1);
@@ -88,7 +103,7 @@ TEST(Synth, BitflipSynthesizes) {
 
 TEST(Synth, VerilogArtifactShape) {
   auto b = build(lime::testing::figure1_source());
-  auto r = synthesize_filter(*method(b, "Bitflip", "flip"));
+  auto r = synth({method(b, "Bitflip", "flip")});
   ASSERT_TRUE(r.ok());
   const std::string v = emit_verilog(*r.module);
   EXPECT_NE(v.find("module Bitflip_flip("), std::string::npos);
@@ -103,7 +118,7 @@ TEST(Synth, FloatExcluded) {
   auto b = build(R"(
     class C { local static float f(float x) { return x * 2.0f; } }
   )");
-  auto r = synthesize_filter(*method(b, "C", "f"));
+  auto r = synth({method(b, "C", "f")});
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.exclusion_reason.find("floating point"), std::string::npos);
 }
@@ -112,7 +127,7 @@ TEST(Synth, DivisionExcluded) {
   auto b = build(R"(
     class C { local static int f(int a, int b) { return a / b; } }
   )");
-  auto r = synthesize_filter(*method(b, "C", "f"));
+  auto r = synth({method(b, "C", "f")});
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.exclusion_reason.find("division"), std::string::npos);
 }
@@ -127,10 +142,76 @@ TEST(Synth, UnboundedLoopExcluded) {
       }
     }
   )");
-  auto r = synthesize_filter(*method(b, "C", "f"));
+  auto r = synth({method(b, "C", "f")});
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.exclusion_reason.find("compile-time constant"),
             std::string::npos);
+}
+
+TEST(Synth, ReturnOnDataInsideALoopSynthesizes) {
+  // Find-first-set: each unrolled iteration's return holds for the inputs
+  // that reach it, and the other inputs run the next iteration.
+  auto b = build(R"(
+    class C {
+      local static int f(int x) {
+        for (int i = 0; i < 32; i += 1) {
+          if (((x >> i) & 1) != 0) return i;
+        }
+        return 0 - 1;
+      }
+    }
+  )");
+  auto r = synth({method(b, "C", "f")});
+  ASSERT_TRUE(r.ok()) << r.exclusion_reason;
+  FpgaFilter filter(std::move(r));
+  const std::vector<int32_t> xs = {
+      0, 1, 6, 8, 96, -1, std::numeric_limits<int32_t>::min(), 1 << 30};
+  CValue in = CValue::make(bc::ElemCode::kI32, true, xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) in.i32s()[i] = xs[i];
+  CValue out = filter.process(in);
+  const std::vector<int32_t> want = {-1, 0, 1, 3, 5, 0, 31, 30};
+  ASSERT_EQ(out.count, want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(out.i32s()[i], want[i]) << "x=" << xs[i];
+  }
+}
+
+TEST(Synth, CodeAfterABranchIsBuiltOnce) {
+  // Each block's inner return leaves its outer branch two ways on: through
+  // the join, or past the block. Building the code after a block once per
+  // way would double the datapath with each block.
+  std::string body = "int y = x;";
+  constexpr int kBlocks = 12;
+  for (int i = 1; i <= kBlocks; ++i) {
+    const std::string k = std::to_string(i * 1000);
+    body += " if (x > " + k + ") { if (y > " + k + "0) return " +
+            std::to_string(i) + "; y = y * 3 + " + k + "; }";
+  }
+  auto b = build("class C { local static int f(int x) { " + body +
+                 " return y; } }");
+  auto r = synth({method(b, "C", "f")});
+  ASSERT_TRUE(r.ok()) << r.exclusion_reason;
+  rtl::CompiledModule compiled(*r.module);
+  EXPECT_LE(compiled.seq_op_count(), 20u * kBlocks);
+}
+
+TEST(Synth, LongDatapathIsBuiltAndFreed) {
+  // A straight-line served kernel as long as the synthesis budget allows:
+  // its datapath is one chain of adds, too deep to free recursively.
+  gpu::KernelProgram p;
+  p.task_id = "H.f";
+  p.params.push_back({gpu::ParamMode::kElementwise, gpu::NumType::kI32});
+  gpu::KConst one;
+  one.value.i32 = 1;
+  p.consts.push_back(one);
+  p.num_regs = 2;
+  p.code = {{gpu::KOp::kLoadParam, 0, 0}, {gpu::KOp::kLoadConst, 1, 0}};
+  p.code.insert(p.code.end(), 1000000,
+                {gpu::KOp::kArith, 0, 0, 1,
+                 static_cast<uint8_t>(gpu::ArithOp::kAdd)});
+  p.code.push_back({gpu::KOp::kRet, 0, 0});
+  auto r = synthesize(p);
+  ASSERT_TRUE(r.ok()) << r.exclusion_reason;
 }
 
 TEST(Synth, ConstantBoundLoopUnrolls) {
@@ -143,7 +224,7 @@ TEST(Synth, ConstantBoundLoopUnrolls) {
       }
     }
   )");
-  auto r = synthesize_filter(*method(b, "C", "f"));
+  auto r = synth({method(b, "C", "f")});
   ASSERT_TRUE(r.ok()) << r.exclusion_reason;
 }
 
@@ -157,7 +238,7 @@ TEST(Synth, UnrollBudgetEnforced) {
       }
     }
   )");
-  auto r = synthesize_filter(*method(b, "C", "f"));
+  auto r = synth({method(b, "C", "f")});
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.exclusion_reason.find("unroll budget"), std::string::npos);
 }
@@ -166,7 +247,7 @@ TEST(Synth, ImpureExcluded) {
   auto b = build(R"(
     class C { static int f(int x) { return x; } }
   )");
-  auto r = synthesize_filter(*method(b, "C", "f"));
+  auto r = synth({method(b, "C", "f")});
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.exclusion_reason.find("not pure"), std::string::npos);
 }
@@ -178,7 +259,7 @@ TEST(Synth, StaticFinalConstantsFoldIntoDatapath) {
       local static int f(int x) { return x & MASK; }
     }
   )");
-  auto r = synthesize_filter(*method(b, "C", "f"));
+  auto r = synth({method(b, "C", "f")});
   ASSERT_TRUE(r.ok()) << r.exclusion_reason;
   FpgaFilter filter(std::move(r));
   CValue in = CValue::make(bc::ElemCode::kI32, true, 2);
@@ -199,7 +280,7 @@ TEST(Synth, EarlyReturnsIfConverted) {
       }
     }
   )");
-  auto r = synthesize_filter(*method(b, "C", "clamp"));
+  auto r = synth({method(b, "C", "clamp")});
   ASSERT_TRUE(r.ok()) << r.exclusion_reason;
   FpgaFilter filter(std::move(r));
   CValue in = CValue::make(bc::ElemCode::kI32, true, 4);
@@ -220,7 +301,7 @@ TEST(Synth, EarlyReturnsIfConverted) {
 
 TEST(Fig4, NineBitStreamFlipsWithThreeCycleLatency) {
   auto b = build(lime::testing::figure1_source());
-  auto r = synthesize_filter(*method(b, "Bitflip", "flip"));
+  auto r = synth({method(b, "Bitflip", "flip")});
   ASSERT_TRUE(r.ok()) << r.exclusion_reason;
   FpgaFilter filter(std::move(r));
   filter.enable_waveform();
@@ -254,7 +335,7 @@ TEST(Fig4, PipelinedModeReachesIIOne) {
   auto b = build(lime::testing::figure1_source());
   FpgaSynthOptions opt;
   opt.pipelined = true;
-  auto r = synthesize_filter(*method(b, "Bitflip", "flip"), opt);
+  auto r = synth({method(b, "Bitflip", "flip")}, opt);
   ASSERT_TRUE(r.ok()) << r.exclusion_reason;
   EXPECT_EQ(r.ports.initiation_interval, 1);
   FpgaFilter filter(std::move(r));
@@ -304,7 +385,7 @@ TEST_P(PinnedWaveform, OutputsStatsAndVcdAreUnchanged) {
   for (const auto& [cls, m] : pc.chain) chain.push_back(method(b, cls, m));
   FpgaSynthOptions opt;
   opt.pipelined = pc.pipelined;
-  auto r = synthesize_segment(chain, opt);
+  auto r = synth(chain, opt);
   ASSERT_TRUE(r.ok()) << r.exclusion_reason;
   FpgaFilter filter(std::move(r));
   filter.enable_waveform();
@@ -363,11 +444,46 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+// The compiled simulator's op counts (comb/seq) of the suite's modules,
+// pinned at their values when synthesis moved to kernel IR: a change that
+// grows one of these datapaths fails here.
+struct OpBudget {
+  const char* workload;
+  std::vector<std::pair<const char*, const char*>> chain;  // class, method
+  size_t comb_ops;
+  size_t seq_ops;
+};
+
+TEST(FpgaOpCounts, SuiteModulesDoNotGrow) {
+  const std::vector<OpBudget> budgets = {
+      {"intpipe", {{"IntPipe", "scale"}}, 6, 10},
+      {"intpipe", {{"IntPipe", "clamp"}}, 6, 13},
+      {"intpipe", {{"IntPipe", "offset"}}, 6, 10},
+      {"intpipe",
+       {{"IntPipe", "scale"}, {"IntPipe", "clamp"}, {"IntPipe", "offset"}},
+       6, 15},
+      {"crc8pipe", {{"Crc8", "crc8"}}, 6, 74},
+      {"bitpipe", {{"BitPipe", "flip"}}, 6, 10},
+  };
+  for (const OpBudget& budget : budgets) {
+    auto b = build(pipeline_workload(budget.workload).lime_source);
+    std::vector<const lime::MethodDecl*> chain;
+    for (const auto& [cls, m] : budget.chain) {
+      chain.push_back(method(b, cls, m));
+    }
+    auto r = synth(chain);
+    ASSERT_TRUE(r.ok()) << r.exclusion_reason;
+    rtl::CompiledModule compiled(*r.module);
+    EXPECT_LE(compiled.comb_op_count(), budget.comb_ops) << r.module->name;
+    EXPECT_LE(compiled.seq_op_count(), budget.seq_ops) << r.module->name;
+  }
+}
+
 TEST(FpgaCache, Crc8ArtifactRoundTripsThroughTheCodec) {
   // The codec keeps the netlist's node sharing, so a cached or remote
   // artifact compiles to the same simulator program as a fresh one.
   auto b = build(pipeline_workload("crc8pipe").lime_source);
-  auto r = synthesize_filter(*method(b, "Crc8", "crc8"));
+  auto r = synth({method(b, "Crc8", "crc8")});
   ASSERT_TRUE(r.ok()) << r.exclusion_reason;
   auto back = cache::decode_fpga_result(cache::encode_fpga_result(r));
   ASSERT_TRUE(back.ok());
@@ -394,7 +510,7 @@ TEST(FpgaCache, Crc8PayloadCarriesNoVerilog) {
   // A payload holds the netlist and its ports. The Verilog is printed from
   // the netlist when read (over 400 KB for crc8), so it is never stored.
   auto b = build(pipeline_workload("crc8pipe").lime_source);
-  auto r = synthesize_filter(*method(b, "Crc8", "crc8"));
+  auto r = synth({method(b, "Crc8", "crc8")});
   ASSERT_TRUE(r.ok()) << r.exclusion_reason;
   EXPECT_LT(cache::encode_fpga_result(r).size(), 8u * 1024);
 }
@@ -403,7 +519,7 @@ TEST(Fpga, ConcurrentProcessCallsShareNoState) {
   // A device server runs one artifact for several connections at once:
   // process() may share only the immutable compiled module between calls.
   auto b = build(pipeline_workload("crc8pipe").lime_source);
-  auto r = synthesize_filter(*method(b, "Crc8", "crc8"));
+  auto r = synth({method(b, "Crc8", "crc8")});
   ASSERT_TRUE(r.ok()) << r.exclusion_reason;
   FpgaFilter filter(std::move(r));
   CValue in = CValue::make(bc::ElemCode::kI32, true, 256);
@@ -427,7 +543,7 @@ TEST(Fpga, ConcurrentProcessCallsShareNoState) {
 
 TEST(Fpga, ProcessAllocatesNothingPerCycle) {
   auto b = build(pipeline_workload("crc8pipe").lime_source);
-  auto r = synthesize_filter(*method(b, "Crc8", "crc8"));
+  auto r = synth({method(b, "Crc8", "crc8")});
   ASSERT_TRUE(r.ok()) << r.exclusion_reason;
   FpgaFilter filter(std::move(r));
   auto allocations_for = [&](size_t n) {
@@ -446,7 +562,7 @@ TEST(Fpga, MultiParamFilter) {
   auto b = build(R"(
     class P { local static int addPair(int a, int b) { return a + b; } }
   )");
-  auto r = synthesize_filter(*method(b, "P", "addPair"));
+  auto r = synth({method(b, "P", "addPair")});
   ASSERT_TRUE(r.ok()) << r.exclusion_reason;
   EXPECT_EQ(r.ports.arity, 2);
   FpgaFilter filter(std::move(r));
@@ -469,7 +585,7 @@ TEST(Fpga, UserEnumOperatorSynthesizes) {
     }
     class U { local static trit inv(trit t) { return ~t; } }
   )");
-  auto r = synthesize_filter(*method(b, "U", "inv"));
+  auto r = synth({method(b, "U", "inv")});
   ASSERT_TRUE(r.ok()) << r.exclusion_reason;
   FpgaFilter filter(std::move(r));
   CValue in = CValue::make(bc::ElemCode::kI32, true, 3);
@@ -484,7 +600,7 @@ TEST(Fpga, UserEnumOperatorSynthesizes) {
 
 TEST(Synth, TestbenchGenerated) {
   auto b = build(lime::testing::figure1_source());
-  auto r = synthesize_filter(*method(b, "Bitflip", "flip"));
+  auto r = synth({method(b, "Bitflip", "flip")});
   ASSERT_TRUE(r.ok());
   std::string tb = emit_testbench(*r.module, r.ports.in_data,
                                   {{1, 0, 1, 1, 0, 0, 1, 0, 1}});
@@ -510,7 +626,7 @@ TEST(FpgaSegment, FusedDatapathComputesComposition) {
   std::vector<const lime::MethodDecl*> chain = {method(b, "P", "scale"),
                                                 method(b, "P", "clamp"),
                                                 method(b, "P", "offset")};
-  auto r = synthesize_segment(chain);
+  auto r = synth(chain);
   ASSERT_TRUE(r.ok()) << r.exclusion_reason;
   EXPECT_EQ(r.module->name, "seg_P_scale_P_clamp_P_offset");
   FpgaFilter filter(std::move(r));
@@ -527,7 +643,7 @@ TEST(FpgaSegment, FusedDatapathComputesComposition) {
 
 TEST(FpgaSegment, SingleFilterChainDelegates) {
   auto b = build(lime::testing::figure1_source());
-  auto r = synthesize_segment({method(b, "Bitflip", "flip")});
+  auto r = synth({method(b, "Bitflip", "flip")});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.module->name, "Bitflip_flip");
 }
@@ -539,7 +655,7 @@ TEST(FpgaSegment, UnsuitableStagePoisonsSegment) {
       local static int bad(int x) { return x / 3; }
     }
   )");
-  auto r = synthesize_segment({method(b, "P", "ok"), method(b, "P", "bad")});
+  auto r = synth({method(b, "P", "ok"), method(b, "P", "bad")});
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.exclusion_reason.find("division"), std::string::npos);
 }
@@ -551,7 +667,7 @@ TEST(FpgaSegment, BinaryHeadStageAllowed) {
       local static int neg(int x) { return 0 - x; }
     }
   )");
-  auto r = synthesize_segment({method(b, "P", "addPair"),
+  auto r = synth({method(b, "P", "addPair"),
                                method(b, "P", "neg")});
   ASSERT_TRUE(r.ok()) << r.exclusion_reason;
   EXPECT_EQ(r.ports.arity, 2);
@@ -588,7 +704,7 @@ TEST_P(FpgaVsVmDifferential, AgreeOnRandomInputs) {
   auto b = build(tc.source);
   const auto* m = method(b, tc.cls, tc.method);
   ASSERT_NE(m, nullptr);
-  auto r = synthesize_filter(*m);
+  auto r = synth({m});
   ASSERT_TRUE(r.ok()) << r.exclusion_reason;
   FpgaFilter filter(std::move(r));
   bc::Interpreter vm(*b.module);
@@ -665,6 +781,19 @@ INSTANTIATE_TEST_SUITE_P(
         RtlDiffCase{"shift_long_const_over_width",
                     "class C { local static long f(int x) { long v = x; "
                     "return v << 65L; } }",
+                    "C", "f"},
+        // The inner return holds only where both branches took their
+        // returning arms; every other input runs on to `return y + 3`.
+        RtlDiffCase{"return_in_nested_branch",
+                    "class C { local static int f(int x) { int y = x; "
+                    "if (x > 10) { if (x > 50000) return 1; y = x * 2; } "
+                    "return y + 3; } }",
+                    "C", "f"},
+        // A break under a constant condition ends the unrolled loop early.
+        RtlDiffCase{"constant_break",
+                    "class C { local static int f(int x) { int acc = 0; "
+                    "for (int i = 0; i < 8; i += 1) { if (i == 5) break; "
+                    "acc += x >> i; } return acc; } }",
                     "C", "f"},
         // (bit) takes the low bit of the long; 2^53 + x is not exact in a
         // double.

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <functional>
 #include <thread>
 
@@ -589,6 +590,39 @@ TEST_F(LoopbackTest, SteadyStateExchangesStopAllocatingWireBuffers) {
   EXPECT_EQ(serde::wire_pool().allocations(), allocs_before)
       << "warm exchanges must recycle wire buffers, not allocate";
   EXPECT_GE(serde::wire_pool().reuses(), reuses_before + 32);
+}
+
+/// Open file descriptors of this process.
+size_t open_fds() {
+  size_t n = 0;
+  for (const auto& e :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)e;
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(LoopbackTest, ClosedConnectionsAreReaped) {
+  // Each connection holds a socket and a serve thread until the server
+  // reaps it; a server that reaps only at stop() grows by one fd per
+  // connection.
+  const size_t before = open_fds();
+  for (int i = 0; i < 200; ++i) {
+    Socket c = Socket::connect("127.0.0.1", server_->port(),
+                               deadline_in_ms(2000));
+  }
+  // The server reaps at its next accept, once a serve thread saw its peer
+  // go: a few more connections let the last of them finish.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (open_fds() > before + 8 &&
+         std::chrono::steady_clock::now() < deadline) {
+    Socket c = Socket::connect("127.0.0.1", server_->port(),
+                               deadline_in_ms(2000));
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(open_fds(), before + 8);
 }
 
 }  // namespace

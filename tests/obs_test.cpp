@@ -413,6 +413,47 @@ TEST(RuntimeObservability, ConcurrentMetricReadsDuringThreadedRuns) {
   EXPECT_EQ(rt.stats().elements_streamed, 5u * 1024u);
 }
 
+TEST(FlightRecorder, ExitedThreadsHandTheirRowsBack) {
+  // Threads that start, record and exit one after another share one row:
+  // each exited thread's row goes to the next, and no event goes uncounted.
+  TraceRecorder& fr = TraceRecorder::flight();
+  auto record_from_threads = [&fr](int threads) {
+    for (int i = 0; i < threads; ++i) {
+      std::thread([&fr] {
+        for (int k = 0; k < 3; ++k) fr.instant("test", "row-reuse");
+      }).join();
+    }
+  };
+  record_from_threads(50);
+  const size_t rows = fr.thread_count();
+  const uint64_t recorded = fr.event_count() + fr.dropped_events();
+  record_from_threads(150);
+  EXPECT_LE(fr.thread_count(), rows);
+  EXPECT_EQ(fr.event_count() + fr.dropped_events(), recorded + 450);
+}
+
+TEST(FlightRecorder, RowsDoNotGrowWithSequentialRuntimes) {
+  // A fresh 4-worker runtime per call starts and joins its pool each time;
+  // device drains land in the flight recorder from the workers.
+  auto cp = runtime::compile(intpipe().lime_source);
+  ASSERT_TRUE(cp->ok());
+  auto calls = [&cp](int n) {
+    for (int i = 0; i < n; ++i) {
+      runtime::RuntimeConfig rc;
+      rc.placement = runtime::Placement::kFpgaOnly;
+      rc.worker_threads = 4;
+      runtime::LiquidRuntime rt(*cp, rc);
+      rt.call(intpipe().entry, intpipe().make_args(64, 5));
+    }
+  };
+  TraceRecorder& fr = TraceRecorder::flight();
+  calls(50);
+  const size_t rows = fr.thread_count();
+  calls(150);
+  // At most the threads alive at once (caller and workers) add rows.
+  EXPECT_LE(fr.thread_count(), rows + 5);
+}
+
 TEST(RuntimeObservability, TracedRunEmitsDecisionAndTaskSpans) {
   auto cp = runtime::compile(intpipe().lime_source);
   ASSERT_TRUE(cp->ok());

@@ -2,8 +2,9 @@
 // core invariants.
 //
 //   * Random integer expression programs evaluate identically on the
-//     bytecode VM, the GPU kernel IR, the constant folder, and a C++ oracle
-//     with Java wrapping semantics (the "all artifacts are semantically
+//     bytecode VM, the GPU kernel IR, the constant folder, the RTL module
+//     synthesized from that IR (when synthesis accepts it), and a C++
+//     oracle with Java wrapping semantics (the "all artifacts are semantically
 //     equivalent" invariant of §3, tested over a large random program
 //     space).
 //   * Random typed kernels (int, long, float and double operands, loops,
@@ -32,6 +33,8 @@
 #include "bytecode/compiler.h"
 #include "bytecode/interp.h"
 #include "bytecode/ops.h"
+#include "fpga/device.h"
+#include "fpga/synth.h"
 #include "gpu/device.h"
 #include "gpu/kernel_compiler.h"
 #include "gpu/lowered.h"
@@ -173,12 +176,21 @@ TEST_P(RandomExprDifferential, VmKernelAndOracleAgree) {
   const lime::MethodDecl* f = fr.program->find_class("G")->find_method("f");
   auto kernel = gpu::compile_kernel(*f);
   ASSERT_TRUE(kernel.ok()) << kernel.exclusion_reason;
+  fpga::FpgaCompileResult rtl = fpga::synthesize(*kernel.program);
 
-  // Random input pairs, exercised through all three implementations.
-  for (int trial = 0; trial < 24; ++trial) {
+  // Random input pairs, exercised through every implementation; the RTL
+  // module streams them all at once after the loop.
+  constexpr int kTrials = 24;
+  serde::CValue rtl_in = serde::CValue::make(bc::ElemCode::kI32, true,
+                                             2 * kTrials);
+  std::vector<int32_t> wants;
+  for (int trial = 0; trial < kTrials; ++trial) {
     auto x = static_cast<int32_t>(rng.next());
     auto y = static_cast<int32_t>(rng.next());
     int32_t want = e.eval(x, y);
+    rtl_in.i32s()[2 * trial] = x;
+    rtl_in.i32s()[2 * trial + 1] = y;
+    wants.push_back(want);
 
     int32_t vm_got =
         vm.call("G.f", {bc::Value::i32(x), bc::Value::i32(y)}).as_i32();
@@ -208,10 +220,44 @@ TEST_P(RandomExprDifferential, VmKernelAndOracleAgree) {
     EXPECT_EQ(bc::Interpreter(*hmod).call("H.g", {}).as_i32(), want)
         << "folder mismatch for " << folded;
   }
+
+  // FPGA synthesis declines division by a non-constant, the one construct
+  // here without a combinational form; what it accepts must match.
+  if (!rtl.ok()) {
+    EXPECT_NE(rtl.exclusion_reason.find("division"), std::string::npos)
+        << rtl.exclusion_reason << " for " << src;
+    return;
+  }
+  serde::CValue out = fpga::FpgaFilter(std::move(rtl)).process(rtl_in);
+  ASSERT_EQ(out.count, wants.size());
+  for (size_t i = 0; i < wants.size(); ++i) {
+    EXPECT_EQ(out.i32s()[i], wants[i])
+        << "rtl mismatch for " << src << " at x=" << rtl_in.i32s()[2 * i]
+        << " y=" << rtl_in.i32s()[2 * i + 1];
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomExprDifferential,
                          ::testing::Range<uint64_t>(1, 33));
+
+TEST(RandomExprFpgaCoverage, SomeSeedsSynthesize) {
+  // The FPGA leg above checks only the seeds synthesis accepts.
+  int synthesized = 0;
+  for (uint64_t seed = 1; seed <= 32; ++seed) {
+    SplitMix64 rng(seed);
+    GenExpr e = gen_expr(rng, 4);
+    auto fr = lime::compile_source(
+        "class G { local static int f(int x, int y) { return " + e.source +
+        "; } }");
+    ASSERT_TRUE(fr.ok()) << fr.diags.to_string();
+    auto kernel =
+        gpu::compile_kernel(*fr.program->find_class("G")->find_method("f"));
+    ASSERT_TRUE(kernel.ok()) << kernel.exclusion_reason;
+    if (fpga::synthesize(*kernel.program).ok()) ++synthesized;
+  }
+  RecordProperty("synthesized_seeds", synthesized);
+  EXPECT_GT(synthesized, 0);
+}
 
 // ---------------------------------------------------------------------------
 // Random typed kernels: the lowered kernel against the VM

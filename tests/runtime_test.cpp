@@ -79,6 +79,19 @@ TEST(Compiler, BackendsCanBeDisabled) {
   EXPECT_EQ(cp->store.lookup("Bitflip.flip").size(), 1u);  // bytecode only
 }
 
+TEST(Compiler, FpgaModulesNeedNoGpuBackend) {
+  // FPGA synthesis reads the kernel IR the GPU compiler builds; with the
+  // GPU backend off that IR is built all the same, but not published.
+  CompileOptions opts;
+  opts.enable_gpu = false;
+  auto cp = compile_ok(lime::testing::figure1_source(), opts);
+  EXPECT_NE(cp->store.find("Bitflip.flip", DeviceKind::kFpga), nullptr);
+  EXPECT_EQ(cp->store.find("Bitflip.flip", DeviceKind::kGpu), nullptr);
+  for (const auto& line : cp->backend_log) {
+    EXPECT_EQ(line.rfind("gpu:", 0), std::string::npos) << line;
+  }
+}
+
 TEST(Compiler, ExclusionsAreLogged) {
   // A float filter: the FPGA backend must decline and say why (§3).
   auto cp = compile_ok(R"(

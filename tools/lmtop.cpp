@@ -76,50 +76,15 @@ struct Sample {
   double value = 0;
 };
 
-/// Parses the exposition subset we emit: comments skipped, then
-/// `name{k="v",..} value`. Escapes in label values are unwound. Assumes
-/// the body already passed (or will be passed through) the validator —
-/// this is a renderer, not a second grammar check.
+/// The samples of an exposition, labels keyed by name; empty when the body
+/// does not parse (obs::parse_exposition is the one grammar).
 std::vector<Sample> parse_metrics(const std::string& body) {
   std::vector<Sample> out;
-  std::istringstream is(body);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    Sample s;
-    size_t i = 0;
-    while (i < line.size() && line[i] != '{' && line[i] != ' ') ++i;
-    s.name = line.substr(0, i);
-    if (i < line.size() && line[i] == '{') {
-      ++i;
-      while (i < line.size() && line[i] != '}') {
-        size_t eq = line.find('=', i);
-        if (eq == std::string::npos) break;
-        std::string key = line.substr(i, eq - i);
-        i = eq + 1;
-        if (i >= line.size() || line[i] != '"') break;
-        ++i;
-        std::string val;
-        while (i < line.size() && line[i] != '"') {
-          if (line[i] == '\\' && i + 1 < line.size()) {
-            ++i;
-            if (line[i] == 'n') val += '\n';
-            else val += line[i];
-          } else {
-            val += line[i];
-          }
-          ++i;
-        }
-        if (i < line.size()) ++i;  // closing quote
-        s.labels[key] = val;
-        if (i < line.size() && line[i] == ',') ++i;
-      }
-      if (i < line.size()) ++i;  // closing brace
-    }
-    while (i < line.size() && line[i] == ' ') ++i;
-    if (i >= line.size()) continue;
-    s.value = std::strtod(line.c_str() + i, nullptr);
-    out.push_back(std::move(s));
+  obs::ParsedScrape scrape;
+  if (!obs::parse_exposition(body, &scrape, nullptr)) return out;
+  for (obs::ParsedSample& p : scrape.samples) {
+    out.push_back({std::move(p.name), {p.labels.begin(), p.labels.end()},
+                   p.value});
   }
   return out;
 }
