@@ -9,10 +9,15 @@
 // across array sizes, reporting bytes/second. The shape to reproduce: the
 // boundary copy runs at memcpy speed, serialization of dense arrays is
 // bulk-copy fast, and per-element costs only appear for bit arrays (which
-// pack/unpack 8 per byte).
+// pack/unpack 8 per byte). BM_MapRoundTrip moves an offloaded map's
+// operands the way GpuKernelArtifact::run_map does and counts what the
+// stage rows hide: page faults and fresh buffers per call.
+#include <sys/resource.h>
+
 #include <benchmark/benchmark.h>
 
 #include "bytecode/value.h"
+#include "serde/buffer_pool.h"
 #include "serde/native.h"
 #include "serde/wire.h"
 #include "util/rng.h"
@@ -107,6 +112,59 @@ void BM_FullRoundTrip(benchmark::State& state) {
       static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_FullRoundTrip)->RangeMultiplier(8)->Range(1 << 10, 1 << 22);
+
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+/// saxpy's traffic over 2^18 floats, step for step as run_map moves it:
+/// each operand serialized into a wire_pool() buffer, crossed and
+/// converted; the result marshaled, crossed back and deserialized into a
+/// fresh host array. Reports minor page faults and wire_pool() misses per
+/// call, the cost of buffers that are freed and taken again.
+void BM_MapRoundTrip(benchmark::State& state) {
+  const size_t n = size_t{1} << 18;
+  const bc::Value x = make_float_array(n);
+  const bc::Value y = make_float_array(n);
+  auto t = lime::Type::value_array(lime::Type::float_());
+  auto ser = serde::serializer_for(t);
+  serde::BufferPool& pool = serde::wire_pool();
+  auto to_device = [&](const bc::Value& v, serde::NativeBoundary& boundary) {
+    ByteWriter w(pool.acquire(ser->wire_size(v)));
+    ser->serialize(v, w);
+    serde::PooledBuffer native =
+        boundary.cross_to_native(serde::PooledBuffer(pool, w.take()));
+    return serde::unmarshal_native(native, t);
+  };
+  long faults = 0;
+  uint64_t misses = 0;
+  for (auto _ : state) {
+    const long faults0 = minor_faults();
+    const uint64_t misses0 = pool.allocations();
+    serde::NativeBoundary boundary;
+    serde::CValue dx = to_device(x, boundary);
+    serde::CValue dy = to_device(y, boundary);
+    serde::CValue out = serde::CValue::make(bc::ElemCode::kF32, true, n);
+    auto xs = dx.f32s();
+    auto ys = dy.f32s();
+    auto os = out.f32s();
+    for (size_t i = 0; i < n; ++i) os[i] = 2.5f * xs[i] + ys[i];
+    serde::PooledBuffer host =
+        boundary.cross_to_host(serde::marshal_native(out));
+    ByteReader r(host);
+    benchmark::DoNotOptimize(ser->deserialize(r));
+    faults += minor_faults() - faults0;
+    misses += pool.allocations() - misses0;
+  }
+  const double iters = static_cast<double>(state.iterations());
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n) * 12);  // 2 in, 1 out
+  state.counters["minflt_per_call"] = static_cast<double>(faults) / iters;
+  state.counters["pool_allocs_per_call"] = static_cast<double>(misses) / iters;
+}
+BENCHMARK(BM_MapRoundTrip);
 
 /// Bit arrays pay a pack/unpack cost (8 bits per wire byte) — the one
 /// non-bulk case in the wire format.

@@ -147,6 +147,10 @@ Interval iv_max(const Interval& a, const Interval& b) {
 Interval iv_abs(const Interval& a) {
   if (a.bot) return a;
   if (a.lo >= 0) return a;
+  // Math.abs(MIN_VALUE) is MIN_VALUE. An unbounded lower end may be
+  // Long.MIN_VALUE; an int's |MIN_VALUE| = 2^31 lies past INT_MAX, so
+  // fit_type widens the result to the whole int range.
+  if (a.lo == kNegInf) return Interval::top();
   if (a.hi <= 0) return iv_neg(a);
   return {false, 0, std::max(a.hi, sat_neg(a.lo))};
 }
@@ -169,6 +173,14 @@ Interval type_range(const lime::TypeRef& t) {
 }
 
 namespace {
+
+/// `v` as a value of type `t`. Java arithmetic wraps, so a result that
+/// leaves the type's range may be any value of it: it widens to the range.
+Interval fit_type(Interval v, const lime::TypeRef& t) {
+  if (v.bot) return v;
+  Interval range = type_range(t);
+  return v.lo < range.lo || v.hi > range.hi ? range : v;
+}
 
 constexpr int kWidenDelay = 2;   // precise joins absorbed before widening
 constexpr int kNarrowPasses = 2; // bounded decreasing iterations
@@ -272,7 +284,7 @@ class IntervalEvaluator {
             return iv_max(args[0], args[1]);
           }
           if (c.builtin == B::kAbs && args.size() == 1) {
-            return iv_abs(args[0]);
+            return fit_type(iv_abs(args[0]), e.type);
           }
         }
         return type_range(e.type);
@@ -330,8 +342,8 @@ class IntervalEvaluator {
   void declare(const lime::VarDeclStmt& vd) {
     if (vd.init) {
       Interval v = eval(*vd.init);
-      set_slot(vd.slot, meet_type(v, vd.init->type ? vd.init->type
-                                                   : vd.declared_type));
+      set_slot(vd.slot, fit_type(v, vd.init->type ? vd.init->type
+                                                  : vd.declared_type));
     } else {
       set_slot(vd.slot, Interval::bottom());  // (re)opened, unassigned
     }
@@ -407,11 +419,6 @@ class IntervalEvaluator {
       return;
     }
     cur = m;
-  }
-
-  static Interval meet_type(Interval v, const lime::TypeRef& t) {
-    if (v.bot) return v;
-    return meet(v, type_range(t));
   }
 
   /// `x ⟨op⟩ bound` assumed true: the interval x must additionally lie in.
@@ -533,7 +540,7 @@ class IntervalEvaluator {
                            : (!b.lhs->type || !b.lhs->type->is_floating());
     if (!integral) return type_range(b.type);
     Interval v = arith(b.op, l, r);
-    return meet_type(v, b.type);
+    return fit_type(v, b.type);
   }
 
   static Interval arith(BinOp op, const Interval& l, const Interval& r) {
@@ -581,7 +588,7 @@ class IntervalEvaluator {
           Interval base = cur.bot ? type_range(a.target->type) : cur;
           result = arith(a.op, base, v);
         }
-        result = meet_type(result, a.target->type);
+        result = fit_type(result, a.target->type);
         set_slot(n.slot, result);
         return result;
       }
@@ -600,6 +607,10 @@ class IntervalEvaluator {
 
   IntervalState& st_;
 };
+
+/// Which of `num_slots` local slots `loop` assigns (its init, condition,
+/// update and body included).
+std::vector<char> slots_assigned_in(const lime::Stmt& loop, int num_slots);
 
 /// The custom widening worklist plus narrowing passes. Keeps per-block
 /// in-states; out-states are recomputed on demand (transfer is cheap).
@@ -625,6 +636,16 @@ class IntervalSolver {
           widen_point_[static_cast<size_t>(b)] = 1;
         }
       }
+    }
+    // A loop head widens only the slots its loop assigns. A slot the loop
+    // leaves alone changes there only as an enclosing loop changes it, and
+    // that loop's head widens it; widening it here too would drop the bound
+    // the enclosing loop's condition gives it, and an int slot pushed to
+    // +inf wraps on its next increment (fit_type).
+    loop_slots_.resize(n);
+    for (const auto& [stmt, head] : cfg.loop_heads) {
+      loop_slots_[static_cast<size_t>(head)] =
+          slots_assigned_in(*stmt, m.num_slots);
     }
     in_[Cfg::kEntry] = boundary(arg_ranges);
     reachable_[Cfg::kEntry] = 1;
@@ -658,7 +679,9 @@ class IntervalSolver {
             changed = false;
           } else {
             if (widen_point_[su] && ++join_count_[su] > kWidenDelay) {
+              const std::vector<char>& only = loop_slots_[su];
               for (size_t i = 0; i < joined.slots.size(); ++i) {
+                if (i < only.size() && !only[i]) continue;
                 joined.slots[i] = widen(in_[su].slots[i], joined.slots[i]);
               }
             }
@@ -726,18 +749,10 @@ class IntervalSolver {
       }
       r = join(r, last);
     }
-    return meet_type_checked(r);
+    return fit_type(r, method_.return_type);
   }
 
  private:
-  Interval meet_type_checked(Interval r) const {
-    if (r.bot) return r;
-    if (method_.return_type && method_.return_type->is_integral()) {
-      return meet(r, type_range(method_.return_type));
-    }
-    return r;
-  }
-
   IntervalState boundary(const std::vector<Interval>& arg_ranges) const {
     IntervalState s;
     s.slots.assign(static_cast<size_t>(std::max(method_.num_slots, 0)),
@@ -790,6 +805,8 @@ class IntervalSolver {
   std::vector<int> rpo_;
   std::vector<int> rpo_pos_;
   std::vector<char> widen_point_;
+  /// Per loop head: the slots it widens (empty: every slot).
+  std::vector<std::vector<char>> loop_slots_;
   std::vector<int> join_count_;
   int visits_ = 0;
   bool converged_ = false;
@@ -843,18 +860,27 @@ bool match_step(const lime::Expr& e, int slot, int64_t* step) {
 }
 
 /// Counts assignments (of any shape) to `slot` inside a statement subtree,
-/// and remembers the single step-shaped one if that's all there is.
+/// and remembers the single step-shaped one if that's all there is. With
+/// `assigned` set, also marks every slot the subtree assigns.
 struct StepScan {
   int slot;
   int assigns = 0;
   int steps = 0;
   int64_t step = 0;
+  std::vector<char>* assigned = nullptr;
+
+  void mark(int s) const {
+    if (assigned && s >= 0 && static_cast<size_t>(s) < assigned->size()) {
+      (*assigned)[static_cast<size_t>(s)] = 1;
+    }
+  }
 
   void expr(const lime::Expr& e) {
     switch (e.kind) {
       case ExprKind::kAssign: {
         const auto& a = as<lime::AssignExpr>(e);
         const auto* t = as_local(*a.target);
+        if (t) mark(t->slot);
         if (t && t->slot == slot) {
           ++assigns;
           int64_t s = 0;
@@ -943,6 +969,7 @@ struct StepScan {
         return;
       case StmtKind::kVarDecl: {
         const auto& vd = as<lime::VarDeclStmt>(s);
+        mark(vd.slot);
         if (vd.slot == slot) ++assigns;  // redeclaration resets the slot
         if (vd.init) expr(*vd.init);
         return;
@@ -978,6 +1005,14 @@ struct StepScan {
     }
   }
 };
+
+std::vector<char> slots_assigned_in(const lime::Stmt& loop, int num_slots) {
+  std::vector<char> assigned(static_cast<size_t>(std::max(num_slots, 0)), 0);
+  StepScan scan{-1};
+  scan.assigned = &assigned;
+  scan.stmt(loop);
+  return assigned;
+}
 
 /// Derives an upper trip bound for one loop from the interval state at its
 /// head block. `head_state` already over-approximates every iteration, so

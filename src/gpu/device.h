@@ -2,9 +2,11 @@
 //
 // Substitution note (DESIGN.md §1): the paper ran on real AMD/NVidia parts
 // through OpenCL. Here the "device" is a software SIMT model: a launch
-// spreads work items over a pool of compute-unit threads, each executing
-// the lowered kernel (gpu/lowered.h), which its artifact built once from
-// the kernel IR. When the native-kernel registry holds an entry for
+// spreads work items over compute units, each executing the lowered kernel
+// (gpu/lowered.h), which its artifact built once from the kernel IR. The
+// compute units are threads that live for the whole process, one pinned to
+// each CPU the process may run on, shared by every GpuDevice (DESIGN.md
+// §4). When the native-kernel registry holds an entry for
 // the task id, the device runs that pre-compiled C++ function instead —
 // playing the role of the vendor driver's JIT output, exactly as the
 // paper's artifact repository holds device-toolflow outputs keyed by task
@@ -87,11 +89,14 @@ struct GpuStats {
 
 class GpuDevice {
  public:
-  /// One compute unit (worker thread) per hardware thread.
   GpuDevice();
 
   /// Executes `n` work items of `kernel` and returns the output buffer
-  /// (one element of its return type per item).
+  /// (one element of its return type per item). A launch of at least 4096
+  /// items is cut into chunks that the compute units claim while the
+  /// calling thread waits; launches from several threads take turns in
+  /// arrival order. An exception thrown in a chunk is rethrown here once
+  /// every chunk has finished. Smaller launches run on the calling thread.
   serde::CValue launch(const LoweredKernel& kernel,
                        const std::vector<KArg>& args, size_t n);
 
@@ -99,6 +104,8 @@ class GpuDevice {
   /// One-line device identity for listings and remote servers (lmdev):
   /// "simgpu0 (N compute units, M native kernels)".
   std::string describe() const;
+  /// One per CPU in the process's affinity mask; with one, every launch
+  /// runs on the calling thread.
   int compute_units() const { return compute_units_; }
   const GpuStats& stats() const { return stats_; }
   void reset_stats() {

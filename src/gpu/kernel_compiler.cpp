@@ -47,8 +47,11 @@ class Lowering {
   }
 
   /// Lowers `m` inline; its return value lands in the returned register.
+  /// `arg_regs` holds the receiver first for an instance method, then one
+  /// entry per parameter (see bind_params).
   int lower_inline(const lime::MethodDecl& m,
-                   const std::vector<int>& param_regs) {
+                   const std::vector<int>& arg_regs) {
+    if (!m.body) throw Exclude{"call to bodyless method"};
     if (static_cast<int>(frames_.size()) > kMaxInlineDepth) {
       throw Exclude{"inline depth exceeds " + std::to_string(kMaxInlineDepth)};
     }
@@ -61,13 +64,12 @@ class Lowering {
     f.method = &m;
     f.is_top = false;
     f.ret_reg = alloc_reg();
-    bind_params(m, param_regs, f);
+    bind_params(m, arg_regs, f);
     frames_.push_back(std::move(f));
     lower_block(*m.body);
     Frame done = std::move(frames_.back());
     frames_.pop_back();
-    int end = here();
-    for (int j : done.ret_jumps) prog_.code[static_cast<size_t>(j)].imm = end;
+    for (int j : done.ret_jumps) patch(j, here());
     return done.ret_reg;
   }
 
@@ -86,23 +88,28 @@ class Lowering {
     std::unordered_map<int, int> slot2array;
   };
 
-  void bind_params(const lime::MethodDecl& m,
-                   const std::vector<int>& param_regs, Frame& f) {
-    LM_CHECK(param_regs.size() == m.params.size());
+  /// Binds a call's receiver (`this`, slot 0), when arg_regs carries one
+  /// first, and each parameter to the next entry: a scalar is copied into a
+  /// fresh register, so callee-side assignment cannot clobber the caller's
+  /// value; an array arrives as the bitwise complement of its kernel param
+  /// index, kept plain in slot2array.
+  void bind_params(const lime::MethodDecl& m, const std::vector<int>& arg_regs,
+                   Frame& f) {
+    const size_t receiver = arg_regs.size() - m.params.size();
+    LM_CHECK(receiver <= (m.is_static ? 0u : 1u));
+    auto copy = [&](int slot, int reg) {
+      int r = alloc_reg();
+      emit3(KOp::kMov, r, reg);
+      f.slot2reg[slot] = r;
+    };
+    if (receiver) copy(0, arg_regs[0]);
     for (size_t i = 0; i < m.params.size(); ++i) {
-      int slot = m.params[i].slot;
+      const int reg = arg_regs[receiver + i];
       if (m.params[i].type->is_array_like()) {
-        // param_regs carries arrays as the bitwise complement of their
-        // kernel param index; slot2array stores the plain index.
-        f.slot2array[slot] = ~param_regs[i];
+        if (reg >= 0) throw Exclude{"array argument mismatch"};
+        f.slot2array[m.params[i].slot] = ~reg;
       } else {
-        // Copy into a fresh register so callee-side assignment to a
-        // parameter cannot clobber the caller's value.
-        int r = alloc_reg();
-        emit({KOp::kMov, static_cast<uint16_t>(r),
-              static_cast<uint16_t>(param_regs[i]), 0, 0, NumType::kI32,
-              NumType::kI32, 0});
-        f.slot2reg[slot] = r;
+        copy(m.params[i].slot, reg);
       }
     }
   }
@@ -301,7 +308,7 @@ class Lowering {
         const auto& u = as<lime::UnaryExpr>(e);
         if (u.op == UnOp::kUserOp) {
           int recv = lower_expr(*u.operand);
-          return inline_call(*u.user_method, {recv});
+          return lower_inline(*u.user_method, {recv});
         }
         int v = lower_expr(*u.operand);
         int dst = alloc_reg();
@@ -556,95 +563,7 @@ class Lowering {
         arg_regs.push_back(lower_expr(*arg));
       }
     }
-    return inline_call(*c.resolved, arg_regs);
-  }
-
-  /// Inlines a callee. arg_regs holds the receiver first for instance
-  /// methods; array args are passed as encoded array param indices.
-  int inline_call(const lime::MethodDecl& callee,
-                  const std::vector<int>& arg_regs) {
-    if (!callee.body) throw Exclude{"call to bodyless method"};
-    // Instance methods have `this` at slot 0; fold it into params handling:
-    // bind_params works over declared params, so handle `this` manually.
-    std::vector<int> regs = arg_regs;
-    if (!callee.is_static) {
-      // Synthesize: treat `this` as an extra scalar bound to slot 0.
-      if (static_cast<int>(frames_.size()) > kMaxInlineDepth) {
-        throw Exclude{"inline depth exceeded"};
-      }
-      for (const auto& fr : frames_) {
-        if (fr.method == &callee) {
-          throw Exclude{"recursive call to " + callee.qualified_name()};
-        }
-      }
-      Frame f;
-      f.method = &callee;
-      f.is_top = false;
-      f.ret_reg = alloc_reg();
-      int this_copy = alloc_reg();
-      emit3(KOp::kMov, this_copy, regs[0]);
-      f.slot2reg[0] = this_copy;
-      for (size_t i = 0; i < callee.params.size(); ++i) {
-        int slot = callee.params[i].slot;
-        if (callee.params[i].type->is_array_like()) {
-          int encoded = regs[i + 1];
-          if (encoded >= 0) throw Exclude{"array argument mismatch"};
-          f.slot2array[slot] = ~encoded;
-        } else {
-          int r = alloc_reg();
-          emit3(KOp::kMov, r, regs[i + 1]);
-          f.slot2reg[slot] = r;
-        }
-      }
-      frames_.push_back(std::move(f));
-      lower_block(*callee.body);
-      Frame done = std::move(frames_.back());
-      frames_.pop_back();
-      int end = here();
-      for (int j : done.ret_jumps) patch(j, end);
-      return done.ret_reg;
-    }
-    // Static callee: params only. Array args are encoded (negative).
-    std::vector<int> param_regs;
-    for (size_t i = 0; i < callee.params.size(); ++i) {
-      param_regs.push_back(regs[i]);
-    }
-    return lower_inline_static(callee, param_regs);
-  }
-
-  int lower_inline_static(const lime::MethodDecl& callee,
-                          const std::vector<int>& param_regs) {
-    if (static_cast<int>(frames_.size()) > kMaxInlineDepth) {
-      throw Exclude{"inline depth exceeded"};
-    }
-    for (const auto& fr : frames_) {
-      if (fr.method == &callee) {
-        throw Exclude{"recursive call to " + callee.qualified_name()};
-      }
-    }
-    Frame f;
-    f.method = &callee;
-    f.is_top = false;
-    f.ret_reg = alloc_reg();
-    for (size_t i = 0; i < callee.params.size(); ++i) {
-      int slot = callee.params[i].slot;
-      if (callee.params[i].type->is_array_like()) {
-        int encoded = param_regs[i];
-        if (encoded >= 0) throw Exclude{"array argument mismatch"};
-        f.slot2array[slot] = ~encoded;
-      } else {
-        int r = alloc_reg();
-        emit3(KOp::kMov, r, param_regs[i]);
-        f.slot2reg[slot] = r;
-      }
-    }
-    frames_.push_back(std::move(f));
-    lower_block(*callee.body);
-    Frame done = std::move(frames_.back());
-    frames_.pop_back();
-    int end = here();
-    for (int j : done.ret_jumps) patch(j, end);
-    return done.ret_reg;
+    return lower_inline(*c.resolved, arg_regs);
   }
 
   struct Loop {

@@ -60,29 +60,65 @@ std::string ArtifactManifest::to_string() const {
 
 namespace {
 
-/// Host → device leg of Fig. 3: boxed stream elements → Lime value array →
-/// wire bytes → boundary → dense C value.
+// Every buffer on these legs is on loan from serde::wire_pool() and goes
+// back to it when its owner leaves scope, so a warm transfer allocates no
+// buffer (serde/buffer_pool.h).
+
+/// Step (1) of Fig. 3: `v` in the wire format.
+serde::PooledBuffer to_wire(const serde::Serializer& ser, const Value& v) {
+  serde::BufferPool& pool = serde::wire_pool();
+  ByteWriter w(pool.acquire(ser.wire_size(v)));
+  try {
+    ser.serialize(v, w);
+  } catch (...) {
+    pool.release(w.take());
+    throw;
+  }
+  return serde::PooledBuffer(pool, w.take());
+}
+
+/// Host → device leg of Fig. 3 for one value of `type`: serialize, cross
+/// the boundary, convert to a dense C value.
+CValue to_device(const Value& v, const lime::TypeRef& type,
+                 serde::NativeBoundary& boundary, TransferStats& stats) {
+  serde::PooledBuffer native =
+      boundary.cross_to_native(to_wire(*serde::serializer_for(type), v));
+  stats.bytes_to_device += native.size();
+  return serde::unmarshal_native(native, type);
+}
+
+/// The same leg for boxed stream elements. The batch encode/decode lives in
+/// serde/batch.h, shared with the remote transport (src/net/), so local and
+/// remote artifacts move bit-identical bytes.
 CValue elements_to_device(std::span<const Value> elems,
                           const lime::TypeRef& elem_type,
                           serde::NativeBoundary& boundary,
                           TransferStats& stats) {
-  // The batch encode/decode lives in serde/batch.h, shared with the remote
-  // transport (src/net/), so local and remote artifacts move bit-identical
-  // bytes. The wire buffer is recycled: this runs once per firing.
-  auto wire = serde::pack_batch(elems, elem_type, serde::wire_pool());
-  auto native = boundary.cross_to_native(wire);
-  serde::wire_pool().release(std::move(wire));
+  serde::PooledBuffer native = boundary.cross_to_native(serde::PooledBuffer(
+      serde::wire_pool(),
+      serde::pack_batch(elems, elem_type, serde::wire_pool())));
   stats.bytes_to_device += native.size();
   return serde::unmarshal_native(native, lime::Type::value_array(elem_type));
 }
 
-/// Device → host mirror path.
+/// Device → host mirror path: marshal, cross back, deserialize into a fresh
+/// host value of `type`.
+Value from_device(const CValue& out, const lime::TypeRef& type,
+                  serde::NativeBoundary& boundary, TransferStats& stats) {
+  serde::PooledBuffer host =
+      boundary.cross_to_host(serde::marshal_native(out));
+  stats.bytes_from_device += host.size();
+  ByteReader r(host);
+  return serde::serializer_for(type)->deserialize(r);
+}
+
+/// The mirror path for a batch of stream elements.
 std::vector<Value> elements_from_device(const CValue& out,
                                         const lime::TypeRef& elem_type,
                                         serde::NativeBoundary& boundary,
                                         TransferStats& stats) {
-  auto wire = serde::marshal_native(out);
-  auto host = boundary.cross_to_host(wire);
+  serde::PooledBuffer host =
+      boundary.cross_to_host(serde::marshal_native(out));
   stats.bytes_from_device += host.size();
   return serde::unpack_batch(host, elem_type);
 }
@@ -228,25 +264,11 @@ Value GpuKernelArtifact::run_map(std::span<const Value> args,
   device_values.reserve(args.size());
   for (size_t i = 0; i < args.size(); ++i) {
     const lime::TypeRef& pt = manifest_.param_types[i];
-    if (array_mask & (1u << i)) {
-      auto t = lime::Type::value_array(pt);
-      auto ser = serde::serializer_for(t);
-      ByteWriter w(serde::wire_pool().acquire());
-      ser->serialize(args[i], w);
-      auto native = boundary.cross_to_native(w.bytes());
-      serde::wire_pool().release(w.take());
-      transfer_.bytes_to_device += native.size();
-      device_values.push_back(serde::unmarshal_native(native, t));
-      n = device_values.back().count;
-    } else {
-      auto ser = serde::serializer_for(pt);
-      ByteWriter w(serde::wire_pool().acquire());
-      ser->serialize(args[i], w);
-      auto native = boundary.cross_to_native(w.bytes());
-      serde::wire_pool().release(w.take());
-      transfer_.bytes_to_device += native.size();
-      device_values.push_back(serde::unmarshal_native(native, pt));
-    }
+    const bool elementwise = (array_mask & (1u << i)) != 0;
+    device_values.push_back(
+        to_device(args[i], elementwise ? lime::Type::value_array(pt) : pt,
+                  boundary, transfer_));
+    if (elementwise) n = device_values.back().count;
   }
   LM_CHECK_MSG(n > 0, "map launch needs at least one array operand");
   transfer_.elements_in += n;
@@ -268,13 +290,9 @@ Value GpuKernelArtifact::run_map(std::span<const Value> args,
     }
   }
   CValue dev_out = device_->launch(kernel_, kargs, n);
-
-  auto wire = serde::marshal_native(dev_out);
-  auto host = boundary.cross_to_host(wire);
-  transfer_.bytes_from_device += host.size();
-  auto t = lime::Type::value_array(manifest_.return_type);
-  ByteReader r(host);
-  Value result = serde::serializer_for(t)->deserialize(r);
+  Value result =
+      from_device(dev_out, lime::Type::value_array(manifest_.return_type),
+                  boundary, transfer_);
   transfer_.elements_out += n;
   return result;
 }
@@ -289,13 +307,7 @@ Value GpuKernelArtifact::run_reduce(const Value& array) {
   ++transfer_.batches;
   serde::NativeBoundary boundary;
   auto arr_t = lime::Type::value_array(manifest_.return_type);
-  auto ser = serde::serializer_for(arr_t);
-  ByteWriter w(serde::wire_pool().acquire());
-  ser->serialize(array, w);
-  auto native = boundary.cross_to_native(w.bytes());
-  serde::wire_pool().release(w.take());
-  transfer_.bytes_to_device += native.size();
-  CValue cur = serde::unmarshal_native(native, arr_t);
+  CValue cur = to_device(array, arr_t, boundary, transfer_);
   if (cur.count == 0) throw RuntimeError("reduce of an empty array");
   transfer_.elements_in += cur.count;
 
@@ -320,11 +332,7 @@ Value GpuKernelArtifact::run_reduce(const Value& array) {
     }
   }
 
-  auto wire = serde::marshal_native(cur);
-  auto host = boundary.cross_to_host(wire);
-  transfer_.bytes_from_device += host.size();
-  ByteReader r(host);
-  Value v = ser->deserialize(r);
+  Value v = from_device(cur, arr_t, boundary, transfer_);
   transfer_.elements_out += 1;
   return bc::array_get(*v.as_array(), 0);
 }

@@ -10,28 +10,33 @@ using bc::Value;
 
 namespace {
 
-std::vector<uint8_t> pack_batch_impl(std::span<const Value> elems,
-                                     const lime::TypeRef& elem_type,
-                                     ByteWriter w) {
+/// The batch as one value array of `elem_type`.
+Value batch_array(std::span<const Value> elems,
+                  const lime::TypeRef& elem_type) {
   ArrayRef arr = bc::make_array(bc::elem_code_for(elem_type), elems.size());
   for (size_t i = 0; i < elems.size(); ++i) bc::array_set(*arr, i, elems[i]);
   arr->is_value = true;
-  auto ser = serializer_for(lime::Type::value_array(elem_type));
-  ser->serialize(Value::array(arr), w);
-  return w.take();
+  return Value::array(arr);
 }
 
 }  // namespace
 
 std::vector<uint8_t> pack_batch(std::span<const Value> elems,
                                 const lime::TypeRef& elem_type) {
-  return pack_batch_impl(elems, elem_type, ByteWriter());
+  ByteWriter w;
+  serializer_for(lime::Type::value_array(elem_type))
+      ->serialize(batch_array(elems, elem_type), w);
+  return w.take();
 }
 
 std::vector<uint8_t> pack_batch(std::span<const Value> elems,
                                 const lime::TypeRef& elem_type,
                                 BufferPool& pool) {
-  return pack_batch_impl(elems, elem_type, ByteWriter(pool.acquire()));
+  Value arr = batch_array(elems, elem_type);
+  auto ser = serializer_for(lime::Type::value_array(elem_type));
+  ByteWriter w(pool.acquire(ser->wire_size(arr)));
+  ser->serialize(arr, w);
+  return w.take();
 }
 
 std::vector<Value> unpack_batch(std::span<const uint8_t> bytes,

@@ -16,22 +16,20 @@ std::atomic<uint64_t> g_total_bytes_to_native{0};
 std::atomic<uint64_t> g_total_bytes_to_host{0};
 }  // namespace
 
-std::vector<uint8_t> NativeBoundary::cross_to_native(
-    std::span<const uint8_t> bytes) {
+PooledBuffer NativeBoundary::cross_to_native(std::span<const uint8_t> bytes) {
   crossings_.fetch_add(1, std::memory_order_relaxed);
   bytes_to_native_.fetch_add(bytes.size(), std::memory_order_relaxed);
   g_total_crossings.fetch_add(1, std::memory_order_relaxed);
   g_total_bytes_to_native.fetch_add(bytes.size(), std::memory_order_relaxed);
-  return {bytes.begin(), bytes.end()};
+  return PooledBuffer(wire_pool(), bytes);
 }
 
-std::vector<uint8_t> NativeBoundary::cross_to_host(
-    std::span<const uint8_t> bytes) {
+PooledBuffer NativeBoundary::cross_to_host(std::span<const uint8_t> bytes) {
   crossings_.fetch_add(1, std::memory_order_relaxed);
   bytes_to_host_.fetch_add(bytes.size(), std::memory_order_relaxed);
   g_total_crossings.fetch_add(1, std::memory_order_relaxed);
   g_total_bytes_to_host.fetch_add(bytes.size(), std::memory_order_relaxed);
-  return {bytes.begin(), bytes.end()};
+  return PooledBuffer(wire_pool(), bytes);
 }
 
 void NativeBoundary::reset_stats() {
@@ -116,7 +114,7 @@ CValue CValue::make(ElemCode elem, bool is_array, size_t count) {
   v.elem = elem;
   v.is_array = is_array;
   v.count = count;
-  v.storage.assign(count * elem_bytes(elem), 0);
+  v.storage = PooledBuffer(wire_pool(), count * elem_bytes(elem));
   return v;
 }
 
@@ -180,11 +178,14 @@ CValue unmarshal_native(std::span<const uint8_t> wire,
   }
 }
 
-std::vector<uint8_t> marshal_native(const CValue& v) {
-  ByteWriter w;
+PooledBuffer marshal_native(const CValue& v) {
+  const bool packed = v.is_array && v.elem == ElemCode::kBit;
+  ByteWriter w(wire_pool().acquire((v.is_array ? 4 : 0) +
+                                   (packed ? (v.count + 7) / 8
+                                           : v.storage.size())));
   if (v.is_array) {
     w.u32(static_cast<uint32_t>(v.count));
-    if (v.elem == ElemCode::kBit) {
+    if (packed) {
       auto in = v.bytes();
       for (size_t base = 0; base < v.count; base += 8) {
         uint8_t byte = 0;
@@ -199,7 +200,7 @@ std::vector<uint8_t> marshal_native(const CValue& v) {
   } else {
     w.raw(v.storage.data(), v.storage.size());
   }
-  return w.take();
+  return PooledBuffer(wire_pool(), w.take());
 }
 
 }  // namespace lm::serde

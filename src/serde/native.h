@@ -8,7 +8,9 @@
 // NativeBoundary simulates step (2): only raw byte buffers may cross, and
 // every crossing copies (as a real JNI GetByteArrayRegion would). CValue is
 // the C-style value of step (3): a densely packed buffer a device artifact
-// can consume directly.
+// can consume directly. Every buffer on this path (the crossed copies,
+// CValue storage, marshal_native's output) is on loan from wire_pool()
+// and goes back to it when its owner is destroyed (serde/buffer_pool.h).
 #pragma once
 
 #include <atomic>
@@ -18,6 +20,7 @@
 
 #include "bytecode/value.h"
 #include "lime/type.h"
+#include "serde/buffer_pool.h"
 
 namespace lm::serde {
 
@@ -27,10 +30,10 @@ namespace lm::serde {
 class NativeBoundary {
  public:
   /// Host → native copy (JNI "GetByteArrayRegion" direction).
-  std::vector<uint8_t> cross_to_native(std::span<const uint8_t> bytes);
+  PooledBuffer cross_to_native(std::span<const uint8_t> bytes);
 
   /// Native → host copy ("NewByteArray + SetByteArrayRegion" direction).
-  std::vector<uint8_t> cross_to_host(std::span<const uint8_t> bytes);
+  PooledBuffer cross_to_host(std::span<const uint8_t> bytes);
 
   uint64_t crossings() const {
     return crossings_.load(std::memory_order_relaxed);
@@ -64,8 +67,8 @@ class NativeBoundary {
 struct CValue {
   bc::ElemCode elem = bc::ElemCode::kI32;
   bool is_array = false;
-  size_t count = 0;               // elements (1 for scalars)
-  std::vector<uint8_t> storage;   // packed native layout
+  size_t count = 0;       // elements (1 for scalars)
+  PooledBuffer storage;   // packed native layout
 
   // Typed views (LM_CHECKed against elem).
   std::span<const int32_t> i32s() const;
@@ -79,6 +82,7 @@ struct CValue {
   std::span<double> f64s();
   std::span<uint8_t> bytes();
 
+  /// A zero-filled value.
   static CValue make(bc::ElemCode elem, bool is_array, size_t count);
 };
 
@@ -88,6 +92,6 @@ CValue unmarshal_native(std::span<const uint8_t> wire,
                         const lime::TypeRef& type);
 
 /// Mirror path: C-style value → wire bytes (bit arrays re-pack).
-std::vector<uint8_t> marshal_native(const CValue& v);
+PooledBuffer marshal_native(const CValue& v);
 
 }  // namespace lm::serde

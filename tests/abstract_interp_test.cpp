@@ -136,6 +136,8 @@ TEST(IntervalDomain, ArithmeticSaturatesAndDivGuardsZero) {
   EXPECT_EQ(iv_max(Interval::range(0, 9), Interval::range(4, 20)),
             Interval::range(4, 20));
   EXPECT_EQ(iv_abs(Interval::range(-5, 3)), Interval::range(0, 5));
+  // An unbounded lower end may be Long.MIN_VALUE, whose abs is itself.
+  EXPECT_TRUE(iv_abs(Interval::range(Interval::kNegInf, -1)).is_top());
 }
 
 // ---------------------------------------------------------------------------
@@ -176,6 +178,40 @@ TEST(RangeAnalysis, BranchJoinWidensReturnRange) {
   EXPECT_FALSE(facts.return_range.is_bottom());
   EXPECT_EQ(facts.return_range.lo, -2);
   EXPECT_EQ(facts.return_range.hi, 10);
+}
+
+// Java int arithmetic wraps: inc(MAX_VALUE) and ab(MIN_VALUE) both return
+// MIN_VALUE, so neither return range may exclude it.
+TEST(RangeAnalysis, OverflowingResultWidensToTheTypeRange) {
+  auto fr = lime::testing::compile_ok(R"(
+    class C {
+      static int inc(int x) { if (x >= 0) { return x + 1; } return 0; }
+      static int ab(int x) { if (x <= 0) { return Math.abs(x); } return 0; }
+    }
+  )");
+  const Interval ints = Interval::range(INT32_MIN, INT32_MAX);
+  for (const char* name : {"inc", "ab"}) {
+    const auto* m = find_method(*fr.program, "C", name);
+    ASSERT_NE(m, nullptr) << name;
+    RangeFacts facts = analyze_ranges(*m);
+    EXPECT_TRUE(facts.converged) << name;
+    EXPECT_EQ(facts.return_range, ints) << name;
+  }
+}
+
+TEST(RangeAnalysis, InRangeResultKeepsItsBounds) {
+  auto fr = lime::testing::compile_ok(R"(
+    class C {
+      static int f(int x) {
+        if (x >= 0 && x < 100) { return Math.abs(x - 50) + 1; }
+        return 0;
+      }
+    }
+  )");
+  const auto* m = find_method(*fr.program, "C", "f");
+  ASSERT_NE(m, nullptr);
+  RangeFacts facts = analyze_ranges(*m);
+  EXPECT_EQ(facts.return_range, Interval::range(0, 51));
 }
 
 TEST(RangeAnalysis, LiteralForLoopTripCount) {

@@ -1,6 +1,9 @@
 // Unit and differential tests for the GPU backend (S5).
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <thread>
+
 #include "bytecode/compiler.h"
 #include "bytecode/interp.h"
 #include "gpu/device.h"
@@ -307,6 +310,169 @@ TEST(KernelExec, WatchdogCatchesDivergentKernel) {
   CValue out = CValue::make(bc::ElemCode::kI32, true, 1);
   EXPECT_THROW(run_kernel_range(*r.program, {KArg::elementwise(in)}, out, 0, 1),
                RuntimeError);
+}
+
+// ---------------------------------------------------------------------------
+// Compute units: a launch of at least 4096 items runs on the process-wide
+// units, which claim its items chunk by chunk.
+// ---------------------------------------------------------------------------
+
+constexpr size_t kParallelItems = 3 * 4096 + 17;  // an uneven last chunk
+
+const char* kCollatzSource = R"(
+  class C {
+    local static int f(int x) { return x % 2 == 0 ? x / 2 : 3 * x + 1; }
+  }
+)";
+
+CValue ints(size_t n, int32_t first) {
+  CValue v = CValue::make(bc::ElemCode::kI32, true, n);
+  for (size_t i = 0; i < n; ++i) {
+    v.i32s()[i] = first + static_cast<int32_t>(i);
+  }
+  return v;
+}
+
+/// A native kernel whose output shows a misplaced range: out[i] = 7·in[i] + i.
+/// Throws on an input of INT32_MIN.
+void scaled_plus_index(const std::vector<KArg>& args, CValue& out,
+                       size_t begin, size_t end) {
+  auto in = args[0].array->i32s();
+  for (size_t i = begin; i < end; ++i) {
+    if (in[i] == INT32_MIN) {
+      throw RuntimeError("bad item " + std::to_string(i));
+    }
+    out.i32s()[i] = 7 * in[i] + static_cast<int32_t>(i);
+  }
+}
+
+TEST(ComputeUnits, ParallelLaunchMatchesOneRange) {
+  auto b = build(kCollatzSource);
+  auto r = compile_kernel(*method(b, "C", "f"));
+  ASSERT_TRUE(r.ok()) << r.exclusion_reason;
+  const LoweredKernel kernel(*r.program);
+  CValue in = ints(kParallelItems, -5000);
+  const std::vector<KArg> args = {KArg::elementwise(in)};
+  GpuDevice dev;
+
+  CValue whole = CValue::make(bc::ElemCode::kI32, true, kParallelItems);
+  run_kernel_range(kernel, args, whole, 0, kParallelItems);
+  EXPECT_EQ(dev.launch(kernel, args, kParallelItems).storage, whole.storage);
+
+  dev.registry().add("C.f", scaled_plus_index);
+  CValue native_whole = CValue::make(bc::ElemCode::kI32, true, kParallelItems);
+  scaled_plus_index(args, native_whole, 0, kParallelItems);
+  EXPECT_EQ(dev.launch(kernel, args, kParallelItems).storage,
+            native_whole.storage);
+  EXPECT_EQ(dev.stats().native_launches, 1u);
+}
+
+TEST(ComputeUnits, ThrowingRangeRethrowsOnTheLaunchingThread) {
+  auto b = build(kCollatzSource);
+  auto r = compile_kernel(*method(b, "C", "f"));
+  ASSERT_TRUE(r.ok()) << r.exclusion_reason;
+  const LoweredKernel kernel(*r.program);
+  GpuDevice dev;
+  dev.registry().add("C.f", scaled_plus_index);
+
+  CValue in = ints(kParallelItems, 0);
+  in.i32s()[kParallelItems - 2] = INT32_MIN;  // in the last range
+  EXPECT_THROW(dev.launch(kernel, {KArg::elementwise(in)}, kParallelItems),
+               RuntimeError);
+  in.i32s()[kParallelItems - 2] = 5;
+  CValue out = dev.launch(kernel, {KArg::elementwise(in)}, kParallelItems);
+  for (size_t i = 0; i < kParallelItems; ++i) {
+    ASSERT_EQ(out.i32s()[i], 7 * in.i32s()[i] + static_cast<int32_t>(i))
+        << "item " << i;
+  }
+}
+
+TEST(ComputeUnits, WatchdogInOneRangeRethrowsAndTheNextLaunchRuns) {
+  auto b = build(R"(
+    class C {
+      local static int spin(int x) {
+        while (x > -1) { x = x < 100 ? x + 1 : 1; }
+        return x;
+      }
+    }
+  )");
+  auto r = compile_kernel(*method(b, "C", "spin"));
+  ASSERT_TRUE(r.ok()) << r.exclusion_reason;
+  const LoweredKernel kernel(*r.program);
+  GpuDevice dev;
+  CValue in = CValue::make(bc::ElemCode::kI32, true, kParallelItems);
+  for (size_t i = 0; i < kParallelItems; ++i) in.i32s()[i] = -1;
+  in.i32s()[kParallelItems / 2] = 0;  // this item never leaves the loop
+  EXPECT_THROW(dev.launch(kernel, {KArg::elementwise(in)}, kParallelItems),
+               RuntimeError);
+  in.i32s()[kParallelItems / 2] = -7;
+  CValue out = dev.launch(kernel, {KArg::elementwise(in)}, kParallelItems);
+  for (size_t i = 0; i < kParallelItems; ++i) {
+    ASSERT_EQ(out.i32s()[i], in.i32s()[i]) << "item " << i;
+  }
+}
+
+TEST(ComputeUnits, ConcurrentLaunchersAllGetTheirOwnOutput) {
+  auto b = build(kCollatzSource);
+  auto r = compile_kernel(*method(b, "C", "f"));
+  ASSERT_TRUE(r.ok()) << r.exclusion_reason;
+  const LoweredKernel kernel(*r.program);
+  GpuDevice dev;
+  constexpr int kThreads = 4;
+  constexpr int kLaunches = 8;
+  std::vector<size_t> wrong(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int l = 0; l < kLaunches; ++l) {
+        CValue in = ints(kParallelItems, 100000 * t + 1000 * l);
+        CValue out =
+            dev.launch(kernel, {KArg::elementwise(in)}, kParallelItems);
+        for (size_t i = 0; i < kParallelItems; ++i) {
+          int32_t x = in.i32s()[i];
+          if (out.i32s()[i] != (x % 2 == 0 ? x / 2 : 3 * x + 1)) ++wrong[t];
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(wrong[t], 0u) << "launcher " << t;
+  }
+  EXPECT_EQ(dev.stats().launches, uint64_t{kThreads * kLaunches});
+}
+
+/// Threads of this process.
+size_t thread_count() {
+  size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)e;
+    ++n;
+  }
+  return n;
+}
+
+// Runs in a fresh process (the threadsafe death-test style re-executes the
+// binary), so no earlier launch has started the process-wide units.
+TEST(ComputeUnitsDeathTest, LaunchesUnder4096ItemsStartNoThread) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  auto child = [] {
+    auto b = build(kCollatzSource);
+    auto r = compile_kernel(*method(b, "C", "f"));
+    const LoweredKernel kernel(*r.program);
+    GpuDevice dev;
+    CValue in = ints(4096, 1);
+    const size_t before = thread_count();
+    for (size_t n : {size_t{1}, size_t{448}, size_t{4095}}) {
+      dev.launch(kernel, {KArg::elementwise(in)}, n);
+    }
+    const bool none_started = thread_count() == before;
+    dev.launch(kernel, {KArg::elementwise(in)}, 4096);
+    const bool units_started =
+        dev.compute_units() == 1 || thread_count() > before;
+    std::_Exit(none_started && units_started ? 0 : 1);
+  };
+  EXPECT_EXIT(child(), ::testing::ExitedWithCode(0), "");
 }
 
 // ---------------------------------------------------------------------------

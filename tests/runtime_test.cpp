@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "runtime/liquid_runtime.h"
+#include "serde/buffer_pool.h"
 #include "tests/lime_test_util.h"
 #include "util/rng.h"
 
@@ -630,6 +631,54 @@ TEST(Transfer, DeviceArtifactsCountMarshaledBytes) {
   // 16 bits pack into 2 bytes + 4-byte length header each way.
   EXPECT_EQ(ts.bytes_to_device, 6u);
   EXPECT_EQ(ts.bytes_from_device, 6u);
+}
+
+// Every buffer on Fig. 3's path (the serialized operands, both crossing
+// copies, the C-side values and the marshaled result) comes from
+// serde::wire_pool(): once one call has retired a buffer of each size,
+// further calls take none from the allocator, and the pool stays in its cap.
+TEST(Transfer, WarmMapCallsTakeNoNewPoolBuffers) {
+  auto cp = compile_ok(R"(
+    class S {
+      local static float axpy(float a, float x, float y) { return a * x + y; }
+      static float[[]] run(float a, float[[]] x, float[[]] y) {
+        return S @ axpy(a, x, y);
+      }
+    }
+  )");
+  auto* gpu = dynamic_cast<GpuKernelArtifact*>(
+      cp->store.find("S.axpy", DeviceKind::kGpu));
+  ASSERT_NE(gpu, nullptr);
+  const size_t n = size_t{1} << 18;
+  std::vector<float> xs(n);
+  std::vector<float> ys(n);
+  for (size_t i = 0; i < n; ++i) {
+    xs[i] = static_cast<float>(i % 1000);
+    ys[i] = static_cast<float>(i % 7);
+  }
+  const std::vector<Value> args = {
+      Value::f32(2.5f), Value::array(bc::make_f32_array(xs, true)),
+      Value::array(bc::make_f32_array(ys, true))};
+  const uint32_t arrays = 0b110;  // x and y elementwise, a broadcast
+  gpu->run_map(args, arrays);     // warm-up: retires one buffer per size
+
+  serde::BufferPool& pool = serde::wire_pool();
+  const uint64_t allocations = pool.allocations();
+  const uint64_t reuses = pool.reuses();
+  for (int call = 0; call < 10; ++call) {
+    Value out = gpu->run_map(args, arrays);
+    const auto& got = std::get<std::vector<float>>(out.as_array()->data);
+    ASSERT_EQ(got.size(), n);
+    for (size_t i : {size_t{0}, n / 2 + 3, n - 1}) {
+      EXPECT_EQ(got[i], 2.5f * xs[i] + ys[i]) << "item " << i;
+    }
+    EXPECT_LE(pool.idle_bytes(), serde::BufferPool::kMaxIdleBytes);
+  }
+  EXPECT_EQ(pool.allocations(), allocations)
+      << "warm map calls took new buffers from the pool";
+  // Per call: three operands × (wire, crossed copy, C value), the launch's
+  // output, the marshaled result and its crossed copy.
+  EXPECT_GE(pool.reuses() - reuses, 10u * 12u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "serde/batch.h"
+#include "serde/buffer_pool.h"
 #include "serde/native.h"
 #include "serde/wire.h"
 
@@ -336,6 +337,68 @@ TEST(CValue, MakeZeroInitializes) {
   CValue c = CValue::make(ElemCode::kI64, true, 8);
   for (int64_t v : c.i64s()) EXPECT_EQ(v, 0);
   EXPECT_EQ(c.storage.size(), 64u);
+}
+
+// ---------------------------------------------------------------------------
+// Pooled transfer buffers (serde/buffer_pool.h)
+// ---------------------------------------------------------------------------
+
+TEST(BufferPool, PowerOfTwoClassesServeRequestsOfTheirClass) {
+  BufferPool pool;
+  std::vector<uint8_t> a = pool.acquire(1000);
+  EXPECT_EQ(a.capacity(), 1024u);  // a miss allocates a power of two
+  pool.release(std::move(a));
+  std::vector<uint8_t> b = pool.acquire(513);  // same class: reused
+  EXPECT_EQ(b.capacity(), 1024u);
+  EXPECT_EQ(pool.reuses(), 1u);
+  std::vector<uint8_t> c = pool.acquire(1025);  // next class: a miss
+  EXPECT_EQ(c.capacity(), 2048u);
+  EXPECT_EQ(pool.allocations(), 2u);
+}
+
+TEST(BufferPool, ReleaseBeyondTheIdleCapEvictsTheOldest) {
+  BufferPool pool;
+  const size_t mib = size_t{1} << 20;
+  auto retire = [&](size_t capacity) {
+    std::vector<uint8_t> buf;
+    buf.reserve(capacity);
+    pool.release(std::move(buf));
+    EXPECT_LE(pool.idle_bytes(), BufferPool::kMaxIdleBytes);
+  };
+  retire(3 * mib);  // serves requests of up to 2 MiB
+  retire(4 * mib);
+  retire(1 * mib);
+  EXPECT_EQ(pool.idle_bytes(), 8 * mib);  // exactly the cap: all kept
+  retire(1 * mib);                        // evicts the 3 MiB buffer
+  EXPECT_EQ(pool.idle_bytes(), 6 * mib);
+  EXPECT_EQ(pool.acquire(4 * mib).capacity(), 4 * mib);
+  EXPECT_EQ(pool.reuses(), 1u);
+  pool.acquire(2 * mib);
+  EXPECT_EQ(pool.allocations(), 1u);
+}
+
+TEST(PooledBuffer, GoesBackToItsPoolOnEveryPath) {
+  BufferPool pool;
+  try {
+    PooledBuffer buf(pool, 4096);
+    EXPECT_EQ(buf.size(), 4096u);
+    throw RuntimeError("unwinding");
+  } catch (const RuntimeError&) {
+  }
+  EXPECT_EQ(pool.idle_bytes(), 4096u);
+  {
+    PooledBuffer moved;
+    {
+      PooledBuffer buf(pool, std::vector<uint8_t>{1, 2, 3});
+      moved = PooledBuffer(pool, std::span<const uint8_t>(buf.data(), 3));
+      EXPECT_EQ(moved, std::vector<uint8_t>({1, 2, 3}));
+    }
+    EXPECT_EQ(pool.reuses(), 0u);  // the 3-byte copy's class was empty
+  }
+  EXPECT_EQ(pool.allocations(), 2u);
+  PooledBuffer again(pool, 4096);
+  EXPECT_EQ(pool.reuses(), 1u);
+  for (uint8_t b : again) EXPECT_EQ(b, 0);  // zero-filled even when reused
 }
 
 }  // namespace
