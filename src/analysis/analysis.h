@@ -11,14 +11,14 @@
 //                across relocation brackets)
 //   LM210–LM214  FIFO capacity / deadlock verification over static
 //                push/pop rates (deadlock.h)
-//   LM301–LM315  IR well-formedness (ir_verify.h), run between compiler
-//                passes when LM_VERIFY_IR=1
 //
-// runtime::compile() calls analyze_program on every compile. It
-// runs every analysis above but the IR verifiers, and builds the static
-// cost model (cost_estimate.h, from the interval tier's loop trip counts,
-// intervals.h); the findings merge into the program's DiagnosticEngine and
-// the demoted set gates backend artifact creation.
+// runtime::compile() calls analyze_program on every compile. It runs
+// every analysis above and builds the static cost model (cost_estimate.h,
+// from the interval tier's loop trip counts, intervals.h); the findings
+// merge into the program's DiagnosticEngine and the demoted set gates
+// backend artifact creation. The backends' IRs are not checked here: each
+// has one always-on validator of its own (gpu::validate and
+// rtl::Module::validate, DESIGN.md §8).
 #pragma once
 
 #include <unordered_set>

@@ -71,11 +71,11 @@ const char* to_string(CacheMode m) {
 }
 
 uint64_t artifact_key(std::span<const uint8_t> canonical_bytes,
-                      const std::string& backend, const std::string& flags) {
+                      const std::string& backend) {
   util::Fnv1a h;
   h.mix(canonical_bytes).mix_byte(0);
   h.mix(backend).mix_byte(0);
-  h.mix(flags).mix_byte(0);
+  h.mix_byte(0);  // a retired compile-flags field, kept so keys stay stable
   h.mix(std::string(kToolchainVersion)).mix_byte(0);
   h.mix_u32(kCacheFormatVersion);
   return h.digest();

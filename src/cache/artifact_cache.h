@@ -80,11 +80,12 @@ struct CacheConfig {
 std::optional<CacheMode> parse_cache_mode(const std::string& s);
 const char* to_string(CacheMode m);
 
-/// The content key: FNV-1a over (canonical IR bytes, backend id, compile
-/// flags, toolchain version, cache format version), with separators so
-/// field boundaries cannot alias.
+/// The content key: FNV-1a over (canonical IR bytes, backend id, an empty
+/// field, toolchain version, cache format version), with separators so
+/// field boundaries cannot alias. The empty field once held compile flags;
+/// none is left, and it stays so that every key is unchanged.
 uint64_t artifact_key(std::span<const uint8_t> canonical_bytes,
-                      const std::string& backend, const std::string& flags);
+                      const std::string& backend);
 
 /// `key` rendered as the 16-hex-digit entry stem.
 std::string key_hex(uint64_t key);

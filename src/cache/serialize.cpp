@@ -571,8 +571,7 @@ void check_ports(const rtl::Module& m, const fpga::FpgaPortMeta& p) {
   auto expect_port = [&m](const std::string& name, rtl::SigKind kind,
                           int width) {
     rtl::SigId id = m.find(name);
-    if (id < 0 || m.sig(id).kind != kind || m.sig(id).width != width ||
-        width < 1 || width > 64) {
+    if (id < 0 || m.sig(id).kind != kind || m.sig(id).width != width) {
       throw RuntimeError("netlist payload port '" + name +
                          "' does not match its module");
     }
@@ -665,24 +664,18 @@ fpga::FpgaCompileResult decode_fpga_result(std::span<const uint8_t> bytes) {
     }
     return exprs[id];
   };
-  auto target_at = [&](int32_t id) -> rtl::SigId {
-    if (id < 0 || static_cast<uint32_t>(id) >= nsignals) {
-      throw RuntimeError("netlist payload assigns a missing signal");
-    }
-    return id;
-  };
   uint32_t ncomb = r.u32();
   check_count(r, ncomb, 8);
   m->comb.reserve(ncomb);
   for (uint32_t i = 0; i < ncomb; ++i) {
-    rtl::SigId target = target_at(r.i32());
+    rtl::SigId target = r.i32();
     m->comb.push_back({target, expr_at(r.u32())});
   }
   uint32_t nseq = r.u32();
   check_count(r, nseq, 8);
   m->seq.reserve(nseq);
   for (uint32_t i = 0; i < nseq; ++i) {
-    rtl::SigId target = target_at(r.i32());
+    rtl::SigId target = r.i32();
     m->seq.push_back({target, expr_at(r.u32())});
   }
   fpga::FpgaCompileResult out;
@@ -702,7 +695,7 @@ fpga::FpgaCompileResult decode_fpga_result(std::span<const uint8_t> bytes) {
   p.latency = r.i32();
   p.initiation_interval = r.i32();
   if (!r.done()) throw RuntimeError("netlist payload has trailing bytes");
-  // Re-run the structural checks: a bit-rotted netlist is rejected outright.
+  // The netlist's one check: a bit-rotted or lying one is rejected here.
   m->validate();
   check_ports(*m, p);
   out.module = std::move(m);

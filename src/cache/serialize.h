@@ -67,7 +67,7 @@ std::vector<uint8_t> encode_fpga_parts(const rtl::Module& module,
                                        const fpga::FpgaPortMeta& ports);
 /// The decoded module is validate()d and its port metadata checked against
 /// it before returning: arity, the data ports' names, directions and
-/// widths (1..64), the 1-bit handshake ports, and a latency and initiation
+/// widths, the 1-bit handshake ports, and a latency and initiation
 /// interval of at least one cycle. A payload that fails throws, which the
 /// cache layer and the compile-service client treat as a miss.
 fpga::FpgaCompileResult decode_fpga_result(std::span<const uint8_t> bytes);

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "bytecode/ops.h"
+#include "gpu/lowered.h"
 #include "util/error.h"
 
 namespace lm::fpga {
@@ -49,11 +50,9 @@ int width_of(NumType t) {
       return 32;
     case NumType::kI64:
       return 64;
-    case NumType::kF32:
-    case NumType::kF64:
+    default:  // kF32, kF64
       throw Exclude{kNoFloat};
   }
-  throw Exclude{"unknown type in kernel IR"};
 }
 
 bool is_signed(NumType t) { return t == NumType::kI32 || t == NumType::kI64; }
@@ -160,8 +159,8 @@ class Datapath {
   HExprPtr run() {
     Path path{Regs(static_cast<size_t>(p_.num_regs)), {}, false};
     run(0, n_, path, -1, 0);
-    if (!path.done) throw Exclude{"control falls off the end of the kernel"};
-    // The first return whose guard holds wins, and one of them holds.
+    // validate() proved that no path falls off the end, so every input
+    // returned. The first return whose guard holds wins.
     HExprPtr result = path.returns.back().value;
     for (auto r = path.returns.rbegin() + 1; r != path.returns.rend(); ++r) {
       const HExprPtr& g = r->guard;
@@ -196,7 +195,6 @@ class Datapath {
   void run(int pc, int stop, Path& path, int floor, int depth) {
     for (;;) {
       if (pc == stop) return;
-      if (pc == n_) throw Exclude{"control falls off the end of the kernel"};
       charge(1);
       const KInstr& k = p_.code[static_cast<size_t>(pc)];
       int next = pc + 1;
@@ -298,7 +296,7 @@ class Datapath {
   }
 
   /// A value both arms of a branch on `cond` computed. One written on only
-  /// one arm is dead after the join, and reading it excludes the task.
+  /// one arm is dead after the join: validate() proved nothing reads it.
   static HExprPtr merge(const HExprPtr& cond, const HExprPtr& fall,
                         const HExprPtr& jump) {
     if (!fall || !jump) return nullptr;
@@ -307,34 +305,19 @@ class Datapath {
     return h_mux(cond, fall, jump);
   }
 
-  const HExprPtr& use(const Regs& regs, uint16_t r) const {
-    if (r >= regs.size() || !regs[r]) {
-      throw Exclude{"kernel IR reads r" + std::to_string(r) +
-                    " before writing it"};
-    }
-    return regs[r];
-  }
-
-  const HExprPtr& use(const Regs& regs, uint16_t r, int width) const {
-    const HExprPtr& v = use(regs, r);
+  static const HExprPtr& use(const Regs& regs, uint16_t r, int width) {
+    const HExprPtr& v = regs[r];
     if (v->width != width) throw Exclude{"kernel IR is ill-typed"};
     return v;
   }
 
   void define(const KInstr& k, Regs& regs) {
-    if (k.dst >= regs.size()) throw Exclude{"kernel IR register out of range"};
     HExprPtr v;
     switch (k.op) {
       case KOp::kLoadParam:
-        if (k.a >= params_.size()) {
-          throw Exclude{"kernel IR parameter out of range"};
-        }
         v = params_[k.a];
         break;
       case KOp::kLoadConst:
-        if (k.a >= p_.consts.size()) {
-          throw Exclude{"kernel IR constant out of range"};
-        }
         v = constant(p_.consts[k.a]);
         break;
       case KOp::kLoadElem:
@@ -342,7 +325,7 @@ class Datapath {
         throw Exclude{"array access in a filter body (no memory inference "
                       "in this backend)"};
       case KOp::kMov:
-        v = use(regs, k.a);
+        v = regs[k.a];
         break;
       case KOp::kArith:
         v = arith(k, regs);
@@ -365,8 +348,10 @@ class Datapath {
       case KOp::kIntrinsic:
         v = intrinsic(k, regs);
         break;
-      default:
-        throw Exclude{"unknown kernel IR opcode"};
+      case KOp::kJump:
+      case KOp::kJumpIfFalse:
+      case KOp::kRet:
+        return;  // run() follows control flow itself
     }
     regs[k.dst] = std::move(v);
   }
@@ -380,45 +365,44 @@ class Datapath {
   }
 
   static HBinOp compare_op(uint8_t aux) {
-    switch (static_cast<CmpOp>(aux)) {
-      case CmpOp::kEq: return HBinOp::kEq;
-      case CmpOp::kNe: return HBinOp::kNe;
-      case CmpOp::kLt: return HBinOp::kLtS;
-      case CmpOp::kLe: return HBinOp::kLeS;
-      case CmpOp::kGt: return HBinOp::kGtS;
-      case CmpOp::kGe: return HBinOp::kGeS;
-    }
-    throw Exclude{"unknown comparison in kernel IR"};
+    static constexpr HBinOp kSigned[] = {HBinOp::kEq,  HBinOp::kNe,
+                                         HBinOp::kLtS, HBinOp::kLeS,
+                                         HBinOp::kGtS, HBinOp::kGeS};
+    return kSigned[aux];  // in CmpOp order
   }
 
   HExprPtr arith(const KInstr& k, const Regs& regs) const {
     const int w = width_of(k.t);
     const auto op = static_cast<ArithOp>(k.aux);
     const HExprPtr& a = use(regs, k.a, w);
-    if (op == ArithOp::kNeg) return h_unary(HUnOp::kNeg, a);
-    if (op == ArithOp::kShl || op == ArithOp::kShr) {
-      // Java masks a shift distance to the operand width (& 31 for int,
-      // & 63 for long), as the VM and the GPU simulator do. A constant
-      // distance folds here, so the datapath keeps its constant shift.
-      HExprPtr d = h_binary(HBinOp::kAnd, h_resize(use(regs, k.b), w, false),
-                            h_const(w, w > 32 ? 63 : 31));
-      const HBinOp shift = op == ArithOp::kShl ? HBinOp::kShl
-                           : is_signed(k.t)    ? HBinOp::kShrA
-                                               : HBinOp::kShrL;
-      return h_binary(shift, a, d);
-    }
-    const HExprPtr& b = use(regs, k.b, w);
+    auto with_b = [&](HBinOp bin) {
+      return h_binary(bin, a, use(regs, k.b, w));
+    };
     switch (op) {
-      case ArithOp::kAdd: return h_binary(HBinOp::kAdd, a, b);
-      case ArithOp::kSub: return h_binary(HBinOp::kSub, a, b);
-      case ArithOp::kMul: return h_binary(HBinOp::kMul, a, b);
-      case ArithOp::kAnd: return h_binary(HBinOp::kAnd, a, b);
-      case ArithOp::kOr: return h_binary(HBinOp::kOr, a, b);
-      case ArithOp::kXor: return h_binary(HBinOp::kXor, a, b);
+      case ArithOp::kAdd: return with_b(HBinOp::kAdd);
+      case ArithOp::kSub: return with_b(HBinOp::kSub);
+      case ArithOp::kMul: return with_b(HBinOp::kMul);
+      case ArithOp::kAnd: return with_b(HBinOp::kAnd);
+      case ArithOp::kOr: return with_b(HBinOp::kOr);
+      case ArithOp::kXor: return with_b(HBinOp::kXor);
+      case ArithOp::kNeg: return h_unary(HUnOp::kNeg, a);
+      case ArithOp::kShl:
+      case ArithOp::kShr: {
+        // Java masks a shift distance to the operand width (& 31 for int,
+        // & 63 for long), as the VM and the GPU simulator do. A constant
+        // distance folds here, so the datapath keeps its constant shift.
+        HExprPtr d = h_binary(HBinOp::kAnd, h_resize(regs[k.b], w, false),
+                              h_const(w, w > 32 ? 63 : 31));
+        const HBinOp shift = op == ArithOp::kShl ? HBinOp::kShl
+                             : is_signed(k.t)    ? HBinOp::kShrA
+                                                 : HBinOp::kShrL;
+        return h_binary(shift, a, d);
+      }
       case ArithOp::kDiv:
       case ArithOp::kRem: {
         // Constant operands still fold (unrolled loops); otherwise there
         // is no combinational divider.
+        const HExprPtr& b = use(regs, k.b, w);
         if (!a->is_const() || !b->is_const()) {
           throw Exclude{"integer division has no combinational form here"};
         }
@@ -427,9 +411,8 @@ class Datapath {
                                            rtl::sign_extend(b->value, w));
         return h_const(w, static_cast<uint64_t>(q));
       }
-      default:
-        throw Exclude{"unknown arithmetic operator in kernel IR"};
     }
+    return nullptr;  // validate() admits no other operator
   }
 
   /// Java's conversion: to boolean is `!= 0`; otherwise the value
@@ -579,7 +562,6 @@ FpgaCompileResult wrap_datapath(const gpu::KernelProgram& program,
     module->assign(in_take, not_rst);
   }
 
-  module->validate();
   result.module = std::move(module);
   result.ports = std::move(ports);
   return result;
@@ -589,22 +571,14 @@ FpgaCompileResult wrap_datapath(const gpu::KernelProgram& program,
 
 FpgaCompileResult synthesize(const gpu::KernelProgram& program,
                              const FpgaSynthOptions& options) {
+  gpu::validate(program);
   try {
     if (program.params.empty()) throw Exclude{"a filter takes no input"};
-    if (program.num_regs < 0) throw Exclude{"kernel IR register out of range"};
-    for (const KInstr& k : program.code) {
-      if ((k.op == KOp::kJump || k.op == KOp::kJumpIfFalse) &&
-          (k.imm < 0 || static_cast<size_t>(k.imm) > program.code.size())) {
-        throw Exclude{"kernel IR jumps out of range"};
-      }
-    }
     for (const gpu::KernelParam& p : program.params) {
       if (p.mode == gpu::ParamMode::kWholeArray) {
         throw Exclude{"array parameters are not synthesizable here"};
       }
-      width_of(p.type);
     }
-    width_of(program.ret_type);
     return wrap_datapath(program, options);
   } catch (const Exclude& ex) {
     FpgaCompileResult result;

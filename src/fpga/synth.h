@@ -79,7 +79,10 @@ struct FpgaCompileResult {
 
 /// Synthesizes the kernel IR of one relocated filter or fused segment. The
 /// module is named after the program's task id ("Bitflip.flip" →
-/// Bitflip_flip, "seg:P.a:P.b" → seg_P_a_P_b).
+/// Bitflip_flip, "seg:P.a:P.b" → seg_P_a_P_b). The program must pass
+/// gpu::validate (gpu/lowered.h), which runs first and throws
+/// RuntimeError; an exclusion is a well-formed program this backend
+/// declines.
 FpgaCompileResult synthesize(const gpu::KernelProgram& program,
                              const FpgaSynthOptions& options = {});
 

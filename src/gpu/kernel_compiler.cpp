@@ -3,6 +3,7 @@
 #include <unordered_map>
 
 #include "bytecode/compiler.h"
+#include "gpu/lowered.h"
 #include "gpu/opencl_emit.h"
 #include "util/error.h"
 
@@ -207,12 +208,19 @@ class Lowering {
       case StmtKind::kWhile: {
         const auto& ws = as<lime::WhileStmt>(s);
         int top = here();
-        int cond = lower_expr(*ws.cond);
-        int jexit = emit_jump(KOp::kJumpIfFalse, cond);
+        // A constant-true condition (`while (true)`) gets no exit branch:
+        // the loop leaves only by break or return, and validate() sees no
+        // path out of it that no run takes.
+        auto c = bc::eval_const_expr(*ws.cond);
+        int jexit = -1;
+        if (!c || !c->as_bool()) {
+          int cond = lower_expr(*ws.cond);
+          jexit = emit_jump(KOp::kJumpIfFalse, cond);
+        }
         loops_.push_back({top, {}});
         lower_stmt(*ws.body);
         emit3(KOp::kJump, 0, 0, 0, 0, NumType::kI32, NumType::kI32, top);
-        patch(jexit, here());
+        if (jexit >= 0) patch(jexit, here());
         close_loop();
         return;
       }
@@ -600,6 +608,25 @@ void check_task_suitable(const lime::MethodDecl& m) {
     default:
       throw Exclude{"non-scalar return type " + m.return_type->to_string()};
   }
+  // A task's work item binds only the method's parameters: no caller
+  // passes a receiver (an operator is inlined where it is used instead).
+  if (!m.is_static) {
+    throw Exclude{"instance method " + m.qualified_name() +
+                  " has no receiver to bind"};
+  }
+}
+
+/// Hands back `prog` if it passes validate(). One that fails has a path
+/// that may end without returning (sema has no missing-return check, and
+/// only data may rule the path out) or is past the validation budget; its
+/// task runs on the CPU, where the path matters only if a run takes it.
+std::unique_ptr<KernelProgram> admit(std::unique_ptr<KernelProgram> prog) {
+  try {
+    validate(*prog);
+  } catch (const RuntimeError& e) {
+    throw Exclude{e.what()};
+  }
+  return prog;
 }
 
 }  // namespace
@@ -641,7 +668,7 @@ KernelCompileResult compile_kernel(const lime::MethodDecl& method) {
     }
     lw.lower_top(method, param_regs);
     prog->opencl_source = emit_opencl(method);
-    result.program = std::move(prog);
+    result.program = admit(std::move(prog));
   } catch (const Exclude& ex) {
     result.exclusion_reason = ex.reason;
     result.exclusion_loc = ex.loc.line > 0 ? ex.loc : method.loc;
@@ -696,7 +723,7 @@ KernelCompileResult compile_segment_kernel(
     prog->code.push_back({KOp::kRet, 0, static_cast<uint16_t>(cur), 0, 0,
                           NumType::kI32, NumType::kI32, 0});
     prog->opencl_source = emit_opencl_segment(chain);
-    result.program = std::move(prog);
+    result.program = admit(std::move(prog));
   } catch (const Exclude& ex) {
     result.exclusion_reason = ex.reason;
     result.exclusion_loc = ex.loc.line > 0 ? ex.loc : chain[0]->loc;

@@ -12,8 +12,13 @@
 //   * array allocation or mutation inside the kernel,
 //   * nested task/map/reduce operators,
 //   * recursion or call chains deeper than the inline budget,
-//   * non-scalar return type.
+//   * non-scalar return type,
+//   * an instance method (a task's work item has no receiver to bind),
+//   * a program gpu::validate (lowered.h) rejects: one with a path that
+//     may end without returning, which sema admits and only a run can rule
+//     out, or one past the validator's work budget.
 // Calls to other pure methods are inlined (as a real GPU compiler would).
+// Every program these compilers return passes gpu::validate.
 #pragma once
 
 #include <memory>

@@ -1,5 +1,7 @@
 #include "gpu/lowered.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <type_traits>
 
@@ -161,76 +163,13 @@ int operands(const KInstr& k, uint16_t out[2]) {
   reject(p, "pc " + std::to_string(pc) + ": " + what);
 }
 
-/// Checks every index and selector the executor trusts.
-void validate(const KernelProgram& p) {
-  if (p.num_regs < 0 || p.num_regs > 65536) {
-    reject(p, "register count " + std::to_string(p.num_regs) +
-                  " outside [0, 65536]");
-  }
-  if (!valid_type(p.ret_type)) reject(p, "unknown return type");
-  for (size_t i = 0; i < p.params.size(); ++i) {
-    if (!valid_type(p.params[i].type)) {
-      reject(p, "parameter " + std::to_string(i) + " has an unknown type");
-    }
-  }
-  const auto nregs = static_cast<size_t>(p.num_regs);
-  for (size_t pc = 0; pc < p.code.size(); ++pc) {
-    const KInstr& k = p.code[pc];
-    if (k.op > KOp::kRet) {
-      reject_at(p, pc, "unknown opcode " +
-                           std::to_string(static_cast<int>(k.op)));
-    }
-    if (!valid_type(k.t) || !valid_type(k.t2)) {
-      reject_at(p, pc, "unknown operand type");
-    }
-    const bool aux_ok =
-        k.op == KOp::kArith       ? k.aux <= static_cast<int>(ArithOp::kNeg)
-        : k.op == KOp::kCmp       ? k.aux <= static_cast<int>(CmpOp::kGe)
-        : k.op == KOp::kIntrinsic ? k.aux <= static_cast<int>(Intrinsic::kFloor)
-                                  : true;
-    if (!aux_ok) {
-      reject_at(p, pc, "unknown operator " + std::to_string(int{k.aux}));
-    }
-    if (writes_dst(k.op) && k.dst >= nregs) {
-      reject_at(p, pc, "destination register r" + std::to_string(k.dst) +
-                           " out of range");
-    }
-    uint16_t regs[2];
-    for (int i = 0, m = operands(k, regs); i < m; ++i) {
-      if (regs[i] >= nregs) {
-        reject_at(p, pc, "source register r" + std::to_string(regs[i]) +
-                             " out of range");
-      }
-    }
-    switch (k.op) {
-      case KOp::kLoadConst:
-        if (k.a >= p.consts.size()) {
-          reject_at(p, pc, "constant c" + std::to_string(k.a) +
-                               " out of range");
-        }
-        break;
-      case KOp::kLoadParam:
-      case KOp::kLoadElem:
-      case KOp::kArrayLen:
-        if (k.a >= p.params.size()) {
-          reject_at(p, pc, "parameter p" + std::to_string(k.a) +
-                               " out of range");
-        }
-        break;
-      case KOp::kJump:
-      case KOp::kJumpIfFalse:
-        if (k.imm < 0 || static_cast<size_t>(k.imm) > p.code.size()) {
-          reject_at(p, pc, "jump target " + std::to_string(k.imm) +
-                               " out of range");
-        }
-        break;
-      default:
-        break;
-    }
-  }
-}
-
 bool is_jump(KOp op) { return op == KOp::kJump || op == KOp::kJumpIfFalse; }
+
+/// Words of work validate() may do on paths: one per instruction plus, per
+/// jump, two register bitsets of ⌈num_regs/64⌉ words (the jump's meet into
+/// its target and the target's own). A program past it is rejected before
+/// anything is allocated, so the bitsets take 16 MiB at most.
+constexpr size_t kValidateBudget = size_t{1} << 22;
 
 bool is_lowered_jump(uint8_t op) {
   return (op >= at(Op::kUnlessEqI32) && op <= at(Op::kUnlessGeF64)) ||
@@ -450,6 +389,170 @@ constexpr size_t kWatchdogBudget = 64u * 1024u * 1024u;
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Validation
+// ---------------------------------------------------------------------------
+
+void validate(const KernelProgram& p) {
+  if (p.num_regs < 0 || p.num_regs > 65536) {
+    reject(p, "register count " + std::to_string(p.num_regs) +
+                  " outside [0, 65536]");
+  }
+  if (!valid_type(p.ret_type)) reject(p, "unknown return type");
+  for (size_t i = 0; i < p.params.size(); ++i) {
+    if (!valid_type(p.params[i].type) ||
+        p.params[i].mode > ParamMode::kWholeArray) {
+      reject(p, "parameter " + std::to_string(i) +
+                    " has an unknown type or mode");
+    }
+  }
+  const size_t n = p.code.size();
+  if (n == 0) reject(p, "control fell off the end without returning");
+  // The paths, in one pass in code order. A running bitset (bit r: every
+  // path to here wrote r) goes from each instruction to the next; a jump
+  // target also keeps the meet (intersection) of the states its forward
+  // jumps bring. A back edge must bring every register its target was
+  // reached with, so that state holds on every turn of the loop. A
+  // compiled loop is entered at its head, which every path to its back
+  // edge passes, so its back edges always do; one that would lose a
+  // register or return to code no earlier path reached is rejected, not
+  // revisited. Code no path reaches has its indices checked, not its paths.
+  constexpr uint32_t kNoTarget = UINT32_MAX;
+  std::vector<uint32_t> target_of(n, kNoTarget);  // pc → its bitset
+  uint32_t targets = 0;
+  size_t jumps = 0;
+  for (const KInstr& k : p.code) {
+    const auto to = static_cast<size_t>(k.imm);
+    if (!is_jump(k.op)) continue;
+    ++jumps;
+    if (to < n && target_of[to] == kNoTarget) target_of[to] = targets++;
+  }
+  const auto nregs = static_cast<size_t>(p.num_regs);
+  const size_t words = (nregs + 63) / 64;
+  if (n + (2 * jumps + 1) * words > kValidateBudget) {
+    reject(p, std::to_string(n) + " instructions with " +
+                  std::to_string(jumps) + " jumps over " +
+                  std::to_string(nregs) +
+                  " registers exceed the validation budget");
+  }
+  std::vector<uint64_t> at_target(size_t{targets} * words);
+  std::vector<char> reached(targets, 0);
+  std::vector<uint64_t> state(words);
+  bool live = true;  // control enters pc 0 with nothing written
+  // Meets `state` into target `t`'s, or makes it t's first state.
+  auto meet_into = [&](uint32_t t) {
+    uint64_t* to = at_target.data() + size_t{t} * words;
+    for (size_t w = 0; w < words; ++w) {
+      to[w] = reached[t] ? to[w] & state[w] : state[w];
+    }
+    reached[t] = 1;
+  };
+
+  for (size_t pc = 0; pc < n; ++pc) {
+    const KInstr& k = p.code[pc];
+    if (const uint32_t t = target_of[pc]; t != kNoTarget) {
+      if (live) meet_into(t);
+      if (reached[t]) {
+        const uint64_t* in = at_target.data() + size_t{t} * words;
+        std::copy(in, in + words, state.begin());
+        live = true;
+      }
+    }
+    if (k.op > KOp::kRet) {
+      reject_at(p, pc, "unknown opcode " +
+                           std::to_string(static_cast<int>(k.op)));
+    }
+    if (!valid_type(k.t) || !valid_type(k.t2)) {
+      reject_at(p, pc, "unknown operand type");
+    }
+    const bool aux_ok =
+        k.op == KOp::kArith       ? k.aux <= static_cast<int>(ArithOp::kNeg)
+        : k.op == KOp::kCmp       ? k.aux <= static_cast<int>(CmpOp::kGe)
+        : k.op == KOp::kIntrinsic ? k.aux <= static_cast<int>(Intrinsic::kFloor)
+                                  : true;
+    if (!aux_ok) {
+      reject_at(p, pc, "unknown operator " + std::to_string(int{k.aux}));
+    }
+    if (writes_dst(k.op) && k.dst >= nregs) {
+      reject_at(p, pc, "destination register r" + std::to_string(k.dst) +
+                           " out of range");
+    }
+    uint16_t regs[2];
+    const int nread = operands(k, regs);
+    for (int i = 0; i < nread; ++i) {
+      if (regs[i] >= nregs) {
+        reject_at(p, pc, "source register r" + std::to_string(regs[i]) +
+                             " out of range");
+      }
+    }
+    switch (k.op) {
+      case KOp::kLoadConst:
+        if (k.a >= p.consts.size()) {
+          reject_at(p, pc, "constant c" + std::to_string(k.a) +
+                               " out of range");
+        }
+        break;
+      case KOp::kLoadParam:
+      case KOp::kLoadElem:
+      case KOp::kArrayLen:
+        if (k.a >= p.params.size()) {
+          reject_at(p, pc, "parameter p" + std::to_string(k.a) +
+                               " out of range");
+        }
+        if ((p.params[k.a].mode == ParamMode::kWholeArray) ==
+            (k.op == KOp::kLoadParam)) {
+          reject_at(p, pc, (k.op == KOp::kLoadParam
+                                ? "scalar load of whole-array parameter p"
+                                : "array access to scalar parameter p") +
+                               std::to_string(k.a));
+        }
+        break;
+      case KOp::kJump:
+      case KOp::kJumpIfFalse:
+        if (k.imm < 0 || static_cast<size_t>(k.imm) > n) {
+          reject_at(p, pc, "jump target " + std::to_string(k.imm) +
+                               " out of range");
+        }
+        break;
+      default:
+        break;
+    }
+    if (!live) continue;
+    for (int i = 0; i < nread; ++i) {
+      if ((state[regs[i] / 64] >> (regs[i] % 64) & 1) == 0) {
+        reject_at(p, pc, "reads r" + std::to_string(regs[i]) +
+                             " before every path to it writes it");
+      }
+    }
+    if (writes_dst(k.op)) state[k.dst / 64] |= uint64_t{1} << (k.dst % 64);
+    live = k.op != KOp::kRet && k.op != KOp::kJump;
+    if (!is_jump(k.op)) continue;
+    const auto to = static_cast<size_t>(k.imm);
+    if (to == n) reject_at(p, pc, "control fell off the end without returning");
+    const uint32_t t = target_of[to];
+    if (to > pc) {
+      meet_into(t);
+      continue;
+    }
+    if (!reached[t]) {
+      reject_at(p, pc, "jumps back to pc " + std::to_string(to) +
+                           ", which no earlier path reaches");
+    }
+    const uint64_t* head = at_target.data() + size_t{t} * words;
+    for (size_t w = 0; w < words; ++w) {
+      if (const uint64_t lost = head[w] & ~state[w]) {
+        reject_at(p, pc, "jumps back to pc " + std::to_string(to) +
+                             " with r" +
+                             std::to_string(w * 64 + std::countr_zero(lost)) +
+                             " possibly unwritten");
+      }
+    }
+  }
+  if (live) {
+    reject_at(p, n - 1, "control fell off the end without returning");
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Lowering

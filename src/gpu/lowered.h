@@ -3,10 +3,10 @@
 // A vendor OpenCL driver compiles kernel text to device code once (paper
 // Fig. 2). The simulated device does the same with kernel IR: a
 // GpuKernelArtifact lowers its KernelProgram once, when it is built, and
-// every launch runs the lowered form. Lowering validates every index the
-// executor then trusts, so a malformed program (a hostile cache entry or
-// compile-service payload) is rejected here instead of corrupting memory
-// at run time. It also rewrites the code for an executor that spends one
+// every launch runs the lowered form. Lowering first runs validate(), so a
+// malformed program (a hostile cache entry or compile-service payload) is
+// rejected here instead of corrupting memory or computing garbage at run
+// time. It also rewrites the code for an executor that spends one
 // dispatch per instruction (DESIGN.md §4, "The lowered kernel"):
 //   * one opcode per (operator, type), so no type or operator switch runs
 //     per instruction;
@@ -16,7 +16,8 @@
 //     and one use and the mov is no jump target;
 //   * `cmp t ← a⟨op⟩b; jz t → L` becomes one instruction when t has one use,
 //     the jz is no jump target and L lies ahead;
-//   * a sentinel ends the code and throws if execution falls off the end;
+//   * a sentinel ends the code, where dead jumps past the end land; it
+//     throws if execution ever reaches it;
 //   * the watchdog is charged at taken backward jumps, by the original
 //     length of the loop body.
 // The KernelProgram itself is unchanged: caches, the OpenCL text and
@@ -39,6 +40,19 @@ namespace lm::gpu {
 
 struct KArg;
 class LoweredKernel;
+
+/// The one well-formedness check of kernel IR, compiled or served:
+/// LoweredKernel and fpga::synthesize run it on every program. It checks
+/// every index and selector the executor and synthesis trust; that each
+/// parameter is read as its mode says (kLoadElem and kArrayLen for whole
+/// arrays, kLoadParam for the others); that every register is written
+/// before it is read on every path; and that no path falls off the end.
+/// Throws RuntimeError naming the first fault. The path check is one pass
+/// in code order that keeps a bitset of registers per jump target, within
+/// a work budget of 2^22 words; a program that needs more, or a back edge
+/// that would revise its target's state, is rejected as malformed
+/// (DESIGN.md §4, "The lowered kernel").
+void validate(const KernelProgram& program);
 
 /// Runs work items [begin, end) of a lowered kernel, each writing one
 /// element of `out`. Exposed for tests; GpuDevice::launch parallelizes

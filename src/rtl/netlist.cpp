@@ -1,7 +1,7 @@
 #include "rtl/netlist.h"
 
-#include <functional>
-#include <unordered_set>
+#include <iterator>
+#include <unordered_map>
 
 namespace lm::rtl {
 
@@ -171,72 +171,186 @@ void Module::assign_next(SigId reg, HExprPtr next) {
 }
 
 namespace {
-/// The signals an expression reads, visiting each distinct node once:
-/// synthesized datapaths share nodes along exponentially many paths.
-std::vector<SigId> collect_sigs(const HExpr& root) {
-  std::vector<SigId> out;
-  std::unordered_set<const HExpr*> seen;
-  std::vector<const HExpr*> stack{&root};
-  while (!stack.empty()) {
-    const HExpr* n = stack.back();
-    stack.pop_back();
-    if (!seen.insert(n).second) continue;
-    if (n->kind == HKind::kSig) out.push_back(n->sig);
-    for (const HExpr* child : {n->c.get(), n->b.get(), n->a.get()}) {
-      if (child) stack.push_back(child);
+
+/// Operands (a, then b, then c) a node reads, by HKind.
+constexpr int kArity[] = {0, 0, 1, 2, 3};
+static_assert(std::size(kArity) == static_cast<size_t>(HKind::kMux) + 1);
+
+/// Whether a node's width agrees with its operands'. A unary node changes
+/// width only as its operator says; a binary node's operands agree (a
+/// shift distance excepted) and a comparison is 1 bit; a mux selects on 1
+/// bit between operands of its own width.
+bool widths_agree(const HExpr& n) {
+  switch (n.kind) {
+    case HKind::kUnary:
+      switch (n.un_op) {
+        case HUnOp::kNot:
+        case HUnOp::kNeg: return n.width == n.a->width;
+        case HUnOp::kTrunc: return n.width <= n.a->width;
+        case HUnOp::kZext:
+        case HUnOp::kSext: return n.width >= n.a->width;
+      }
+      return false;
+    case HKind::kBinary: {
+      const bool shift = n.bin_op == HBinOp::kShl ||
+                         n.bin_op == HBinOp::kShrL || n.bin_op == HBinOp::kShrA;
+      return (shift || n.b->width == n.a->width) &&
+             n.width == (is_comparison(n.bin_op) ? 1 : n.a->width);
     }
+    case HKind::kMux:
+      return n.a->width == 1 && n.b->width == n.width &&
+             n.c->width == n.width;
+    default:
+      return true;
   }
-  return out;
 }
+
 }  // namespace
 
 std::vector<int> Module::validate() const {
-  // Each wire/output assigned exactly once; each reg has exactly one next.
-  std::vector<int> comb_for(signals.size(), -1);
-  for (size_t i = 0; i < comb.size(); ++i) {
-    SigId t = comb[i].target;
-    LM_CHECK_MSG(comb_for[static_cast<size_t>(t)] < 0,
-                 "signal '" << sig(t).name << "' assigned more than once");
-    comb_for[static_cast<size_t>(t)] = static_cast<int>(i);
-  }
-  std::vector<bool> has_next(signals.size(), false);
-  for (const auto& s : seq) {
-    LM_CHECK_MSG(!has_next[static_cast<size_t>(s.target)],
-                 "register '" << sig(s.target).name << "' driven twice");
-    has_next[static_cast<size_t>(s.target)] = true;
-  }
-  for (size_t i = 0; i < signals.size(); ++i) {
-    const Signal& s = signals[i];
-    if (s.kind == SigKind::kReg) {
-      LM_CHECK_MSG(has_next[i], "register '" << s.name << "' has no driver");
-    }
-    if ((s.kind == SigKind::kWire || s.kind == SigKind::kOutput)) {
-      LM_CHECK_MSG(comb_for[i] >= 0, "signal '" << s.name << "' undriven");
+  auto fail = [this](const std::string& what) {
+    throw RuntimeError("module '" + name + "': " + what);
+  };
+  const auto nsig = static_cast<SigId>(signals.size());
+  auto in_range = [nsig](SigId id) { return id >= 0 && id < nsig; };
+  for (const Signal& s : signals) {
+    if (s.width < 1 || s.width > 64 || s.kind > SigKind::kReg) {
+      fail("signal '" + s.name + "' has an unknown kind or width");
     }
   }
 
-  // Topological sort of comb assigns; detect combinational cycles.
+  // Drivers: one combinational driver per wire and output, one next-value
+  // per register, none for an input; each as wide as what it drives.
+  std::vector<int> comb_for(signals.size(), -1);
+  for (size_t i = 0; i < comb.size(); ++i) {
+    const SigId t = comb[i].target;
+    if (!in_range(t)) fail("combinational assignment to a missing signal");
+    const Signal& s = sig(t);
+    if (s.kind != SigKind::kWire && s.kind != SigKind::kOutput) {
+      fail("'" + s.name + "' has a combinational driver but is no wire or "
+           "output");
+    }
+    if (comb_for[static_cast<size_t>(t)] >= 0) {
+      fail("signal '" + s.name + "' assigned more than once");
+    }
+    if (!comb[i].expr || comb[i].expr->width != s.width) {
+      fail("signal '" + s.name + "' and its driver differ in width");
+    }
+    comb_for[static_cast<size_t>(t)] = static_cast<int>(i);
+  }
+  std::vector<char> has_next(signals.size(), 0);
+  for (const SeqAssign& a : seq) {
+    if (!in_range(a.target)) fail("register assignment to a missing signal");
+    const Signal& s = sig(a.target);
+    if (s.kind != SigKind::kReg) fail("'" + s.name + "' is no register");
+    if (has_next[static_cast<size_t>(a.target)]) {
+      fail("register '" + s.name + "' driven twice");
+    }
+    if (!a.next || a.next->width != s.width) {
+      fail("register '" + s.name + "' and its next-value differ in width");
+    }
+    has_next[static_cast<size_t>(a.target)] = 1;
+  }
+  for (size_t i = 0; i < signals.size(); ++i) {
+    const Signal& s = signals[i];
+    if (s.kind == SigKind::kReg && !has_next[i]) {
+      fail("register '" + s.name + "' has no driver");
+    }
+    if ((s.kind == SigKind::kWire || s.kind == SigKind::kOutput) &&
+        comb_for[i] < 0) {
+      fail("signal '" + s.name + "' undriven");
+    }
+  }
+
+  // One depth-first walk over the combinational assignments and the
+  // expression nodes, checking and entering each distinct node once, so a
+  // node that many assignments share is walked once, not once per
+  // assignment. A kSig leaf of a wire or output leads to that signal's
+  // assignment: an assignment closes after every one it reads, and the
+  // closing order is the evaluation order. Reaching an open assignment or
+  // node again is a combinational cycle. Register next-values are walked
+  // last, as roots that no assignment reads.
+  enum : char { kNew, kOpen, kDone };
+  std::unordered_map<const HExpr*, char> node_state;
+  std::vector<char> assign_state(comb.size(), kNew);
+  struct Frame {
+    const HExpr* node;  // null: the assignment comb[assign]
+    int assign;
+    char* state;
+    int next = 0;       // the operand (or a leaf's assignment) to enter next
+  };
+  std::vector<Frame> stack;
   std::vector<int> order;
   order.reserve(comb.size());
-  std::vector<int> state(comb.size(), 0);  // 0 new, 1 visiting, 2 done
-  std::function<void(int)> visit = [&](int ci) {
-    if (state[static_cast<size_t>(ci)] == 2) return;
-    LM_CHECK_MSG(state[static_cast<size_t>(ci)] != 1,
-                 "combinational cycle through '"
-                     << sig(comb[static_cast<size_t>(ci)].target).name << "'");
-    state[static_cast<size_t>(ci)] = 1;
-    for (SigId d : collect_sigs(*comb[static_cast<size_t>(ci)].expr)) {
-      const Signal& s = sig(d);
-      if (s.kind == SigKind::kWire || s.kind == SigKind::kOutput) {
-        int dep_ci = comb_for[static_cast<size_t>(d)];
-        LM_CHECK(dep_ci >= 0);
-        visit(dep_ci);
-      }
+  auto open_assign = [&](int i) {
+    char& st = assign_state[static_cast<size_t>(i)];
+    if (st == kOpen) {
+      fail("combinational cycle through '" +
+           sig(comb[static_cast<size_t>(i)].target).name + "'");
     }
-    state[static_cast<size_t>(ci)] = 2;
-    order.push_back(ci);
+    if (st == kNew) {
+      st = kOpen;
+      stack.push_back({nullptr, i, &st});
+    }
   };
-  for (size_t i = 0; i < comb.size(); ++i) visit(static_cast<int>(i));
+  auto enter = [&](const HExpr* n) {
+    char& st = node_state[n];
+    if (st == kOpen) fail("combinational cycle through a shared node");
+    if (st == kDone) return;
+    if (n->kind > HKind::kMux || n->width < 1 || n->width > 64) {
+      fail("expression node of unknown kind or width " +
+           std::to_string(n->width));
+    }
+    const HExpr* operands[] = {n->a.get(), n->b.get(), n->c.get()};
+    for (int i = 0; i < kArity[static_cast<int>(n->kind)]; ++i) {
+      if (!operands[i]) fail("expression node lacks an operand");
+    }
+    if ((n->kind == HKind::kUnary && n->un_op > HUnOp::kSext) ||
+        (n->kind == HKind::kBinary && n->bin_op > HBinOp::kGeS)) {
+      fail("expression node has an unknown operator");
+    }
+    if (n->kind == HKind::kSig &&
+        (!in_range(n->sig) || sig(n->sig).width != n->width)) {
+      fail("expression reads signal " + std::to_string(n->sig) +
+           ", which is missing or of another width");
+    }
+    if (!widths_agree(*n)) fail("expression node's widths disagree");
+    st = kOpen;
+    stack.push_back({n, -1, &st});
+  };
+  auto walk = [&]() {
+    while (!stack.empty()) {
+      Frame& f = stack.back();
+      const int k = f.next++;
+      if (!f.node) {
+        if (k == 0) {
+          enter(comb[static_cast<size_t>(f.assign)].expr.get());
+          continue;
+        }
+        order.push_back(f.assign);
+      } else if (f.node->kind == HKind::kSig) {
+        const int reads = comb_for[static_cast<size_t>(f.node->sig)];
+        if (k == 0 && reads >= 0) {
+          open_assign(reads);
+          continue;
+        }
+      } else if (k < kArity[static_cast<int>(f.node->kind)]) {
+        enter(k == 0 ? f.node->a.get() : k == 1 ? f.node->b.get()
+                                                : f.node->c.get());
+        continue;
+      }
+      *f.state = kDone;
+      stack.pop_back();
+    }
+  };
+  for (size_t i = 0; i < comb.size(); ++i) {
+    open_assign(static_cast<int>(i));
+    walk();
+  }
+  for (const SeqAssign& a : seq) {
+    enter(a.next.get());
+    walk();
+  }
   return order;
 }
 

@@ -171,10 +171,12 @@ struct Module {
   void assign(SigId target, HExprPtr expr);      // combinational
   void assign_next(SigId reg, HExprPtr next);    // sequential
 
-  /// Structural checks: single assignment per wire/output, every reg has a
-  /// next, widths match, no combinational cycles. Throws InternalError.
-  /// Returns the indices of `comb` in topological order (inputs and regs
-  /// as sources), the order the simulator evaluates them in.
+  /// The one well-formedness check of a netlist, synthesized, decoded or
+  /// built by hand (DESIGN.md §8): drivers, widths, operators and signal
+  /// ids of every node the simulator will evaluate, and no combinational
+  /// cycle. Each distinct node is checked once. Throws RuntimeError naming
+  /// the first fault. Returns the indices of `comb` in topological order
+  /// (inputs and regs as sources), the order the simulator evaluates them.
   std::vector<int> validate() const;
 };
 

@@ -207,12 +207,14 @@ GpuKernelArtifact::GpuKernelArtifact(ArtifactManifest manifest,
                        " parameters, its task " +
                        std::to_string(manifest_.param_types.size()));
   }
-  // The executor and FPGA synthesis read registers by these types, and
-  // marshaling converts by the task's.
+  // The executor and FPGA synthesis read registers by these types and
+  // arguments by these modes, and marshaling converts by the task's and
+  // passes an array exactly where the task takes one.
   for (size_t i = 0; i < program_->params.size(); ++i) {
     const lime::TypeRef& t = manifest_.param_types[i];
-    if (program_->params[i].type !=
-        bc::num_type_for(t->is_array_like() ? t->elem : t)) {
+    const gpu::KernelParam& kp = program_->params[i];
+    if (kp.type != bc::num_type_for(t->is_array_like() ? t->elem : t) ||
+        (kp.mode == gpu::ParamMode::kWholeArray) != t->is_array_like()) {
       throw RuntimeError("kernel " + program_->task_id + " parameter " +
                          std::to_string(i) + " disagrees with its task's type");
     }

@@ -1,11 +1,9 @@
 #include "runtime/liquid_compiler.h"
 
-#include <cstdlib>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "analysis/analysis.h"
-#include "analysis/ir_verify.h"
 #include "bytecode/compiler.h"
 #include "cache/serialize.h"
 #include "fpga/synth.h"
@@ -180,8 +178,7 @@ ArtifactManifest manifest_for(const Region& r, DeviceKind device) {
 struct Built {
   std::unique_ptr<Artifact> artifact;  // null when the backend declined
   bool cached = false;
-  bool dropped = false;  // failed LM_VERIFY_IR verification
-  std::string reason;    // why there is no artifact
+  std::string reason;  // why there is no artifact
   SourceLoc loc;
   /// The GPU's: the kernel IR its artifact validated, which FPGA synthesis
   /// reads after the artifact moved to the store. Null: no IR.
@@ -243,7 +240,7 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
     if (keyed) {
       std::span<const uint8_t> src(
           reinterpret_cast<const uint8_t*>(source.data()), source.size());
-      bkey = cache::artifact_key(src, cache::kBackendBytecode, "");
+      bkey = cache::artifact_key(src, cache::kBackendBytecode);
       cp->artifact_keys["bytecode:<program>"] = bkey;
       bytecode_cached = try_fetch(
           bkey, cache::kBackendBytecode, "<program>",
@@ -286,7 +283,6 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
     cp->static_costs = std::move(ar.static_costs);
     if (cp->diags.has_errors()) return cp;
   }
-  const bool verify_ir = std::getenv("LM_VERIFY_IR") != nullptr;
 
   cp->gpu_device = std::make_shared<gpu::GpuDevice>();
 
@@ -349,8 +345,6 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
   const size_t relocated_regions = regions.size();
   for (const auto* m : map_methods) add_region({m});
 
-  // Compile flags that change the emitted artifacts participate in keys.
-  const std::string flags = verify_ir ? "verify" : "";
   // Key of one region's artifact for `backend`, or nullopt when uncacheable.
   auto region_key = [&](const Region& r, const char* backend,
                         bool exported) -> std::optional<uint64_t> {
@@ -359,7 +353,7 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
     if (!cache::canonical_chain_bytes(*cp->bytecode, r.members, cb)) {
       return std::nullopt;
     }
-    uint64_t key = cache::artifact_key(cb.bytes(), backend, flags);
+    uint64_t key = cache::artifact_key(cb.bytes(), backend);
     if (exported) cp->artifact_keys[std::string(backend) + ":" + r.id] = key;
     return key;
   };
@@ -367,8 +361,8 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
   // One kernel IR per region, shared by both backends: served by the cache
   // or the compile service when either has it, compiled otherwise. A served
   // program is outside input (DESIGN.md §14): building its GPU artifact
-  // lowers it, which checks every index the executor and synthesis trust,
-  // and a payload that fails any check is a miss for both backends. With
+  // lowers it, which runs gpu::validate, the check synthesis relies on too,
+  // and a payload that fails it is a miss for both backends. With
   // the GPU disabled the artifact is built all the same, never published,
   // and the IR's cache entry is still read and written: it is the FPGA's
   // input too.
@@ -394,11 +388,6 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
       if (!kr.ok()) {
         ir.reason = kr.exclusion_reason;
         ir.loc = kr.exclusion_loc;
-        return ir;
-      }
-      if (verify_ir && analysis::verify_kernel(*kr.program, cp->diags) > 0) {
-        ir.dropped = true;
-        ir.reason = "kernel IR verification failed";
         return ir;
       }
       if (key && ac && ac->writable()) {
@@ -438,17 +427,12 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
     if (!res) {
       const Built& ir = lower(r);
       if (!ir.program) {
-        return Built{nullptr, false, ir.dropped, ir.reason, ir.loc};
+        return Built{nullptr, false, ir.reason, ir.loc};
       }
       fpga::FpgaCompileResult synth = fpga::synthesize(*ir.program);
       if (!synth.ok()) {
         b.reason = synth.exclusion_reason;
         b.loc = r.chain.front()->loc;
-        return b;
-      }
-      if (verify_ir && analysis::verify_module(*synth.module, cp->diags) > 0) {
-        b.dropped = true;
-        b.reason = "RTL verification failed";
         return b;
       }
       if (key && ac && ac->writable()) {
@@ -479,12 +463,9 @@ std::unique_ptr<CompiledProgram> compile(const std::string& source,
     auto&& b = build(r);
     const std::string what = (segment ? "segment " : "") + r.id;
     if (!b.artifact) {
-      cp->backend_log.push_back(tag + (b.dropped ? "dropped " : "excluded ") +
-                                what + " — " + b.reason);
-      if (!b.dropped) {
-        cp->suitability.push_back(
-            {gpu ? "LM401" : "LM402", device, r.id, b.loc, b.reason});
-      }
+      cp->backend_log.push_back(tag + "excluded " + what + " — " + b.reason);
+      cp->suitability.push_back(
+          {gpu ? "LM401" : "LM402", device, r.id, b.loc, b.reason});
       return;
     }
     cp->store.add(std::move(b.artifact));

@@ -9,8 +9,9 @@
 // framework (src/analysis/) uses the LM numbering scheme:
 //   LM1xx  semantic dataflow findings (use-before-init, effect violations)
 //   LM2xx  task-graph hazards
-//   LM3xx  IR well-formedness (kernel IR / HDL netlists)
 //   LM4xx  accelerator-suitability notes (GPU/FPGA exclusions, demotions)
+// LM3xx is unused: kernel IR and netlists have validators that throw
+// instead (gpu::validate, rtl::Module::validate).
 #pragma once
 
 #include <string>

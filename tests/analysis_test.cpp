@@ -7,8 +7,7 @@
 // every fixture doubles as a false-positive check. Notes (LM4xx) are
 // informational and exempt.
 //
-// Beyond the fixtures: corrupted kernel-IR and RTL netlists fed straight
-// to the LM3xx verifiers, the effect-verifier demotion differential (an
+// Beyond the fixtures: the effect-verifier demotion differential (an
 // impure `local` filter must run bytecode-only and still compute the same
 // function), and a zero-false-positive sweep over every shipped workload
 // and example.
@@ -22,11 +21,8 @@
 
 #include "analysis/analysis.h"
 #include "analysis/cfg.h"
-#include "analysis/ir_verify.h"
-#include "gpu/kernel_ir.h"
 #include "ir/task_graph.h"
 #include "lime/frontend.h"
-#include "rtl/netlist.h"
 #include "runtime/fifo.h"
 #include "runtime/liquid_runtime.h"
 #include "tests/lime_test_util.h"
@@ -359,177 +355,6 @@ public class G {
   }
 }
 )");
-}
-
-// ---------------------------------------------------------------------------
-// LM301–LM306: kernel-IR verifier on deliberately corrupted programs
-// ---------------------------------------------------------------------------
-
-gpu::KernelProgram valid_kernel() {
-  gpu::KernelProgram k;
-  k.task_id = "T.f";
-  k.num_regs = 2;
-  k.params.push_back({gpu::ParamMode::kElementwise, bc::NumType::kI32, 1, 0});
-  gpu::KInstr load;
-  load.op = gpu::KOp::kLoadParam;
-  load.dst = 0;
-  load.a = 0;
-  k.code.push_back(load);
-  gpu::KInstr ret;
-  ret.op = gpu::KOp::kRet;
-  ret.a = 0;
-  k.code.push_back(ret);
-  return k;
-}
-
-std::string codes_of(const DiagnosticEngine& diags) {
-  std::string out;
-  for (const auto& d : diags.sorted()) {
-    if (!out.empty()) out += ",";
-    out += d.code;
-  }
-  return out;
-}
-
-TEST(KernelVerifier, ValidKernelIsClean) {
-  DiagnosticEngine diags;
-  EXPECT_EQ(verify_kernel(valid_kernel(), diags), 0) << diags.to_string();
-}
-
-TEST(KernelVerifier, RegisterOutOfRange) {
-  gpu::KernelProgram k = valid_kernel();
-  k.code[1].a = 9;  // kRet of a register past num_regs
-  DiagnosticEngine diags;
-  EXPECT_GT(verify_kernel(k, diags), 0);
-  EXPECT_NE(codes_of(diags).find("LM301"), std::string::npos)
-      << diags.to_string();
-}
-
-TEST(KernelVerifier, ConstantPoolIndexOutOfRange) {
-  gpu::KernelProgram k = valid_kernel();
-  gpu::KInstr lc;
-  lc.op = gpu::KOp::kLoadConst;
-  lc.dst = 1;
-  lc.a = 3;  // consts is empty
-  k.code.insert(k.code.begin(), lc);
-  DiagnosticEngine diags;
-  EXPECT_GT(verify_kernel(k, diags), 0);
-  EXPECT_NE(codes_of(diags).find("LM302"), std::string::npos)
-      << diags.to_string();
-}
-
-TEST(KernelVerifier, JumpTargetOutOfRange) {
-  gpu::KernelProgram k = valid_kernel();
-  gpu::KInstr j;
-  j.op = gpu::KOp::kJump;
-  j.imm = 42;
-  k.code.insert(k.code.begin(), j);
-  DiagnosticEngine diags;
-  EXPECT_GT(verify_kernel(k, diags), 0);
-  EXPECT_NE(codes_of(diags).find("LM303"), std::string::npos)
-      << diags.to_string();
-}
-
-TEST(KernelVerifier, RegisterUsedBeforeDefinition) {
-  gpu::KernelProgram k = valid_kernel();
-  k.code[0].op = gpu::KOp::kMov;
-  k.code[0].a = 1;  // reg 1 is never written
-  DiagnosticEngine diags;
-  EXPECT_GT(verify_kernel(k, diags), 0);
-  EXPECT_NE(codes_of(diags).find("LM304"), std::string::npos)
-      << diags.to_string();
-}
-
-TEST(KernelVerifier, ElementLoadFromElementwiseParam) {
-  gpu::KernelProgram k = valid_kernel();
-  k.code[0].op = gpu::KOp::kLoadElem;  // param 0 is kElementwise
-  k.code[0].b = 0;
-  DiagnosticEngine diags;
-  EXPECT_GT(verify_kernel(k, diags), 0);
-  EXPECT_NE(codes_of(diags).find("LM305"), std::string::npos)
-      << diags.to_string();
-}
-
-TEST(KernelVerifier, ReachableFallOffTheEnd) {
-  gpu::KernelProgram k = valid_kernel();
-  k.code.pop_back();  // drop the kRet
-  DiagnosticEngine diags;
-  EXPECT_GT(verify_kernel(k, diags), 0);
-  EXPECT_NE(codes_of(diags).find("LM306"), std::string::npos)
-      << diags.to_string();
-}
-
-// ---------------------------------------------------------------------------
-// LM311–LM315: RTL verifier on hand-corrupted netlists. Modules are built
-// field-by-field (never via validate()) so the verifier is the only check.
-// ---------------------------------------------------------------------------
-
-rtl::Module valid_module() {
-  rtl::Module m;
-  m.name = "t";
-  rtl::SigId a = m.add_signal("a", 8, rtl::SigKind::kInput);
-  rtl::SigId y = m.add_signal("y", 8, rtl::SigKind::kOutput);
-  m.comb.push_back({y, rtl::h_sig(a, 8)});
-  return m;
-}
-
-TEST(RtlVerifier, ValidModuleIsClean) {
-  DiagnosticEngine diags;
-  EXPECT_EQ(verify_module(valid_module(), diags), 0) << diags.to_string();
-}
-
-TEST(RtlVerifier, SignalIdOutOfRange) {
-  rtl::Module m = valid_module();
-  m.comb[0].expr = rtl::h_sig(99, 8);
-  DiagnosticEngine diags;
-  EXPECT_GT(verify_module(m, diags), 0);
-  EXPECT_NE(codes_of(diags).find("LM311"), std::string::npos)
-      << diags.to_string();
-}
-
-TEST(RtlVerifier, DoubleDriverAndDriverOnInput) {
-  rtl::Module m = valid_module();
-  m.comb.push_back({m.find("y"), rtl::h_const(8, 1)});  // second driver
-  m.comb.push_back({m.find("a"), rtl::h_const(8, 0)});  // drives an input
-  DiagnosticEngine diags;
-  EXPECT_GT(verify_module(m, diags), 0);
-  EXPECT_NE(codes_of(diags).find("LM312"), std::string::npos)
-      << diags.to_string();
-}
-
-TEST(RtlVerifier, UndrivenOutputAndReg) {
-  rtl::Module m;
-  m.name = "t";
-  m.add_signal("y", 8, rtl::SigKind::kOutput);  // no driver
-  m.add_signal("r", 4, rtl::SigKind::kReg);     // no next-value
-  DiagnosticEngine diags;
-  EXPECT_GT(verify_module(m, diags), 0);
-  EXPECT_NE(codes_of(diags).find("LM313"), std::string::npos)
-      << diags.to_string();
-}
-
-TEST(RtlVerifier, TopLevelWidthMismatch) {
-  rtl::Module m = valid_module();
-  m.comb[0].expr = rtl::h_const(4, 3);  // 4-bit expr into an 8-bit output
-  DiagnosticEngine diags;
-  EXPECT_GT(verify_module(m, diags), 0);
-  EXPECT_NE(codes_of(diags).find("LM314"), std::string::npos)
-      << diags.to_string();
-}
-
-TEST(RtlVerifier, CombinationalCycle) {
-  rtl::Module m;
-  m.name = "t";
-  rtl::SigId w1 = m.add_signal("w1", 8, rtl::SigKind::kWire);
-  rtl::SigId w2 = m.add_signal("w2", 8, rtl::SigKind::kWire);
-  rtl::SigId y = m.add_signal("y", 8, rtl::SigKind::kOutput);
-  m.comb.push_back({w1, rtl::h_sig(w2, 8)});
-  m.comb.push_back({w2, rtl::h_sig(w1, 8)});
-  m.comb.push_back({y, rtl::h_sig(w1, 8)});
-  DiagnosticEngine diags;
-  EXPECT_GT(verify_module(m, diags), 0);
-  EXPECT_NE(codes_of(diags).find("LM315"), std::string::npos)
-      << diags.to_string();
 }
 
 // ---------------------------------------------------------------------------

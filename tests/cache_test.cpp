@@ -66,22 +66,23 @@ std::vector<uint8_t> bytes_of(const std::string& s) {
 
 TEST(KeyTest, DeterministicAndInputSensitive) {
   auto ir = bytes_of("canonical-ir");
-  uint64_t k = artifact_key(ir, kBackendGpu, "O2");
-  EXPECT_EQ(k, artifact_key(ir, kBackendGpu, "O2"));
-  EXPECT_NE(k, artifact_key(ir, kBackendFpga, "O2"));
-  EXPECT_NE(k, artifact_key(ir, kBackendGpu, "O3"));
+  uint64_t k = artifact_key(ir, kBackendGpu);
+  EXPECT_EQ(k, artifact_key(ir, kBackendGpu));
+  EXPECT_NE(k, artifact_key(ir, kBackendFpga));
   auto ir2 = ir;
   ir2.back() ^= 1;
-  EXPECT_NE(k, artifact_key(ir2, kBackendGpu, "O2"));
+  EXPECT_NE(k, artifact_key(ir2, kBackendGpu));
+  // Pinned: the key this payload had when keys still took compile flags
+  // (all empty), so entries written then still hit.
+  EXPECT_EQ(key_hex(k), "6cb7f7699fe4302f");
 }
 
 TEST(KeyTest, FieldBoundariesDoNotAlias) {
   // Moving a byte across the (canonical bytes | backend) boundary must
   // change the key — the separators exist exactly for this.
-  EXPECT_NE(artifact_key(bytes_of("a"), "bc", ""),
-            artifact_key(bytes_of("ab"), "c", ""));
-  EXPECT_NE(artifact_key(bytes_of(""), "a", "b"),
-            artifact_key(bytes_of("a"), "", "b"));
+  EXPECT_NE(artifact_key(bytes_of("a"), "bc"),
+            artifact_key(bytes_of("ab"), "c"));
+  EXPECT_NE(artifact_key(bytes_of(""), "a"), artifact_key(bytes_of("a"), ""));
 }
 
 TEST(KeyTest, HexStemIsSixteenDigits) {
@@ -103,7 +104,7 @@ TEST(KeyTest, ParseCacheModeGrammar) {
 TEST_F(CacheTest, StoreThenLoadRoundTrips) {
   ArtifactCache ac(config(CacheMode::kReadWrite));
   auto payload = bytes_of("compiled artifact bytes");
-  uint64_t key = artifact_key(payload, kBackendGpu, "");
+  uint64_t key = artifact_key(payload, kBackendGpu);
   EXPECT_TRUE(ac.store(key, kBackendGpu, payload));
   auto got = ac.load(key, kBackendGpu);
   ASSERT_TRUE(got.has_value());
@@ -123,7 +124,7 @@ TEST_F(CacheTest, MissOnUnknownKey) {
 
 TEST_F(CacheTest, EntriesSurviveAcrossInstances) {
   auto payload = bytes_of("durable");
-  uint64_t key = artifact_key(payload, kBackendBytecode, "");
+  uint64_t key = artifact_key(payload, kBackendBytecode);
   {
     ArtifactCache writer(config(CacheMode::kReadWrite));
     ASSERT_TRUE(writer.store(key, kBackendBytecode, payload));
@@ -155,7 +156,7 @@ TEST_F(CacheTest, OffModeNeverTouchesDisk) {
 
 TEST_F(CacheTest, TruncatedEntryIsMissAndUnlinked) {
   auto payload = bytes_of("will be truncated to a stub");
-  uint64_t key = artifact_key(payload, kBackendFpga, "");
+  uint64_t key = artifact_key(payload, kBackendFpga);
   {
     ArtifactCache writer(config(CacheMode::kReadWrite));
     ASSERT_TRUE(writer.store(key, kBackendFpga, payload));
@@ -171,7 +172,7 @@ TEST_F(CacheTest, TruncatedEntryIsMissAndUnlinked) {
 
 TEST_F(CacheTest, CorruptedPayloadFailsChecksum) {
   auto payload = bytes_of("checksummed payload bytes");
-  uint64_t key = artifact_key(payload, kBackendGpu, "");
+  uint64_t key = artifact_key(payload, kBackendGpu);
   {
     ArtifactCache writer(config(CacheMode::kReadWrite));
     ASSERT_TRUE(writer.store(key, kBackendGpu, payload));
@@ -195,7 +196,7 @@ TEST_F(CacheTest, CorruptedPayloadFailsChecksum) {
 
 TEST_F(CacheTest, VersionSkewIsMiss) {
   auto payload = bytes_of("from a future toolchain");
-  uint64_t key = artifact_key(payload, kBackendGpu, "");
+  uint64_t key = artifact_key(payload, kBackendGpu);
   {
     ArtifactCache writer(config(CacheMode::kReadWrite));
     ASSERT_TRUE(writer.store(key, kBackendGpu, payload));
@@ -215,7 +216,7 @@ TEST_F(CacheTest, VersionSkewIsMiss) {
 
 TEST_F(CacheTest, BackendMismatchIsMiss) {
   auto payload = bytes_of("gpu kernel");
-  uint64_t key = artifact_key(payload, kBackendGpu, "");
+  uint64_t key = artifact_key(payload, kBackendGpu);
   ArtifactCache ac(config(CacheMode::kReadWrite));
   ASSERT_TRUE(ac.store(key, kBackendGpu, payload));
   // Same key asked for as a different backend must never serve the bytes.
@@ -230,7 +231,7 @@ TEST_F(CacheTest, BackendMismatchIsMiss) {
 
 TEST_F(CacheTest, ReadOnlyLeavesCorruptEntriesInPlace) {
   auto payload = bytes_of("corrupt but not mine to delete");
-  uint64_t key = artifact_key(payload, kBackendGpu, "");
+  uint64_t key = artifact_key(payload, kBackendGpu);
   {
     ArtifactCache writer(config(CacheMode::kReadWrite));
     ASSERT_TRUE(writer.store(key, kBackendGpu, payload));
@@ -249,7 +250,7 @@ TEST_F(CacheTest, EvictsOldestEntriesAtCapacity) {
   std::vector<uint64_t> keys;
   for (int i = 0; i < 8; ++i) {
     std::vector<uint8_t> payload(1024, static_cast<uint8_t>(i));
-    uint64_t key = artifact_key(payload, kBackendGpu, "");
+    uint64_t key = artifact_key(payload, kBackendGpu);
     keys.push_back(key);
     ASSERT_TRUE(ac.store(key, kBackendGpu, payload));
   }
@@ -273,7 +274,7 @@ TEST_F(CacheTest, ConcurrentInstancesAgreeOnPayloads) {
   for (int k = 0; k < kKeys; ++k) {
     payloads.push_back(std::vector<uint8_t>(
         256 + static_cast<size_t>(k) * 13, static_cast<uint8_t>(k * 7 + 1)));
-    keys.push_back(artifact_key(payloads.back(), kBackendGpu, ""));
+    keys.push_back(artifact_key(payloads.back(), kBackendGpu));
   }
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
@@ -390,12 +391,52 @@ struct Spoiled {
   std::function<void(rtl::Module&, fpga::FpgaPortMeta&)> spoil;
 };
 
+/// An expression node built field by field, as the decoder builds one: the
+/// h_* factories refuse the lies below.
+std::shared_ptr<rtl::HExpr> node(rtl::HKind kind, int width) {
+  auto e = std::make_shared<rtl::HExpr>();
+  e->kind = kind;
+  e->width = width;
+  return e;
+}
+
+/// `a` shifted left by a constant of `amount_width` bits.
+rtl::HExprPtr shifted_by(rtl::HExprPtr a, int amount_width) {
+  auto e = node(rtl::HKind::kBinary, a->width);
+  e->bin_op = rtl::HBinOp::kShl;
+  e->a = std::move(a);
+  e->b = node(rtl::HKind::kConst, amount_width);
+  return e;
+}
+
+/// The combinational driver of `name` in `m`.
+rtl::HExprPtr& driver_of(rtl::Module& m, const char* name) {
+  for (rtl::CombAssign& a : m.comb) {
+    if (a.target == m.find(name)) return a.expr;
+  }
+  throw std::invalid_argument("no driver");
+}
+
+/// A width other than `w`.
+int other_width(int w) { return w == 2 ? 3 : 2; }
+
 /// crc8's netlist and ports, each with one lie: a port that does not match
-/// the netlist, or an assignment to a signal the netlist does not have.
+/// the netlist, an assignment to a signal the netlist does not have or may
+/// not drive, or an expression node the simulator cannot evaluate.
 std::vector<Spoiled> spoiled_variants() {
   using fpga::FpgaPortMeta;
   auto rename = [](rtl::Module& m, const char* from, const char* to) {
     m.signals[static_cast<size_t>(m.find(from))].name = to;
+  };
+  auto reads_signal = [](rtl::SigId id) {
+    return [id](rtl::Module& m, FpgaPortMeta&) {
+      m.seq[0].next = rtl::h_sig(id, m.seq[0].next->width);
+    };
+  };
+  auto shift_amount_of_width = [](int width) {
+    return [width](rtl::Module& m, FpgaPortMeta&) {
+      m.seq[0].next = shifted_by(m.seq[0].next, width);
+    };
   };
   return {
       {"unknown input", [](rtl::Module&, FpgaPortMeta& p) {
@@ -444,6 +485,33 @@ std::vector<Spoiled> spoiled_variants() {
        }},
       {"negative seq target", [](rtl::Module& m, FpgaPortMeta&) {
          m.seq[0].target = -1;
+       }},
+      {"register next-value reads signal 100000", reads_signal(100000)},
+      {"register next-value reads signal -7", reads_signal(-7)},
+      {"inner node of width 0", shift_amount_of_width(0)},
+      {"inner node of width 65", shift_amount_of_width(65)},
+      {"binary operator code 99", [](rtl::Module& m, FpgaPortMeta&) {
+         rtl::HExprPtr& e = driver_of(m, "inTake");
+         ASSERT_EQ(e->kind, rtl::HKind::kBinary);
+         auto bad = node(rtl::HKind::kBinary, e->width);
+         bad->bin_op = static_cast<rtl::HBinOp>(99);
+         bad->a = e->a;
+         bad->b = e->b;
+         e = bad;
+       }},
+      {"combinational driver on inReady", [](rtl::Module& m, FpgaPortMeta&) {
+         m.comb.push_back({m.find("inReady"), rtl::h_const(1, 1)});
+       }},
+      {"top-level width mismatch", [](rtl::Module& m, FpgaPortMeta&) {
+         m.seq[0].next = rtl::h_resize(
+             m.seq[0].next, other_width(m.seq[0].next->width), false);
+       }},
+      {"binary operands differ in width", [](rtl::Module& m, FpgaPortMeta&) {
+         auto bad = node(rtl::HKind::kBinary, m.seq[0].next->width);
+         bad->bin_op = rtl::HBinOp::kAdd;
+         bad->a = m.seq[0].next;
+         bad->b = rtl::h_const(other_width(bad->a->width), 1);
+         m.seq[0].next = bad;
        }},
   };
 }
@@ -526,9 +594,9 @@ gpu::KInstr& first_of(gpu::KernelProgram& p, gpu::KOp op) {
   throw std::invalid_argument("no such instruction");
 }
 
-/// saxpy's kernel IR, each with one lie about an index or selector the
-/// kernel executor trusts. Every one still decodes: the codec checks only
-/// framing.
+/// saxpy's kernel IR, each with one lie about an index, selector,
+/// parameter mode or path the kernel executor trusts. Every one still
+/// decodes: the codec checks only framing.
 std::vector<SpoiledKernel> spoiled_kernel_variants() {
   using gpu::KOp;
   return {
@@ -561,6 +629,38 @@ std::vector<SpoiledKernel> spoiled_kernel_variants() {
        }},
       {"arith operator past kNeg", [](gpu::KernelProgram& p) {
          first_of(p, KOp::kArith).aux = 11;
+       }},
+      {"kArrayLen of a scalar parameter", [](gpu::KernelProgram& p) {
+         first_of(p, KOp::kLoadParam).op = KOp::kArrayLen;
+       }},
+      {"the kRet dropped", [](gpu::KernelProgram& p) {
+         ASSERT_EQ(p.code.back().op, KOp::kRet);
+         p.code.pop_back();
+       }},
+      {"a kArith operand no path writes", [](gpu::KernelProgram& p) {
+         first_of(p, KOp::kArith).a = static_cast<uint16_t>(p.num_regs++);
+       }},
+  };
+}
+
+/// Lies in IR that is consistent in itself, so it passes validation, about
+/// the task it claims to be: the artifact built from it rejects them.
+std::vector<SpoiledKernel> task_lie_variants() {
+  using gpu::KOp;
+  return {
+      {"a parameter the task does not have", [](gpu::KernelProgram& p) {
+         p.params.push_back(p.params.back());
+       }},
+      {"a parameter and return type the task does not have",
+       [](gpu::KernelProgram& p) {
+         p.params[0].type = bc::NumType::kI64;
+         p.ret_type = bc::NumType::kI64;
+       }},
+      {"a scalar parameter declared a whole array and its length read",
+       [](gpu::KernelProgram& p) {
+         gpu::KInstr& load = first_of(p, KOp::kLoadParam);
+         load.op = KOp::kArrayLen;
+         p.params[load.a].mode = gpu::ParamMode::kWholeArray;
        }},
   };
 }
@@ -598,19 +698,11 @@ TEST(CodecTest, KernelPayloadsThatLieAboutTheirIrAreRejected) {
 TEST(CodecTest, HostileKernelPayloadIsAMissNotACrash) {
   // A compile service that serves saxpy's kernel with a lie in its IR: the
   // compiler must compile the kernel locally, as for any miss (DESIGN.md
-  // §14). The last two variants lower, but take a parameter, or types,
+  // §14). The task lies lower, but take a parameter, or a type or mode,
   // their task does not have, which the artifact rejects.
   const workloads::Workload& w = saxpy_workload();
   std::vector<SpoiledKernel> variants = spoiled_kernel_variants();
-  variants.push_back({"a parameter the task does not have",
-                      [](gpu::KernelProgram& p) {
-                        p.params.push_back(p.params.back());
-                      }});
-  variants.push_back({"a parameter and return type the task does not have",
-                      [](gpu::KernelProgram& p) {
-                        p.params[0].type = bc::NumType::kI64;
-                        p.ret_type = bc::NumType::kI64;
-                      }});
+  for (const SpoiledKernel& lie : task_lie_variants()) variants.push_back(lie);
   for (const SpoiledKernel& bad : variants) {
     SCOPED_TRACE(bad.what);
     std::vector<uint8_t> payload = spoiled_saxpy_payload(bad);
@@ -643,19 +735,11 @@ TEST(CodecTest, HostileKernelPayloadIsAMissNotACrash) {
 
 TEST(CodecTest, HostileKernelPayloadIsAMissForFpgaSynthesis) {
   // FPGA synthesis reads the same kernel IR: with the GPU backend off, a
-  // served IR that fails validation is a miss, and the module comes from
-  // a local compile of the kernel.
+  // served IR that fails validation or disagrees with its task is a miss,
+  // and the module comes from a local compile of the kernel.
   const workloads::Workload& w = crc8_workload();
   std::vector<SpoiledKernel> variants = spoiled_kernel_variants();
-  variants.push_back({"a parameter the task does not have",
-                      [](gpu::KernelProgram& p) {
-                        p.params.push_back(p.params.back());
-                      }});
-  variants.push_back({"a parameter and return type the task does not have",
-                      [](gpu::KernelProgram& p) {
-                        p.params[0].type = bc::NumType::kI64;
-                        p.ret_type = bc::NumType::kI64;
-                      }});
+  for (const SpoiledKernel& lie : task_lie_variants()) variants.push_back(lie);
   for (const SpoiledKernel& bad : variants) {
     SCOPED_TRACE(bad.what);
     std::vector<uint8_t> payload = spoiled_kernel_payload(w, "Crc8.crc8", bad);

@@ -581,15 +581,7 @@ TEST(Fpga, MultiParamFilter) {
 }
 
 TEST(Fpga, UserEnumOperatorSynthesizes) {
-  auto b = build(R"(
-    public value enum trit {
-      lo, mid, hi;
-      public trit ~ this {
-        return this == lo ? hi : this == hi ? lo : mid;
-      }
-    }
-    class U { local static trit inv(trit t) { return ~t; } }
-  )");
+  auto b = build(lime::testing::trit_source());
   auto r = synth({method(b, "U", "inv")});
   ASSERT_TRUE(r.ok()) << r.exclusion_reason;
   FpgaFilter filter(std::move(r));

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <thread>
 
 #include "bytecode/compiler.h"
@@ -11,6 +13,7 @@
 #include "serde/native.h"
 #include "tests/lime_test_util.h"
 #include "util/rng.h"
+#include "workloads/workloads.h"
 
 namespace lm::gpu {
 namespace {
@@ -642,6 +645,220 @@ TEST(LoweredKernel, SelfJumpTripsTheWatchdog) {
 }
 
 // ---------------------------------------------------------------------------
+// gpu::validate, the one check of kernel IR, on deliberately corrupted
+// programs, and on every kernel the compiler emits.
+// ---------------------------------------------------------------------------
+
+KernelProgram valid_kernel() {
+  KernelProgram k;
+  k.task_id = "T.f";
+  k.num_regs = 2;
+  k.params.push_back({ParamMode::kElementwise, NumType::kI32, 1, 0});
+  k.code = {op3(KOp::kLoadParam, 0, 0), op3(KOp::kRet, 0, 0)};
+  return k;
+}
+
+/// Why validate() rejects `k`, or "" when it passes.
+std::string rejection(const KernelProgram& k) {
+  try {
+    validate(k);
+  } catch (const RuntimeError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(KernelVerifier, ValidKernelIsClean) {
+  EXPECT_EQ(rejection(valid_kernel()), "");
+}
+
+TEST(KernelVerifier, RegisterOutOfRange) {
+  KernelProgram k = valid_kernel();
+  k.code[1].a = 9;  // kRet of a register past num_regs
+  EXPECT_NE(rejection(k).find("source register r9 out of range"),
+            std::string::npos);
+}
+
+TEST(KernelVerifier, ConstantPoolIndexOutOfRange) {
+  KernelProgram k = valid_kernel();
+  k.code.insert(k.code.begin(), op3(KOp::kLoadConst, 1, 3));  // no consts
+  EXPECT_NE(rejection(k).find("constant c3 out of range"), std::string::npos);
+}
+
+TEST(KernelVerifier, JumpTargetOutOfRange) {
+  KernelProgram k = valid_kernel();
+  k.code.insert(k.code.begin(), jump(KOp::kJump, 42));
+  EXPECT_NE(rejection(k).find("jump target 42 out of range"),
+            std::string::npos);
+}
+
+TEST(KernelVerifier, RegisterUsedBeforeDefinition) {
+  KernelProgram k = valid_kernel();
+  k.code[0] = op3(KOp::kMov, 0, 1);  // r1 is never written
+  EXPECT_NE(rejection(k).find("pc 0: reads r1 before every path"),
+            std::string::npos);
+  // Written on one arm of a branch only: the read after the join may see
+  // it unwritten.
+  k.num_regs = 3;
+  k.code = {op3(KOp::kLoadParam, 0, 0),
+            op3(KOp::kCmp, 1, 0, 0, static_cast<uint8_t>(CmpOp::kEq)),
+            jump(KOp::kJumpIfFalse, 4, 1), op3(KOp::kMov, 2, 0),
+            op3(KOp::kRet, 0, 2)};
+  EXPECT_NE(rejection(k).find("pc 4: reads r2 before every path"),
+            std::string::npos);
+  k.code[2] = jump(KOp::kJumpIfFalse, 3, 1);  // both arms reach the mov
+  EXPECT_EQ(rejection(k), "");
+}
+
+TEST(KernelVerifier, ElementLoadFromElementwiseParam) {
+  KernelProgram k = valid_kernel();
+  k.code[0].op = KOp::kLoadElem;  // param 0 is kElementwise
+  EXPECT_NE(rejection(k).find("array access to scalar parameter p0"),
+            std::string::npos);
+  k.code[0].op = KOp::kArrayLen;
+  EXPECT_NE(rejection(k).find("array access to scalar parameter p0"),
+            std::string::npos);
+  k = valid_kernel();
+  k.params[0].mode = ParamMode::kWholeArray;
+  EXPECT_NE(rejection(k).find("scalar load of whole-array parameter p0"),
+            std::string::npos);
+}
+
+TEST(KernelVerifier, ReachableFallOffTheEnd) {
+  KernelProgram k = valid_kernel();
+  k.code.pop_back();  // drop the kRet
+  EXPECT_NE(rejection(k).find("fell off the end"), std::string::npos);
+  // Past a return, a jump to the end is dead code and passes.
+  k = valid_kernel();
+  k.code.push_back(jump(KOp::kJump, 3));
+  EXPECT_EQ(rejection(k), "");
+}
+
+TEST(KernelVerifier, BackEdgesMustKeepTheirTargetsState) {
+  // A loop entered at its head, as every compiled loop is, passes.
+  KernelProgram k = valid_kernel();
+  k.num_regs = 3;
+  k.code = {op3(KOp::kLoadParam, 0, 0),
+            op3(KOp::kCmp, 1, 0, 0, static_cast<uint8_t>(CmpOp::kEq)),  // head
+            jump(KOp::kJumpIfFalse, 4, 1), jump(KOp::kJump, 1),
+            op3(KOp::kRet, 0, 0)};
+  EXPECT_EQ(rejection(k), "");
+  // A back edge to code that only it reaches.
+  k.code = {op3(KOp::kLoadParam, 0, 0), jump(KOp::kJump, 3),
+            op3(KOp::kRet, 0, 0), jump(KOp::kJumpIfFalse, 2, 0),
+            op3(KOp::kRet, 0, 0)};
+  EXPECT_NE(rejection(k).find(
+                "pc 3: jumps back to pc 2, which no earlier path reaches"),
+            std::string::npos);
+  // pc 3 is first reached with r2 written; the back edge from pc 6 comes
+  // by way of pc 5, which skipped writing it, and pc 3 reads it.
+  k.code = {op3(KOp::kLoadParam, 0, 0), jump(KOp::kJumpIfFalse, 5, 0),
+            op3(KOp::kMov, 2, 0),       op3(KOp::kMov, 1, 2),
+            op3(KOp::kRet, 0, 1),       op3(KOp::kMov, 1, 0),
+            jump(KOp::kJump, 3)};
+  EXPECT_NE(rejection(k).find("pc 6: jumps back to pc 3 with r2 possibly "
+                              "unwritten"),
+            std::string::npos);
+  // Such a back edge is rejected, not revisited, even where the target
+  // would not read the register it loses.
+  k.code[3] = op3(KOp::kMov, 1, 0);
+  EXPECT_NE(rejection(k).find("pc 6: jumps back to pc 3"), std::string::npos);
+}
+
+TEST(KernelVerifier, ProgramsPastTheWorkBudgetAreRejected) {
+  // Over 65,536 registers (1024 bitset words) each jump costs 2048 words
+  // of the budget of 2^22, on top of one per instruction: 2046 jumps fit,
+  // 2047 do not.
+  KernelProgram k = valid_kernel();
+  k.num_regs = 65536;
+  for (int i = 0; i < 2046; ++i) {
+    k.code.insert(k.code.begin() + i, jump(KOp::kJump, i + 1));
+  }
+  EXPECT_EQ(rejection(k), "");
+  k.code.insert(k.code.begin(), jump(KOp::kJump, 1));
+  for (size_t pc = 1; pc < 2047; ++pc) k.code[pc].imm += 1;
+  EXPECT_NE(rejection(k).find("exceed the validation budget"),
+            std::string::npos);
+  // Straight-line code costs one word per instruction, however many
+  // registers it declares.
+  k = valid_kernel();
+  k.num_regs = 65536;
+  k.code.insert(k.code.begin() + 1, 1'000'000, op3(KOp::kMov, 1, 0));
+  EXPECT_EQ(rejection(k), "");
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(KernelCompiler, EveryKernelItEmitsValidates) {
+  // Every method of the suite programs, the examples and a value enum's
+  // operator: the compiler either declines one for a reason of its own or
+  // emits IR that passes.
+  std::vector<std::string> sources;
+  for (const auto* suite :
+       {&workloads::gpu_suite(), &workloads::pipeline_suite()}) {
+    for (const workloads::Workload& w : *suite) {
+      sources.push_back(w.lime_source);
+    }
+  }
+  for (const char* example : {"bitflip.lime", "intpipe.lime"}) {
+    sources.push_back(read_file(std::string(LM_REPO_DIR) + "/examples/" +
+                                example));
+    ASSERT_FALSE(sources.back().empty()) << example;
+  }
+  sources.push_back(lime::testing::trit_source());
+  size_t accepted = 0;
+  bool saw_operator = false;
+  for (const std::string& source : sources) {
+    auto b = build(source);
+    for (const auto& cls : b.program->classes) {
+      for (const auto& m : cls->methods) {
+        const std::string name = m->qualified_name();
+        KernelCompileResult r = compile_kernel(*m);
+        if (name == "trit.operator~") {
+          saw_operator = true;
+          EXPECT_FALSE(r.ok()) << "an operator has no receiver to bind";
+        }
+        // None of these falls back on the validator to decline.
+        EXPECT_NE(r.exclusion_reason.rfind("kernel ", 0), 0u)
+            << name << ": " << r.exclusion_reason;
+        if (!r.ok()) continue;
+        ++accepted;
+        EXPECT_EQ(rejection(*r.program), "") << name;
+      }
+    }
+  }
+  EXPECT_TRUE(saw_operator);
+  EXPECT_GE(accepted, 18u);
+}
+
+TEST(KernelCompiler, LongStraightLineMethodCompilesAndRuns) {
+  // 4000 statements of `a = a * 3 + i`: 20,000 instructions over 16,000
+  // registers, one fresh register per temporary. Straight-line code costs
+  // the validator one word per instruction, not a bitset each.
+  constexpr int kStatements = 4000;
+  std::string src = "class C { local static int f(int x) { int a = x; ";
+  for (int i = 0; i < kStatements; ++i) {
+    src += "a = a * 3 + " + std::to_string(i) + "; ";
+  }
+  src += "return a; } }";
+  auto b = build(src);
+  auto kr = compile_kernel(*method(b, "C", "f"));
+  ASSERT_TRUE(kr.ok()) << kr.exclusion_reason;
+  EXPECT_GT(kr.program->code.size(), 20000u);
+  bc::Interpreter vm(*b.module);
+  for (int32_t x : {0, 7, -123456}) {
+    CValue out = CValue::make(bc::ElemCode::kI32, true, 1);
+    run_kernel_range(*kr.program, {KArg::scalar_i32(x)}, out, 0, 1);
+    EXPECT_EQ(out.i32s()[0], vm.call("C.f", {Value::i32(x)}).as_i32()) << x;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Differential: kernel IR vs bytecode VM on random inputs (property test).
 // All artifacts for one task id must be semantically equivalent (§3).
 // ---------------------------------------------------------------------------
@@ -753,6 +970,18 @@ INSTANTIATE_TEST_SUITE_P(
                  "long lm = (x & 2) == 0 ? -9223372036854775807L - 1L "
                  ": (long) x; "
                  "return Math.abs(m) ^ (int) (Math.abs(lm) >> 32); } }",
+                 "C", "f"},
+        // A loop left only by return, as the method's last statement and
+        // inlined into a caller: no path runs past either loop.
+        DiffCase{"while_true_returns",
+                 "class C { local static int f(int x) { "
+                 "int n = x < 0 ? -x : x; int i = 0; "
+                 "while (true) { if (i * i >= n) { return i; } i += 1; } } }",
+                 "C", "f"},
+        DiffCase{"while_true_returns_inlined",
+                 "class C { local static int g(int x) { int i = 0; "
+                 "while (!false) { i += 1; if (i >= x % 13) { return i * 3; } "
+                 "} } local static int f(int x) { return g(x) + g(x + 5); } }",
                  "C", "f"}),
     [](const ::testing::TestParamInfo<DiffCase>& info) {
       return info.param.name;

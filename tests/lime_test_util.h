@@ -59,4 +59,17 @@ public class Bitflip {
 )";
 }
 
+/// A user value enum with an operator, and a filter that applies it.
+inline const char* trit_source() {
+  return R"(
+    public value enum trit {
+      lo, mid, hi;
+      public trit ~ this {
+        return this == lo ? hi : this == hi ? lo : mid;
+      }
+    }
+    class U { local static trit inv(trit t) { return ~t; } }
+  )";
+}
+
 }  // namespace lm::lime::testing

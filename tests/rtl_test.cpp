@@ -1,6 +1,9 @@
 // Unit tests for the RTL netlist IR and cycle simulator (S7).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+
 #include "rtl/netlist.h"
 #include "rtl/sim.h"
 
@@ -75,21 +78,21 @@ TEST(Module, CombinationalCycleDetected) {
   SigId b = m.add_signal("b", 1, SigKind::kWire);
   m.assign(a, h_sig(b, 1));
   m.assign(b, h_sig(a, 1));
-  EXPECT_THROW(m.validate(), InternalError);
+  EXPECT_THROW(m.validate(), RuntimeError);
 }
 
 TEST(Module, UndrivenWireDetected) {
   Module m;
   m.name = "undriven";
   m.add_signal("w", 4, SigKind::kWire);
-  EXPECT_THROW(m.validate(), InternalError);
+  EXPECT_THROW(m.validate(), RuntimeError);
 }
 
 TEST(Module, RegWithoutDriverDetected) {
   Module m;
   m.name = "noreg";
   m.add_signal("r", 4, SigKind::kReg);
-  EXPECT_THROW(m.validate(), InternalError);
+  EXPECT_THROW(m.validate(), RuntimeError);
 }
 
 TEST(Module, DoubleAssignDetected) {
@@ -99,13 +102,162 @@ TEST(Module, DoubleAssignDetected) {
   SigId w = m.add_signal("w", 1, SigKind::kWire);
   m.assign(w, h_sig(in, 1));
   m.assign(w, h_sig(in, 1));
-  EXPECT_THROW(m.validate(), InternalError);
+  EXPECT_THROW(m.validate(), RuntimeError);
 }
 
 TEST(Module, DuplicateSignalNameRejected) {
   Module m;
   m.add_signal("x", 1, SigKind::kInput);
   EXPECT_THROW(m.add_signal("x", 2, SigKind::kWire), InternalError);
+}
+
+TEST(Module, ValidationIsLinearInSharedNodes) {
+  // Every wire reads one shared chain of kN adds. A walk per assignment
+  // would visit kN^2 (67M) nodes, which takes seconds.
+  constexpr int kN = 8192;
+  Module m;
+  m.name = "shared";
+  SigId in = m.add_signal("in", 32, SigKind::kInput);
+  HExprPtr chain = h_sig(in, 32);
+  for (int i = 0; i < kN; ++i) {
+    chain = h_binary(HBinOp::kAdd, chain, h_sig(in, 32));
+  }
+  for (int i = 0; i < kN; ++i) {
+    // Pushed directly: add_signal's name lookup is linear.
+    m.signals.push_back({"w" + std::to_string(i), 32, SigKind::kWire});
+    m.comb.push_back({static_cast<SigId>(m.signals.size()) - 1, chain});
+  }
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(m.validate().size(), size_t{kN});
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took.count(), 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Module::validate on netlists corrupted by hand. They are built field by
+// field (the h_* factories and assign() refuse most of these lies), so
+// validate() is the only check, as for a decoded netlist.
+// ---------------------------------------------------------------------------
+
+Module valid_module() {
+  Module m;
+  m.name = "t";
+  SigId a = m.add_signal("a", 8, SigKind::kInput);
+  SigId y = m.add_signal("y", 8, SigKind::kOutput);
+  m.comb.push_back({y, h_sig(a, 8)});
+  return m;
+}
+
+/// Why validate() rejects `m`, or "" when it passes.
+std::string rejection(const Module& m) {
+  try {
+    m.validate();
+  } catch (const RuntimeError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+bool mentions(const std::string& text, const std::string& needle) {
+  return text.find(needle) != std::string::npos;
+}
+
+TEST(RtlVerifier, ValidModuleIsClean) {
+  EXPECT_EQ(rejection(valid_module()), "");
+}
+
+TEST(RtlVerifier, SignalIdOutOfRange) {
+  Module m = valid_module();
+  m.comb[0].expr = h_sig(99, 8);
+  EXPECT_TRUE(mentions(rejection(m), "reads signal 99")) << rejection(m);
+  // In a register's next-value as well.
+  m = valid_module();
+  m.seq.push_back({m.add_signal("r", 8, SigKind::kReg), h_sig(-7, 8)});
+  EXPECT_TRUE(mentions(rejection(m), "reads signal -7")) << rejection(m);
+}
+
+TEST(RtlVerifier, DoubleDriverAndDriverOnInput) {
+  Module m = valid_module();
+  m.comb.push_back({m.find("y"), h_const(8, 1)});  // second driver
+  EXPECT_TRUE(mentions(rejection(m), "'y' assigned more than once"))
+      << rejection(m);
+  m = valid_module();
+  m.comb.push_back({m.find("a"), h_const(8, 0)});  // drives an input
+  EXPECT_TRUE(mentions(rejection(m), "'a' has a combinational driver"))
+      << rejection(m);
+}
+
+TEST(RtlVerifier, UndrivenOutputAndReg) {
+  Module m;
+  m.name = "t";
+  m.add_signal("y", 8, SigKind::kOutput);  // no driver
+  EXPECT_TRUE(mentions(rejection(m), "'y' undriven")) << rejection(m);
+  m.signals.clear();
+  m.add_signal("r", 4, SigKind::kReg);  // no next-value
+  EXPECT_TRUE(mentions(rejection(m), "'r' has no driver")) << rejection(m);
+}
+
+TEST(RtlVerifier, TopLevelWidthMismatch) {
+  Module m = valid_module();
+  m.comb[0].expr = h_const(4, 3);  // 4-bit expr into an 8-bit output
+  EXPECT_TRUE(mentions(rejection(m), "'y' and its driver differ in width"))
+      << rejection(m);
+}
+
+TEST(RtlVerifier, CombinationalCycle) {
+  Module m;
+  m.name = "t";
+  SigId w1 = m.add_signal("w1", 8, SigKind::kWire);
+  SigId w2 = m.add_signal("w2", 8, SigKind::kWire);
+  SigId y = m.add_signal("y", 8, SigKind::kOutput);
+  m.comb.push_back({w1, h_sig(w2, 8)});
+  m.comb.push_back({w2, h_sig(w1, 8)});
+  m.comb.push_back({y, h_sig(w1, 8)});
+  EXPECT_TRUE(mentions(rejection(m), "combinational cycle through 'w"))
+      << rejection(m);
+  // Through a node that two drivers share, one of them the wire it reads.
+  HExprPtr shared = h_binary(HBinOp::kAdd, h_sig(w1, 8), h_const(8, 1));
+  m.comb = {{y, shared}, {w1, shared}, {w2, h_const(8, 0)}};
+  EXPECT_TRUE(mentions(rejection(m), "combinational cycle through a shared"))
+      << rejection(m);
+}
+
+TEST(RtlVerifier, MalformedNodesAreRejected) {
+  auto node = [](HKind kind, int width) {
+    auto e = std::make_shared<HExpr>();
+    e->kind = kind;
+    e->width = width;
+    return e;
+  };
+  auto with_output = [&](HExprPtr e) {
+    Module m = valid_module();
+    m.comb[0].expr = std::move(e);
+    return rejection(m);
+  };
+  const HExprPtr a = h_sig(0, 8);
+  for (int width : {0, 65}) {
+    auto shift = node(HKind::kBinary, 8);  // a shift amount's width is free
+    shift->bin_op = HBinOp::kShl;
+    shift->a = a;
+    shift->b = node(HKind::kConst, width);
+    EXPECT_TRUE(mentions(with_output(shift), "width " +
+                                                 std::to_string(width)))
+        << width;
+  }
+  auto unknown = node(HKind::kBinary, 8);
+  unknown->bin_op = static_cast<HBinOp>(99);
+  unknown->a = unknown->b = a;
+  EXPECT_TRUE(mentions(with_output(unknown), "unknown operator"));
+  auto uneven = node(HKind::kBinary, 8);
+  uneven->bin_op = HBinOp::kAdd;
+  uneven->a = a;
+  uneven->b = h_const(4, 1);
+  EXPECT_TRUE(mentions(with_output(uneven), "widths disagree"));
+  auto orphan = node(HKind::kMux, 8);
+  orphan->a = h_const(1, 1);
+  orphan->b = a;
+  EXPECT_TRUE(mentions(with_output(orphan), "lacks an operand"));
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 // all backends, task substitution, co-execution, and map/reduce offload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "runtime/liquid_runtime.h"
@@ -213,6 +214,81 @@ TEST(CoExecution, MinValueOverMinusOneFollowsJava) {
       on_device |= rec.device == dev;
     }
     EXPECT_TRUE(on_device) << "placement=" << static_cast<int>(p);
+  }
+}
+
+// Sema has no missing-return check, and kernel IR validation sees every
+// path the code has, including those only data rule out. A loop left only
+// by return still runs on the GPU, at the top of a task and inlined; a
+// task that may end without returning compiles, the device backends
+// decline it, and it runs on the CPU.
+TEST(CoExecution, PathsOnlyDataRuleOutStillCompileAndRun) {
+  auto cp = compile_ok(R"(
+    class W {
+      local static int root(int x) {
+        int n = x < 0 ? -x : x;
+        int i = 0;
+        while (true) {
+          if (i * i >= n) { return i; }
+          i += 1;
+        }
+      }
+      local static int half(int x) {
+        int i = 0;
+        while (true) {
+          if (2 * i >= x) { return i; }
+          i += 1;
+        }
+      }
+      local static int twice(int x) { return half(x) * 2 + 1; }
+      local static int lift(int x) {
+        if (x > 0) { return x + 100; }
+      }
+      static int[[]] run(int[[]] input) {
+        int[] result = new int[input.length];
+        var g = input.source(1) => ([ task root ]) => ([ task twice ])
+          => ([ task lift ]) => result.<int>sink();
+        g.finish();
+        return new int[[]](result);
+      }
+    }
+  )");
+  const auto& log = cp->backend_log;
+  for (const char* line : {"gpu: compiled W.root", "gpu: compiled W.twice"}) {
+    EXPECT_NE(std::find(log.begin(), log.end(), line), log.end()) << line;
+  }
+  EXPECT_EQ(cp->store.find("W.lift", DeviceKind::kGpu), nullptr);
+  EXPECT_EQ(cp->store.find("W.lift", DeviceKind::kFpga), nullptr);
+  bool logged = false;
+  for (const auto& line : log) {
+    logged |= line.starts_with("gpu: excluded W.lift") &&
+              line.find("fell off the end") != std::string::npos;
+  }
+  EXPECT_TRUE(logged);
+
+  const std::vector<int32_t> input = {0, 1, 2, 17, -17, 99, -1000, 4096};
+  auto want = [](int32_t x) {
+    int32_t n = x < 0 ? -x : x, root = 0;
+    while (root * root < n) ++root;
+    return (root + 1) / 2 * 2 + 1 + 100;
+  };
+  for (Placement p : {Placement::kCpuOnly, Placement::kGpuOnly,
+                      Placement::kFpgaOnly, Placement::kAuto}) {
+    RuntimeConfig rc;
+    rc.placement = p;
+    LiquidRuntime rt(*cp, rc);
+    Value out =
+        rt.call("W.run", {Value::array(bc::make_i32_array(input, true))});
+    for (size_t i = 0; i < input.size(); ++i) {
+      EXPECT_EQ(bc::array_get(*out.as_array(), i).as_i32(), want(input[i]))
+          << "placement=" << static_cast<int>(p) << " x=" << input[i];
+    }
+    if (p != Placement::kGpuOnly) continue;
+    bool on_gpu = false;
+    for (const auto& rec : rt.stats().substitutions) {
+      on_gpu |= rec.device == DeviceKind::kGpu;
+    }
+    EXPECT_TRUE(on_gpu);
   }
 }
 

@@ -24,8 +24,8 @@
 // DESIGN.md §S11, §13) and prints every finding with its stable LM code in
 // deterministic order, followed by the per-device suitability notes (LM401/
 // 402 exclusions, LM403 demotions). Exit status is 1 when errors are
-// present (or, under --strict, any warning). Set LM_VERIFY_IR=1 to
-// additionally verify every compiled kernel/RTL artifact (LM3xx).
+// present (or, under --strict, any warning). Every kernel-IR program and
+// netlist is validated before a simulated device runs it (DESIGN.md §8).
 // --analyze=json emits one object: {"diagnostics": [...], "deadlock":
 // [per-graph capacity verdicts with per-edge minimal safe capacities],
 // "static_costs": [...]} — check.sh mines "deadlock" for the
