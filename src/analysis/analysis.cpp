@@ -1,6 +1,7 @@
 #include "analysis/analysis.h"
 
 #include "analysis/effects.h"
+#include "analysis/intervals.h"
 #include "analysis/passes.h"
 
 namespace lm::analysis {
@@ -10,10 +11,13 @@ AnalysisResult analyze_program(const lime::Program& program,
                                const AnalysisOptions& opts) {
   AnalysisResult res;
 
+  // One interval solve per method body: it reports LM101–LM103, and the
+  // static cost model below reads its loop trip counts.
+  MethodRanges ranges;
   for (const auto& cls : program.classes) {
     if (cls->name == "bit") continue;  // predefined, not user code
     for (const auto& m : cls->methods) {
-      if (m->body) check_local_facts(*m, res.diags);
+      if (m->body) ranges.emplace(m.get(), analyze_ranges(*m, &res.diags));
     }
   }
 
@@ -81,7 +85,7 @@ AnalysisResult analyze_program(const lime::Program& program,
   // Deadlock proofs come after hazards so rate/arity sanity (LM204) has
   // already fired; the verifier skips graphs with non-positive rates.
   res.capacity_reports = check_deadlock(graphs, opts.fifo_capacity, res.diags);
-  res.static_costs = estimate_static_costs(graphs, res.demoted);
+  res.static_costs = estimate_static_costs(graphs, res.demoted, ranges);
   return res;
 }
 

@@ -1,9 +1,11 @@
 // Whole-program static analysis over the Lime AST and task graphs.
 //
-// Four analyses share the dataflow framework (cfg.h + dataflow.h) and the
-// stable LM error-code scheme (DESIGN.md §S11):
+// The analyses share the per-method CFG (cfg.h) and the stable LM
+// error-code scheme (DESIGN.md §S11):
 //
-//   LM101–LM103  definite assignment + constant propagation per method
+//   LM101–LM103  use before assignment, out-of-bounds indices and
+//                out-of-range shifts, from the one interval solve of each
+//                method body (intervals.h)
 //   LM110–LM111  interprocedural effect/isolation verification (effects.h);
 //                violating tasks are *demoted* to bytecode-only placement
 //   LM201–LM205  task-graph hazards (dangling graphs, self-connections,
@@ -14,7 +16,7 @@
 //
 // runtime::compile() calls analyze_program on every compile. It runs
 // every analysis above and builds the static cost model (cost_estimate.h,
-// from the interval tier's loop trip counts, intervals.h); the findings
+// from the same interval solves' loop trip counts); the findings
 // merge into the program's DiagnosticEngine and the demoted set gates
 // backend artifact creation. The backends' IRs are not checked here: each
 // has one always-on validator of its own (gpu::validate and

@@ -1,5 +1,5 @@
-// Control-flow graphs over the Lime AST — the substrate of the dataflow
-// framework (src/analysis/dataflow.h).
+// Control-flow graphs over the Lime AST — the substrate of the interval
+// interpreter (src/analysis/intervals.h).
 //
 // One Cfg per method body. Basic blocks hold *evaluation items* in
 // execution order: a variable declaration event or a bare expression
@@ -53,7 +53,7 @@ struct Cfg {
 Cfg build_cfg(const lime::MethodDecl& m);
 
 /// Reverse post-order over forward edges starting at the entry — the
-/// iteration order under which forward dataflow converges fastest.
+/// iteration order under which a forward solver converges fastest.
 /// Unreachable blocks are absent.
 std::vector<int> reverse_post_order(const Cfg& cfg);
 

@@ -83,11 +83,15 @@ void accumulate(OpMix& into, const OpMix& from) {
 /// interval pass's trip bound (or kDefaultTripGuess, clearing `bounded`).
 class OpCounter {
  public:
-  explicit OpCounter(int depth) : depth_(depth) {}
+  OpCounter(MethodRanges& ranges, int depth)
+      : ranges_(ranges), depth_(depth) {}
 
   OpMix count(const lime::MethodDecl& m) {
-    facts_ = analyze_ranges(m);
-    if (m.body) walk_stmt(*m.body, 1.0);
+    if (!m.body) return mix_;
+    auto it = ranges_.find(&m);
+    if (it == ranges_.end()) it = ranges_.emplace(&m, analyze_ranges(m)).first;
+    facts_ = &it->second;
+    walk_stmt(*m.body, 1.0);
     return mix_;
   }
 
@@ -95,7 +99,7 @@ class OpCounter {
   void charge_loop(const lime::Stmt& s, double weight,
                    const lime::Expr* cond, const lime::Stmt& body,
                    const lime::Stmt* init, const lime::Expr* update) {
-    int64_t trips = facts_.trips_or(&s, -1);
+    int64_t trips = facts_->trips_or(&s, -1);
     if (trips < 0 || trips > kTripCredibilityCap) {
       trips = kDefaultTripGuess;
       mix_.bounded = false;
@@ -255,22 +259,23 @@ class OpCounter {
   void charge_call(const lime::MethodDecl* callee, double weight) {
     mix_.call += weight;
     if (!callee || !callee->body || depth_ >= kMaxCallDepth) return;
-    OpCounter inner(depth_ + 1);
+    OpCounter inner(ranges_, depth_ + 1);
     OpMix body = inner.count(*callee);
     scale(body, weight);
     accumulate(mix_, body);
   }
 
+  MethodRanges& ranges_;
   int depth_;
-  RangeFacts facts_;
+  const RangeFacts* facts_ = nullptr;
   OpMix mix_;
 };
 
 }  // namespace
 
-OpMix count_ops(const lime::MethodDecl& m) {
-  OpCounter counter(0);
-  return counter.count(m);
+OpMix count_ops(const lime::MethodDecl& m, MethodRanges* ranges) {
+  MethodRanges local;
+  return OpCounter(ranges ? *ranges : local, 0).count(m);
 }
 
 const StaticCostEstimate* StaticCostModel::find(
@@ -301,7 +306,7 @@ StaticCostEstimate make_estimate(const std::string& id,
 
 StaticCostModel estimate_static_costs(
     const ir::ProgramTaskGraphs& graphs,
-    const std::unordered_set<std::string>& demoted) {
+    const std::unordered_set<std::string>& demoted, MethodRanges& ranges) {
   StaticCostModel model;
   std::unordered_set<std::string> done;
   // Per-method mixes are reused by the segment pass; keyed by task id.
@@ -310,7 +315,7 @@ StaticCostModel estimate_static_costs(
     for (const auto& [id, m] : mixes) {
       if (id == n.task_id) return m;
     }
-    mixes.emplace_back(n.task_id, count_ops(*n.method));
+    mixes.emplace_back(n.task_id, count_ops(*n.method, &ranges));
     return mixes.back().second;
   };
 

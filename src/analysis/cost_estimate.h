@@ -18,6 +18,7 @@
 #pragma once
 
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -25,6 +26,8 @@
 #include "lime/ast.h"
 
 namespace lm::analysis {
+
+struct RangeFacts;  // intervals.h
 
 /// Trip multiplier assumed for a loop the interval pass could not bound.
 /// Estimates built on this guess are flagged `bounded = false`.
@@ -49,9 +52,14 @@ struct OpMix {
   }
 };
 
+/// Interval facts per method body, each body solved once.
+using MethodRanges = std::unordered_map<const lime::MethodDecl*, RangeFacts>;
+
 /// Counts the weighted operation mix of one firing of `m`. Resolved callees
 /// with bodies are flattened in (depth-limited); their loops weight too.
-OpMix count_ops(const lime::MethodDecl& m);
+/// Trip bounds come from `ranges`; a method missing there is solved once
+/// and added (nullptr: a map local to this call).
+OpMix count_ops(const lime::MethodDecl& m, MethodRanges* ranges = nullptr);
 
 /// One (task, device) prediction, unit-compatible with CostEntry's EWMA.
 struct StaticCostEstimate {
@@ -77,8 +85,9 @@ struct StaticCostModel {
 /// ArtifactStore::segment_id so the runtime can look fused candidates up
 /// directly). Tasks in `demoted` get no GPU/FPGA rows — the compiler builds
 /// no accelerator artifacts for them, so a seed would rank phantoms.
+/// Trip bounds come from `ranges` as in count_ops.
 StaticCostModel estimate_static_costs(
     const ir::ProgramTaskGraphs& graphs,
-    const std::unordered_set<std::string>& demoted = {});
+    const std::unordered_set<std::string>& demoted, MethodRanges& ranges);
 
 }  // namespace lm::analysis

@@ -1,16 +1,17 @@
 // Interval abstract interpretation with widening/narrowing (intervals.h).
 //
-// Solver shape: the generic solve_forward (dataflow.h) assumes a lattice of
-// finite height; intervals are not one. The worklist here therefore widens
-// at back-edge targets once a block has absorbed kWidenDelay precise joins,
-// which forces every chain to stabilize in a bounded number of visits, and
-// then runs kNarrowPasses decreasing passes to pull the infinities back to
-// the loop bounds the conditions actually imply.
+// Solver shape: intervals are not a lattice of finite height, so the
+// worklist widens at back-edge targets once a block has absorbed
+// kWidenDelay precise joins, which forces every chain to stabilize in a
+// bounded number of visits, and then runs kNarrowPasses decreasing passes
+// to pull the infinities back to the loop bounds the conditions actually
+// imply. The may-be-unassigned bits ride along as a finite lattice.
 #include "analysis/intervals.h"
 
 #include <algorithm>
 #include <deque>
-#include <unordered_map>
+#include <initializer_list>
+#include <utility>
 
 #include "util/error.h"
 
@@ -30,8 +31,10 @@ constexpr int64_t kPosInf = Interval::kPosInf;
 
 bool is_inf(int64_t v) { return v == kNegInf || v == kPosInf; }
 
-/// Saturating add of two endpoints of the same kind (lo+lo or hi+hi). The
-/// infinities absorb; a finite overflow saturates toward its sign.
+/// Saturating add of two endpoints of the same kind (lo+lo or hi+hi), for
+/// bounds that are never values themselves (comparison refinement, trip
+/// spans). The infinities absorb; a finite overflow saturates toward its
+/// sign.
 int64_t sat_add(int64_t a, int64_t b) {
   if (a == kNegInf || b == kNegInf) return kNegInf;
   if (a == kPosInf || b == kPosInf) return kPosInf;
@@ -46,13 +49,11 @@ int64_t sat_neg(int64_t a) {
   return -a;
 }
 
-int64_t sat_mul(int64_t a, int64_t b) {
-  if (a == 0 || b == 0) return 0;  // 0 · ±inf = 0 for endpoint limits
-  bool neg = (a < 0) != (b < 0);
-  if (is_inf(a) || is_inf(b)) return neg ? kNegInf : kPosInf;
-  int64_t r;
-  if (__builtin_mul_overflow(a, b, &r)) return neg ? kNegInf : kPosInf;
-  return r;
+/// The hull of endpoint results, or top when one overflowed: Java's long
+/// arithmetic wraps, so an overflowing result may be any long.
+Interval hull(std::initializer_list<int64_t> ends, bool overflow) {
+  if (overflow) return Interval::top();
+  return {false, std::min(ends), std::max(ends)};
 }
 
 }  // namespace
@@ -87,24 +88,33 @@ Interval widen(const Interval& prev, const Interval& next) {
 
 Interval iv_add(const Interval& a, const Interval& b) {
   if (a.bot || b.bot) return Interval::bottom();
-  return {false, sat_add(a.lo, b.lo), sat_add(a.hi, b.hi)};
+  int64_t lo, hi;
+  bool ov = __builtin_add_overflow(a.lo, b.lo, &lo);
+  ov |= __builtin_add_overflow(a.hi, b.hi, &hi);
+  return hull({lo, hi}, ov);
 }
 
 Interval iv_sub(const Interval& a, const Interval& b) {
   if (a.bot || b.bot) return Interval::bottom();
-  return {false, sat_add(a.lo, sat_neg(b.hi)), sat_add(a.hi, sat_neg(b.lo))};
+  int64_t lo, hi;
+  bool ov = __builtin_sub_overflow(a.lo, b.hi, &lo);
+  ov |= __builtin_sub_overflow(a.hi, b.lo, &hi);
+  return hull({lo, hi}, ov);
 }
 
 Interval iv_neg(const Interval& a) {
   if (a.bot) return a;
-  return {false, sat_neg(a.hi), sat_neg(a.lo)};
+  return iv_sub(Interval::constant(0), a);
 }
 
 Interval iv_mul(const Interval& a, const Interval& b) {
   if (a.bot || b.bot) return Interval::bottom();
-  int64_t c[4] = {sat_mul(a.lo, b.lo), sat_mul(a.lo, b.hi),
-                  sat_mul(a.hi, b.lo), sat_mul(a.hi, b.hi)};
-  return {false, *std::min_element(c, c + 4), *std::max_element(c, c + 4)};
+  int64_t c[4];
+  bool ov = __builtin_mul_overflow(a.lo, b.lo, &c[0]);
+  ov |= __builtin_mul_overflow(a.lo, b.hi, &c[1]);
+  ov |= __builtin_mul_overflow(a.hi, b.lo, &c[2]);
+  ov |= __builtin_mul_overflow(a.hi, b.hi, &c[3]);
+  return hull({c[0], c[1], c[2], c[3]}, ov);
 }
 
 Interval iv_div(const Interval& a, const Interval& b) {
@@ -112,14 +122,10 @@ Interval iv_div(const Interval& a, const Interval& b) {
   // A divisor range containing zero (or unbounded) degrades to top.
   if (b.lo <= 0 && b.hi >= 0) return Interval::top();
   if (is_inf(b.lo) || is_inf(b.hi)) return Interval::top();
-  auto div1 = [](int64_t x, int64_t d) -> int64_t {
-    if (x == kNegInf) return d > 0 ? kNegInf : kPosInf;
-    if (x == kPosInf) return d > 0 ? kPosInf : kNegInf;
-    return x / d;  // C++ truncating division, matches the VM
-  };
-  int64_t c[4] = {div1(a.lo, b.lo), div1(a.lo, b.hi), div1(a.hi, b.lo),
-                  div1(a.hi, b.hi)};
-  return {false, *std::min_element(c, c + 4), *std::max_element(c, c + 4)};
+  // Truncating division is monotone in each operand away from a zero
+  // divisor, so the corners bound it; only MIN_VALUE / -1 overflows.
+  if (a.lo == kNegInf && b.hi == -1) return Interval::top();
+  return hull({a.lo / b.lo, a.lo / b.hi, a.hi / b.lo, a.hi / b.hi}, false);
 }
 
 Interval iv_rem(const Interval& a, const Interval& b) {
@@ -165,9 +171,12 @@ Interval type_range(const lime::TypeRef& t) {
     case TypeKind::kBoolean:
     case TypeKind::kBit:
       return Interval::range(0, 1);
+    case TypeKind::kArray:
+    case TypeKind::kValueArray:
+      return Interval::range(0, INT32_MAX);  // the length
     default:
-      // Floats, arrays, classes, graphs: not in the integer domain. Top
-      // keeps any accidental consumer conservative.
+      // Floats, classes, graphs: not in the integer domain. Top keeps any
+      // accidental consumer conservative.
       return Interval::top();
   }
 }
@@ -176,9 +185,11 @@ namespace {
 
 /// `v` as a value of type `t`. Java arithmetic wraps, so a result that
 /// leaves the type's range may be any value of it: it widens to the range.
+/// A floating value carries no interval, since converting to it may round.
 Interval fit_type(Interval v, const lime::TypeRef& t) {
   if (v.bot) return v;
   Interval range = type_range(t);
+  if (t && t->is_floating()) return range;
   return v.lo < range.lo || v.hi > range.hi ? range : v;
 }
 
@@ -187,29 +198,55 @@ constexpr int kNarrowPasses = 2; // bounded decreasing iterations
 
 struct IntervalState {
   bool feasible = true;
-  std::vector<Interval> slots;  // bottom = not (yet) an integer value here
-
-  bool operator==(const IntervalState& o) const {
-    return feasible == o.feasible && slots == o.slots;
-  }
+  std::vector<Interval> slots;  // bottom = no value here yet
+  std::vector<char> unassigned;  // 1 = may be unassigned here (LM101)
 };
 
-void join_into(IntervalState& into, const IntervalState& from) {
-  if (!from.feasible) return;
+/// Joins `from` into `into`; with `widen_only` set (a widening point past
+/// its delay), a grown slot it marks jumps to infinity instead (an empty
+/// vector marks every slot). True when `into` changed.
+bool join_into(IntervalState& into, const IntervalState& from,
+               const std::vector<char>* widen_only = nullptr) {
+  if (!from.feasible) return false;
   if (!into.feasible) {
     into = from;
-    return;
+    return true;
   }
+  bool changed = false;
   for (size_t i = 0; i < into.slots.size(); ++i) {
-    into.slots[i] = join(into.slots[i], from.slots[i]);
+    Interval j = join(into.slots[i], from.slots[i]);
+    if (!(j == into.slots[i])) {
+      bool widens = widen_only && (i >= widen_only->size() || (*widen_only)[i]);
+      into.slots[i] = widens ? widen(into.slots[i], j) : j;
+      changed = true;
+    }
+    if (from.unassigned[i] && !into.unassigned[i]) {
+      into.unassigned[i] = 1;
+      changed = true;
+    }
   }
+  return changed;
 }
 
 /// Expression walk in evaluation order: returns the value interval and
-/// applies assignment side effects to the state.
+/// applies assignment side effects to the state. With a DiagnosticEngine
+/// it also reports LM101–LM103: the solver runs it silently to fixpoint,
+/// then one replay of each reachable block reports from the fixpoint.
 class IntervalEvaluator {
  public:
-  explicit IntervalEvaluator(IntervalState& st) : st_(st) {}
+  explicit IntervalEvaluator(IntervalState& st,
+                             DiagnosticEngine* diags = nullptr)
+      : st_(st), diags_(diags) {}
+
+  /// Runs one CFG item; the value of its expression (bottom for a
+  /// declaration).
+  Interval step(const CfgItem& item) {
+    if (item.decl) {
+      declare(*item.decl);
+      return Interval::bottom();
+    }
+    return item.expr ? eval(*item.expr) : Interval::bottom();
+  }
 
   Interval eval(const lime::Expr& e) {
     switch (e.kind) {
@@ -217,8 +254,10 @@ class IntervalEvaluator {
         return Interval::constant(as<lime::IntLitExpr>(e).value);
       case ExprKind::kBoolLit:
         return Interval::constant(as<lime::BoolLitExpr>(e).value ? 1 : 0);
-      case ExprKind::kFloatLit:
       case ExprKind::kBitLit:
+        return Interval::constant(
+            static_cast<int64_t>(as<lime::BitLitExpr>(e).bits.width()));
+      case ExprKind::kFloatLit:
       case ExprKind::kThis:
         return type_range(e.type);
       case ExprKind::kName: {
@@ -227,9 +266,7 @@ class IntervalEvaluator {
           return Interval::constant(n.enum_ordinal);
         }
         if (n.ref != lime::NameRefKind::kLocal) return type_range(e.type);
-        Interval v = slot_of(n.slot);
-        // A bottom slot means "never assigned on this path"; reading it is
-        // LM101's problem — stay conservative here.
+        Interval v = read(n, e.loc);
         return v.bot ? type_range(e.type) : v;
       }
       case ExprKind::kUnary: {
@@ -237,7 +274,7 @@ class IntervalEvaluator {
         Interval v = eval(*u.operand);
         switch (u.op) {
           case UnOp::kNeg:
-            return iv_neg(v);
+            return fit_type(iv_neg(v), e.type);
           case UnOp::kNot: {
             Interval b = meet(v, Interval::range(0, 1));
             if (b.bot) return Interval::range(0, 1);
@@ -246,7 +283,7 @@ class IntervalEvaluator {
           }
           case UnOp::kBitNot:
             // ~x == -x - 1
-            return iv_sub(iv_neg(v), Interval::constant(1));
+            return fit_type(iv_sub(iv_neg(v), Interval::constant(1)), e.type);
           case UnOp::kUserOp:
             return type_range(e.type);
         }
@@ -291,31 +328,33 @@ class IntervalEvaluator {
       }
       case ExprKind::kIndex: {
         const auto& ix = as<lime::IndexExpr>(e);
-        eval(*ix.array);
-        eval(*ix.index);
+        Interval len = eval(*ix.array);
+        check_index(len, eval(*ix.index), ix.index->loc);
         return type_range(e.type);
       }
       case ExprKind::kField: {
         const auto& f = as<lime::FieldExpr>(e);
-        if (f.object) eval(*f.object);
+        Interval obj = f.object ? eval(*f.object) : Interval::bottom();
         if (f.enum_ordinal >= 0) return Interval::constant(f.enum_ordinal);
-        if (f.is_array_length) return Interval::range(0, INT32_MAX);
+        if (f.is_array_length) {
+          return obj.bot ? Interval::range(0, INT32_MAX) : obj;
+        }
         return type_range(e.type);
       }
       case ExprKind::kNewArray: {
         const auto& n = as<lime::NewArrayExpr>(e);
-        if (n.length) eval(*n.length);
-        if (n.from_array) eval(*n.from_array);
-        return type_range(e.type);
+        // `new T[k]` has length k, and a freeze keeps its source's.
+        Interval len = Interval::bottom();
+        if (n.length) len = fit_type(eval(*n.length), e.type);
+        if (n.from_array) len = eval(*n.from_array);
+        return len.bot ? type_range(e.type) : len;
       }
       case ExprKind::kCast: {
         const auto& c = as<lime::CastExpr>(e);
+        // A narrowing cast wraps and a floating one may round; fit_type
+        // keeps the operand range only when it provably survives.
         Interval v = eval(*c.operand);
-        Interval tr = type_range(c.target);
-        // A narrowing cast wraps; only keep the operand range when it
-        // provably fits the target.
-        if (!v.bot && meet(v, tr) == v) return v;
-        return tr;
+        return v.bot ? type_range(c.target) : fit_type(v, c.target);
       }
       case ExprKind::kMap:
       case ExprKind::kReduce: {
@@ -342,16 +381,18 @@ class IntervalEvaluator {
   void declare(const lime::VarDeclStmt& vd) {
     if (vd.init) {
       Interval v = eval(*vd.init);
-      set_slot(vd.slot, fit_type(v, vd.init->type ? vd.init->type
-                                                  : vd.declared_type));
-    } else {
-      set_slot(vd.slot, Interval::bottom());  // (re)opened, unassigned
+      assign(vd.slot, fit_type(v, vd.declared_type ? vd.declared_type
+                                                   : vd.init->type));
+    } else if (valid(vd.slot)) {
+      // A bare declaration (re)opens the slot as unassigned.
+      st_.slots[static_cast<size_t>(vd.slot)] = Interval::bottom();
+      st_.unassigned[static_cast<size_t>(vd.slot)] = 1;
     }
   }
 
   /// Refines the state under "e evaluated to `truth`". Only shrinks
-  /// intervals — never executes side effects (conditions were already
-  /// evaluated by the caller).
+  /// intervals and reports nothing; never executes side effects
+  /// (conditions were already evaluated by the caller).
   void assume(const lime::Expr& e, bool truth) {
     switch (e.kind) {
       case ExprKind::kBoolLit:
@@ -386,7 +427,9 @@ class IntervalEvaluator {
           return;
         }
         if (!lime::is_comparison(b.op)) return;
+        DiagnosticEngine* quiet = std::exchange(diags_, nullptr);
         assume_cmp(b, truth);
+        diags_ = quiet;
         return;
       }
       default:
@@ -395,22 +438,59 @@ class IntervalEvaluator {
   }
 
  private:
-  Interval slot_of(int slot) const {
-    if (slot < 0 || slot >= static_cast<int>(st_.slots.size())) {
-      return Interval::top();
-    }
-    return st_.slots[static_cast<size_t>(slot)];
+  bool valid(int slot) const {
+    return slot >= 0 && slot < static_cast<int>(st_.slots.size());
   }
 
-  void set_slot(int slot, Interval v) {
-    if (slot < 0 || slot >= static_cast<int>(st_.slots.size())) return;
+  /// A local's interval; reports LM101 when it may be unassigned here.
+  Interval read(const lime::NameExpr& n, SourceLoc loc) {
+    if (!valid(n.slot)) return Interval::top();
+    auto s = static_cast<size_t>(n.slot);
+    if (diags_ && st_.unassigned[s]) {
+      diags_->report(Severity::kWarning, "LM101", loc,
+                     "variable '" + n.name +
+                         "' may be used before it is initialized");
+    }
+    return st_.slots[s];
+  }
+
+  void assign(int slot, Interval v) {
+    if (!valid(slot)) return;
     st_.slots[static_cast<size_t>(slot)] = v;
+    st_.unassigned[static_cast<size_t>(slot)] = 0;
+  }
+
+  /// LM102: a single-value index outside a single-value length.
+  void check_index(const Interval& len, const Interval& idx, SourceLoc loc) {
+    if (!diags_ || len.bot || idx.bot) return;
+    if (len.lo != len.hi || idx.lo != idx.hi) return;
+    if (idx.lo < 0 || idx.lo >= len.lo) {
+      diags_->report(Severity::kWarning, "LM102", loc,
+                     "constant index " + std::to_string(idx.lo) +
+                         " is out of bounds for an array of known length " +
+                         std::to_string(len.lo));
+    }
+  }
+
+  /// LM103: a single-value shift amount outside [0, width) of an int or
+  /// long operand (Java masks it, which is rarely what was meant).
+  void check_shift(const lime::BinaryExpr& b, const Interval& amount) {
+    if (!diags_ || amount.bot || amount.lo != amount.hi) return;
+    TypeKind k = b.lhs->type ? b.lhs->type->kind : TypeKind::kInt;
+    if (k != TypeKind::kInt && k != TypeKind::kLong) return;
+    int width = k == TypeKind::kLong ? 64 : 32;
+    if (amount.lo < 0 || amount.lo >= width) {
+      diags_->report(Severity::kWarning, "LM103", b.loc,
+                     "constant shift amount " + std::to_string(amount.lo) +
+                         " is out of range for a " + std::to_string(width) +
+                         "-bit operand");
+    }
   }
 
   /// Meets the slot with `bound`; an empty result marks the path infeasible
   /// (the condition can't hold for any value the slot may carry).
   void refine_slot(int slot, Interval bound) {
-    if (slot < 0 || slot >= static_cast<int>(st_.slots.size())) return;
+    if (!valid(slot)) return;
     Interval& cur = st_.slots[static_cast<size_t>(slot)];
     if (cur.bot) return;  // unassigned here; nothing to refine
     Interval m = meet(cur, bound);
@@ -528,13 +608,16 @@ class IntervalEvaluator {
   Interval eval_binary(const lime::BinaryExpr& b) {
     if (b.op == BinOp::kLAnd || b.op == BinOp::kLOr) {
       eval(*b.lhs);
-      IntervalState before_rhs = st_;
-      eval(*b.rhs);  // conditionally evaluated
-      join_into(st_, before_rhs);
+      IntervalState skipped = st_;
+      // The rhs runs only when the lhs did not decide the result.
+      assume(*b.lhs, b.op == BinOp::kLAnd);
+      if (st_.feasible) eval(*b.rhs);
+      join_into(st_, skipped);
       return Interval::range(0, 1);
     }
     Interval l = eval(*b.lhs);
     Interval r = eval(*b.rhs);
+    if (b.op == BinOp::kShl || b.op == BinOp::kShr) check_shift(b, r);
     if (lime::is_comparison(b.op)) return Interval::range(0, 1);
     bool integral = b.type ? b.type->is_integral()
                            : (!b.lhs->type || !b.lhs->type->is_floating());
@@ -579,17 +662,16 @@ class IntervalEvaluator {
     if (a.target->kind == ExprKind::kName) {
       const auto& n = as<lime::NameExpr>(*a.target);
       if (n.ref == lime::NameRefKind::kLocal) {
-        Interval cur = slot_of(n.slot);
+        // A compound assignment reads the target first.
+        Interval cur = a.compound ? read(n, a.target->loc) : Interval();
         Interval v = eval(*a.value);
-        Interval result;
-        if (!a.compound) {
-          result = v;
-        } else {
+        Interval result = v;
+        if (a.compound) {
           Interval base = cur.bot ? type_range(a.target->type) : cur;
           result = arith(a.op, base, v);
         }
         result = fit_type(result, a.target->type);
-        set_slot(n.slot, result);
+        assign(n.slot, result);
         return result;
       }
       eval(*a.target);
@@ -597,8 +679,8 @@ class IntervalEvaluator {
     }
     if (a.target->kind == ExprKind::kIndex) {
       const auto& ix = as<lime::IndexExpr>(*a.target);
-      eval(*ix.array);
-      eval(*ix.index);
+      Interval len = eval(*ix.array);
+      check_index(len, eval(*ix.index), ix.index->loc);
       return eval(*a.value);
     }
     eval(*a.target);
@@ -606,6 +688,7 @@ class IntervalEvaluator {
   }
 
   IntervalState& st_;
+  DiagnosticEngine* diags_;
 };
 
 /// Which of `num_slots` local slots `loop` assigns (its init, condition,
@@ -616,8 +699,7 @@ std::vector<char> slots_assigned_in(const lime::Stmt& loop, int num_slots);
 /// in-states; out-states are recomputed on demand (transfer is cheap).
 class IntervalSolver {
  public:
-  IntervalSolver(const Cfg& cfg, const lime::MethodDecl& m,
-                 const std::vector<Interval>& arg_ranges)
+  IntervalSolver(const Cfg& cfg, const lime::MethodDecl& m)
       : cfg_(cfg), method_(m) {
     size_t n = cfg.blocks.size();
     in_.resize(n);
@@ -647,7 +729,7 @@ class IntervalSolver {
       loop_slots_[static_cast<size_t>(head)] =
           slots_assigned_in(*stmt, m.num_slots);
     }
-    in_[Cfg::kEntry] = boundary(arg_ranges);
+    in_[Cfg::kEntry] = boundary();
     reachable_[Cfg::kEntry] = 1;
   }
 
@@ -673,20 +755,12 @@ class IntervalSolver {
           reachable_[su] = 1;
           changed = true;
         } else {
-          IntervalState joined = in_[su];
-          join_into(joined, edge_state);
-          if (joined == in_[su]) {
-            changed = false;
-          } else {
-            if (widen_point_[su] && ++join_count_[su] > kWidenDelay) {
-              const std::vector<char>& only = loop_slots_[su];
-              for (size_t i = 0; i < joined.slots.size(); ++i) {
-                if (i < only.size() && !only[i]) continue;
-                joined.slots[i] = widen(in_[su].slots[i], joined.slots[i]);
-              }
-            }
-            in_[su] = std::move(joined);
-            changed = true;
+          bool widening = widen_point_[su] && join_count_[su] >= kWidenDelay;
+          changed = join_into(in_[su], edge_state,
+                              widening ? &loop_slots_[su] : nullptr);
+          if (changed && widen_point_[su]) {
+            ++join_count_[su];
+            widened_ |= widening;
           }
         }
         if (changed && !queued[su]) {
@@ -698,7 +772,9 @@ class IntervalSolver {
     converged_ = work.empty();
     // Narrowing: bounded decreasing passes recomputing each in-state from
     // its predecessors without widening. Sound after stabilization; each
-    // pass can only tighten.
+    // pass can only tighten. Without widening the fixpoint is already the
+    // least one, which narrowing would recompute unchanged.
+    if (!widened_ && converged_) return;
     for (int pass = 0; pass < kNarrowPasses; ++pass) {
       for (int b : rpo_) {
         if (b == Cfg::kEntry) continue;
@@ -726,8 +802,10 @@ class IntervalSolver {
   int visits() const { return visits_; }
   bool converged() const { return converged_; }
 
-  /// Joined interval of every reachable `return <expr>` value.
-  Interval return_range() const {
+  /// Replays each reachable block from its fixpoint in-state, reporting
+  /// LM101–LM103 to `diags` when set, and returns the joined interval of
+  /// every reachable `return <expr>` value.
+  Interval replay(DiagnosticEngine* diags) const {
     Interval r = Interval::bottom();
     for (int b : rpo_) {
       auto bu = static_cast<size_t>(b);
@@ -735,35 +813,27 @@ class IntervalSolver {
       const auto& blk = cfg_.blocks[bu];
       bool to_exit = false;
       for (int s : blk.succs) to_exit |= s == Cfg::kExit;
-      if (!to_exit || blk.items.empty()) continue;
+      if (!diags && !to_exit) continue;
       IntervalState st = in_[bu];
-      IntervalEvaluator ev(st);
+      IntervalEvaluator ev(st, diags);
       Interval last = Interval::bottom();
-      for (const CfgItem& item : blk.items) {
-        if (item.decl) {
-          ev.declare(*item.decl);
-          last = Interval::bottom();
-        } else if (item.expr) {
-          last = ev.eval(*item.expr);
-        }
-      }
-      r = join(r, last);
+      for (const CfgItem& item : blk.items) last = ev.step(item);
+      if (to_exit) r = join(r, last);
     }
     return fit_type(r, method_.return_type);
   }
 
  private:
-  IntervalState boundary(const std::vector<Interval>& arg_ranges) const {
+  /// Parameters at their type range; every other slot is not yet in
+  /// scope (its declaration decides whether it starts assigned).
+  IntervalState boundary() const {
     IntervalState s;
-    s.slots.assign(static_cast<size_t>(std::max(method_.num_slots, 0)),
-                   Interval::bottom());
-    for (size_t i = 0; i < method_.params.size(); ++i) {
-      const lime::Param& p = method_.params[i];
-      if (p.slot < 0 || p.slot >= static_cast<int>(s.slots.size())) continue;
-      Interval v = i < arg_ranges.size() && !arg_ranges[i].bot
-                       ? meet(arg_ranges[i], type_range(p.type))
-                       : type_range(p.type);
-      s.slots[static_cast<size_t>(p.slot)] = v;
+    auto n = static_cast<size_t>(std::max(method_.num_slots, 0));
+    s.slots.assign(n, Interval::bottom());
+    s.unassigned.assign(n, 0);
+    for (const lime::Param& p : method_.params) {
+      if (p.slot < 0 || p.slot >= static_cast<int>(n)) continue;
+      s.slots[static_cast<size_t>(p.slot)] = type_range(p.type);
     }
     return s;
   }
@@ -777,19 +847,14 @@ class IntervalSolver {
     const CfgBlock& blk = cfg_.blocks[bu];
     IntervalState out = in_[bu];
     IntervalEvaluator ev(out);
-    for (const CfgItem& item : blk.items) {
-      if (item.decl) {
-        ev.declare(*item.decl);
-      } else if (item.expr) {
-        ev.eval(*item.expr);
-      }
-    }
+    for (const CfgItem& item : blk.items) ev.step(item);
     const lime::Expr* cond =
         blk.succs.size() == 2 && !blk.items.empty() && !blk.items.back().decl
             ? blk.items.back().expr
             : nullptr;
     for (size_t i = 0; i < blk.succs.size(); ++i) {
-      IntervalState edge_state = out;
+      IntervalState edge_state =
+          i + 1 < blk.succs.size() ? out : std::move(out);
       if (cond) {
         IntervalEvaluator refine(edge_state);
         refine.assume(*cond, i == 0);
@@ -810,6 +875,7 @@ class IntervalSolver {
   std::vector<int> join_count_;
   int visits_ = 0;
   bool converged_ = false;
+  bool widened_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -1152,22 +1218,16 @@ int64_t RangeFacts::trips_or(const lime::Stmt* stmt, int64_t fallback) const {
 }
 
 RangeFacts analyze_ranges(const lime::MethodDecl& m,
-                          const std::vector<Interval>& arg_ranges) {
+                          DiagnosticEngine* diags) {
   RangeFacts facts;
   facts.method = &m;
   if (!m.body) return facts;
   Cfg cfg = build_cfg(m);
-  IntervalSolver solver(cfg, m, arg_ranges);
+  IntervalSolver solver(cfg, m);
   solver.solve();
   facts.solver_visits = solver.visits();
   facts.converged = solver.converged();
-  facts.return_range = solver.return_range();
-  if (solver.reachable(Cfg::kExit)) {
-    facts.exit_slots = solver.in(Cfg::kExit).slots;
-  } else {
-    facts.exit_slots.assign(static_cast<size_t>(std::max(m.num_slots, 0)),
-                            Interval::bottom());
-  }
+  facts.return_range = solver.replay(diags);
 
   std::vector<std::pair<const lime::Stmt*, int>> loops;
   collect_loops(*m.body, 0, &loops);

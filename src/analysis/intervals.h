@@ -1,16 +1,22 @@
-// Interval (value-range) abstract interpretation over Lime method bodies.
+// Interval (value-range) abstract interpretation over Lime method bodies:
+// the one per-method abstract interpreter of the analysis tier (DESIGN.md
+// §8, §13).
 //
-// The third pillar of the analysis framework (DESIGN.md §13): an interval
-// domain with widening/narrowing run as a custom worklist over the CFG
-// substrate (cfg.h). Unlike the finite lattices of definite_assignment.cpp,
-// intervals form infinite ascending chains, so the generic solve_forward
-// cannot be reused as-is — the solver here widens at back-edge targets after
-// a few precise joins, then runs bounded narrowing passes to recover the
-// precision widening threw away.
+// Each local slot carries an interval and a may-be-unassigned bit. An
+// integer slot's interval bounds its value; an array slot's bounds its
+// length (set by `new T[k]`, bit literals and freezes, read by `.length`).
+// Intervals form infinite ascending chains, so the worklist over the CFG
+// (cfg.h) widens at back-edge targets after a few precise joins, then runs
+// bounded narrowing passes to recover the precision widening threw away.
+// One replay of each reachable block from the fixpoint then reports
+// LM101 (a read of a slot that may be unassigned), LM102 (a single-value
+// index outside a single-value length) and LM103 (a single-value shift
+// amount outside [0, width)), and joins the return range.
 //
-// Consumer: the static cost estimator (cost_estimate.cpp), which reads the
-// loop trip-count bounds. Nothing reads the per-slot and return ranges
-// outside the tests.
+// Consumers: analyze_program, which solves each method body once and
+// reports the findings, and the static cost estimator (cost_estimate.cpp),
+// which reads the loop trip-count bounds. The return range is read only by
+// the tests.
 #pragma once
 
 #include <cstdint>
@@ -19,17 +25,20 @@
 
 #include "analysis/cfg.h"
 #include "lime/ast.h"
+#include "util/diagnostics.h"
 
 namespace lm::analysis {
 
-/// A (possibly unbounded) signed integer interval. `kNegInf`/`kPosInf` are
-/// sentinel endpoints; arithmetic saturates toward them, never wraps.
+/// A signed 64-bit integer interval. `kNegInf`/`kPosInf` are Long's own
+/// bounds, so a long endpoint is the value it is; for an int they mean
+/// "unbounded" (widening jumps there). Arithmetic whose exact result leaves
+/// 64 bits is top, the whole long range.
 struct Interval {
   static constexpr int64_t kNegInf = INT64_MIN;
   static constexpr int64_t kPosInf = INT64_MAX;
 
-  /// Bottom means "no integer value reaches here" (dead path, or a
-  /// non-integer expression). lo/hi are meaningless when bot is set.
+  /// Bottom means "no value reaches here" (dead path, or a slot never
+  /// assigned on it). lo/hi are meaningless when bot is set.
   bool bot = true;
   int64_t lo = 0;
   int64_t hi = 0;
@@ -44,9 +53,6 @@ struct Interval {
 
   bool is_bottom() const { return bot; }
   bool is_top() const { return !bot && lo == kNegInf && hi == kPosInf; }
-  /// Both endpoints finite — the property fusion-safety cares about.
-  bool bounded() const { return !bot && lo != kNegInf && hi != kPosInf; }
-  bool contains(int64_t v) const { return !bot && lo <= v && v <= hi; }
 
   bool operator==(const Interval& o) const {
     if (bot || o.bot) return bot == o.bot;
@@ -62,8 +68,9 @@ Interval meet(const Interval& a, const Interval& b);   // greatest lower bound
 /// Standard widening: endpoints that grew since `prev` jump to infinity.
 Interval widen(const Interval& prev, const Interval& next);
 
-// Abstract arithmetic (saturating; division/remainder by a range containing
-// zero degrades to top rather than guessing).
+// Abstract arithmetic (exact, or top when a result leaves 64 bits;
+// division/remainder by a range containing zero degrades to top rather
+// than guessing).
 Interval iv_add(const Interval& a, const Interval& b);
 Interval iv_sub(const Interval& a, const Interval& b);
 Interval iv_mul(const Interval& a, const Interval& b);
@@ -75,7 +82,8 @@ Interval iv_max(const Interval& a, const Interval& b);
 Interval iv_abs(const Interval& a);
 
 /// The representable range of a Lime static type (int → 32-bit range,
-/// bit/boolean → [0,1], long → top, floats/refs → bottom).
+/// bit/boolean → [0,1], long → top, arrays → their possible lengths,
+/// floats/refs → top).
 Interval type_range(const lime::TypeRef& t);
 
 /// Trip-count bound for one loop statement, derived from the interval facts
@@ -93,8 +101,6 @@ struct RangeFacts {
   const lime::MethodDecl* method = nullptr;
   std::vector<LoopBound> loops;   // in AST pre-order
   Interval return_range;          // join over all reachable returns
-  /// Final interval per local slot at method exit (size = num_slots).
-  std::vector<Interval> exit_slots;
   /// Solver introspection, asserted by the widening-termination stress test:
   /// total block visits until fixpoint (bounded even for 10k-iteration
   /// nested loops thanks to widening) and whether a fixpoint was reached.
@@ -105,10 +111,10 @@ struct RangeFacts {
   int64_t trips_or(const lime::Stmt* stmt, int64_t fallback) const;
 };
 
-/// Runs the interval analysis over `m` (which must have a body).
-/// `arg_ranges`, when non-empty, constrains parameter slots at entry;
-/// otherwise parameters start at their type range.
+/// Runs the interval analysis over `m` (which must have a body); with
+/// `diags` set, also reports LM101–LM103 there. Parameters start at their
+/// type range.
 RangeFacts analyze_ranges(const lime::MethodDecl& m,
-                          const std::vector<Interval>& arg_ranges = {});
+                          DiagnosticEngine* diags = nullptr);
 
 }  // namespace lm::analysis

@@ -9,10 +9,6 @@
 
 namespace lm::analysis {
 
-/// LM101–LM103: definite assignment / use-before-init plus constant and
-/// bit-literal-width propagation over one method body.
-void check_local_facts(const lime::MethodDecl& m, DiagnosticEngine& diags);
-
 /// LM201–LM205: task-graph hazard detection over the whole program.
 void check_graph_hazards(const lime::Program& program,
                          const ir::ProgramTaskGraphs& graphs,

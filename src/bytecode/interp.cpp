@@ -293,6 +293,12 @@ Value Interpreter::run_frame(const CompiledMethod& m,
       case Op::kReturn:
         return pop();
       case Op::kReturnVoid:
+        // Sema admits a non-void method whose end is reachable; falling
+        // off it is a Lime-level fault, not a void value.
+        if (m.return_type && m.return_type->kind != lime::TypeKind::kVoid) {
+          fail("method " + m.qualified_name +
+               " ended without returning a value");
+        }
         return Value::void_();
       case Op::kNewArray: {
         Value len = pop();

@@ -1,7 +1,5 @@
 #include "net/frame.h"
 
-#include <cstring>
-
 #include "util/byte_buffer.h"
 
 namespace lm::net {
@@ -58,12 +56,18 @@ void write_frame(Socket& s, const Frame& f, Deadline deadline) {
   s.send_all(encode_frame(f), deadline);
 }
 
-Frame read_frame(Socket& s, Deadline deadline) {
-  uint8_t header[kFrameHeaderSize];
-  s.recv_all(header, deadline);
-  ByteReader r(header);
-  uint32_t magic = r.u32();
-  if (magic != kFrameMagic) {
+namespace {
+
+struct FrameHeader {
+  uint32_t payload_len = 0;
+  bool has_aux = false;
+};
+
+/// The one header decoder: validates magic, version, flags and the payload
+/// length of the kFrameHeaderSize bytes at `h`, and fills `f`'s fields.
+FrameHeader decode_header(const uint8_t* h, Frame& f) {
+  ByteReader r(std::span<const uint8_t>(h, kFrameHeaderSize));
+  if (r.u32() != kFrameMagic) {
     throw TransportError("bad frame magic (not an lmdev peer?)");
   }
   uint8_t version = r.u8();
@@ -72,7 +76,6 @@ Frame read_frame(Socket& s, Deadline deadline) {
                          std::to_string(version) + ", this build v" +
                          std::to_string(kProtocolVersion));
   }
-  Frame f;
   f.type = static_cast<FrameType>(r.u8());
   uint16_t flags = r.u16();
   if ((flags & ~kFlagAuxTelemetry) != 0) {
@@ -80,23 +83,39 @@ Frame read_frame(Socket& s, Deadline deadline) {
   }
   f.request_id = r.u64();
   f.trace_id = r.u64();
-  uint32_t len = r.u32();
-  if (len > kMaxPayload) {
-    throw TransportError("frame payload too large: " + std::to_string(len) +
+  FrameHeader out;
+  out.payload_len = r.u32();
+  if (out.payload_len > kMaxPayload) {
+    throw TransportError("frame payload too large: " +
+                         std::to_string(out.payload_len) + " bytes");
+  }
+  out.has_aux = (flags & kFlagAuxTelemetry) != 0;
+  return out;
+}
+
+/// Validates the 4-byte aux-block length at `p`.
+uint32_t decode_aux_len(const uint8_t* p) {
+  uint32_t n = ByteReader(std::span<const uint8_t>(p, 4)).u32();
+  if (n > kMaxAux) {
+    throw TransportError("frame aux block too large: " + std::to_string(n) +
                          " bytes");
   }
-  f.payload.resize(len);
+  return n;
+}
+
+}  // namespace
+
+Frame read_frame(Socket& s, Deadline deadline) {
+  uint8_t header[kFrameHeaderSize];
+  s.recv_all(header, deadline);
+  Frame f;
+  FrameHeader h = decode_header(header, f);
+  f.payload.resize(h.payload_len);
   s.recv_all(f.payload, deadline);
-  if (flags & kFlagAuxTelemetry) {
+  if (h.has_aux) {
     uint8_t lenbuf[4];
     s.recv_all(lenbuf, deadline);
-    ByteReader lr(lenbuf);
-    uint32_t aux_len = lr.u32();
-    if (aux_len > kMaxAux) {
-      throw TransportError("frame aux block too large: " +
-                           std::to_string(aux_len) + " bytes");
-    }
-    f.aux.resize(aux_len);
+    f.aux.resize(decode_aux_len(lenbuf));
     s.recv_all(f.aux, deadline);
   }
   return f;
@@ -114,48 +133,23 @@ void FrameParser::reset() {
 std::optional<Frame> FrameParser::next() {
   size_t avail = buf_.size() - pos_;
   if (avail < kFrameHeaderSize) return std::nullopt;
-  ByteReader r(std::span<const uint8_t>(buf_.data() + pos_, avail));
-  uint32_t magic = r.u32();
-  if (magic != kFrameMagic) {
-    throw TransportError("bad frame magic (not an lmdev peer?)");
-  }
-  uint8_t version = r.u8();
-  if (version != kProtocolVersion) {
-    throw TransportError("protocol version mismatch: peer speaks v" +
-                         std::to_string(version) + ", this build v" +
-                         std::to_string(kProtocolVersion));
-  }
+  const uint8_t* at = buf_.data() + pos_;
   Frame f;
-  f.type = static_cast<FrameType>(r.u8());
-  uint16_t flags = r.u16();
-  if ((flags & ~kFlagAuxTelemetry) != 0) {
-    throw TransportError("unknown frame flags");
-  }
-  f.request_id = r.u64();
-  f.trace_id = r.u64();
-  uint32_t len = r.u32();
-  if (len > kMaxPayload) {
-    throw TransportError("frame payload too large: " + std::to_string(len) +
-                         " bytes");
-  }
+  FrameHeader h = decode_header(at, f);
   // Lengths are validated before being waited on, so a corrupt prefix is
   // rejected here instead of stalling the parser on bytes that never come.
-  size_t need = kFrameHeaderSize + len;
+  size_t need = kFrameHeaderSize + h.payload_len;
   uint32_t aux_len = 0;
-  if (flags & kFlagAuxTelemetry) {
+  if (h.has_aux) {
     if (avail < need + 4) return std::nullopt;
-    std::memcpy(&aux_len, buf_.data() + pos_ + need, 4);
-    if (aux_len > kMaxAux) {
-      throw TransportError("frame aux block too large: " +
-                           std::to_string(aux_len) + " bytes");
-    }
+    aux_len = decode_aux_len(at + need);
     need += 4 + aux_len;
   }
   if (avail < need) return std::nullopt;
-  const uint8_t* body = buf_.data() + pos_ + kFrameHeaderSize;
-  f.payload.assign(body, body + len);
+  const uint8_t* body = at + kFrameHeaderSize;
+  f.payload.assign(body, body + h.payload_len);
   if (aux_len > 0) {
-    const uint8_t* aux = body + len + 4;
+    const uint8_t* aux = body + h.payload_len + 4;
     f.aux.assign(aux, aux + aux_len);
   }
   pos_ += need;

@@ -180,22 +180,26 @@ TEST(RangeAnalysis, BranchJoinWidensReturnRange) {
   EXPECT_EQ(facts.return_range.hi, 10);
 }
 
-// Java int arithmetic wraps: inc(MAX_VALUE) and ab(MIN_VALUE) both return
-// MIN_VALUE, so neither return range may exclude it.
+// Java arithmetic wraps: inc(MAX_VALUE) and ab(MIN_VALUE) both return
+// MIN_VALUE, and linc(Long.MAX_VALUE) and ldbl(Long.MAX_VALUE) are
+// negative, so no return range may exclude them.
 TEST(RangeAnalysis, OverflowingResultWidensToTheTypeRange) {
   auto fr = lime::testing::compile_ok(R"(
     class C {
       static int inc(int x) { if (x >= 0) { return x + 1; } return 0; }
       static int ab(int x) { if (x <= 0) { return Math.abs(x); } return 0; }
+      static long linc(long x) { if (x >= 0) { return x + 1; } return 0; }
+      static long ldbl(long x) { if (x >= 0) { return x * 2; } return 0; }
     }
   )");
   const Interval ints = Interval::range(INT32_MIN, INT32_MAX);
-  for (const char* name : {"inc", "ab"}) {
+  for (const char* name : {"inc", "ab", "linc", "ldbl"}) {
     const auto* m = find_method(*fr.program, "C", name);
     ASSERT_NE(m, nullptr) << name;
     RangeFacts facts = analyze_ranges(*m);
     EXPECT_TRUE(facts.converged) << name;
-    EXPECT_EQ(facts.return_range, ints) << name;
+    EXPECT_EQ(facts.return_range, name[0] == 'l' ? Interval::top() : ints)
+        << name;
   }
 }
 

@@ -156,6 +156,23 @@ public class A {
 )");
 }
 
+// A branch condition and `.length` pin values too, and a freeze keeps
+// its source's length.
+TEST(ConstantPropagation, BranchAndLengthPinIndices) {
+  expect_analysis(R"(
+public class A {
+  static int f(int i) {
+    int[] a = new int[3];
+    int[[]] b = new int[[]](a);
+    if (i == 3) {
+      return b[i];  // expect: LM102
+    }
+    return a[a.length - 1] + b[b.length];  // expect: LM102
+  }
+}
+)");
+}
+
 TEST(ConstantPropagation, ShiftWiderThanOperand) {
   expect_analysis(R"(
 public class A {

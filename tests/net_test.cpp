@@ -184,6 +184,81 @@ TEST(Frame, RejectsOversizedPayloadDeclaration) {
   server.join();
 }
 
+/// A 28-byte frame header with the given fields, little-endian.
+std::vector<uint8_t> frame_header(uint32_t magic, uint8_t version,
+                                  uint16_t flags, uint32_t payload_len) {
+  std::vector<uint8_t> hdr;
+  auto put = [&](uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) hdr.push_back((v >> (8 * i)) & 0xff);
+  };
+  put(magic, 4);
+  put(version, 1);
+  put(static_cast<uint8_t>(FrameType::kProcess), 1);
+  put(flags, 2);
+  put(0, 8);  // request id
+  put(0, 8);  // trace id
+  put(payload_len, 4);
+  return hdr;
+}
+
+// FrameParser, the client's decoder, applies read_frame's header checks:
+// the Frame.Rejects* headers, a version mismatch and an oversized aux
+// block all throw instead of waiting for bytes.
+TEST(FrameParser, RejectsEveryBadHeader) {
+  std::vector<uint8_t> big_aux =
+      frame_header(kFrameMagic, kProtocolVersion, kFlagAuxTelemetry, 0);
+  for (int i = 0; i < 4; ++i) {
+    big_aux.push_back(((kMaxAux + 1) >> (8 * i)) & 0xff);
+  }
+  const char* http = "GET / HTTP/1.1\r\n\r\n___padding_________";
+  const std::vector<std::pair<const char*, std::vector<uint8_t>>> cases = {
+      {"unknown flags",
+       frame_header(kFrameMagic, kProtocolVersion, 0x02, 0)},
+      {"bad magic", std::vector<uint8_t>(http, http + kFrameHeaderSize)},
+      {"oversized payload",
+       frame_header(kFrameMagic, kProtocolVersion, 0, kMaxPayload + 1)},
+      {"version mismatch",
+       frame_header(kFrameMagic, kProtocolVersion + 1, 0, 0)},
+      {"oversized aux", big_aux},
+  };
+  for (const auto& [what, bytes] : cases) {
+    FrameParser p;
+    p.feed(bytes.data(), bytes.size());
+    EXPECT_THROW(p.next(), TransportError) << what;
+  }
+}
+
+TEST(FrameParser, DecodesFramesFedOneByteAtATime) {
+  Frame a;
+  a.type = FrameType::kProcessOk;
+  a.request_id = 7;
+  a.trace_id = 0x0102030405060708ull;
+  a.payload = {1, 2, 3};
+  a.aux = {0xde, 0xad, 0xbe, 0xef};
+  Frame b;
+  b.type = FrameType::kPong;
+  b.request_id = 8;
+  std::vector<uint8_t> wire = encode_frame(a);
+  std::vector<uint8_t> wb = encode_frame(b);
+  wire.insert(wire.end(), wb.begin(), wb.end());
+  FrameParser p;
+  std::vector<Frame> got;
+  for (uint8_t byte : wire) {
+    p.feed(&byte, 1);
+    while (auto f = p.next()) got.push_back(std::move(*f));
+  }
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].type, a.type);
+  EXPECT_EQ(got[0].request_id, a.request_id);
+  EXPECT_EQ(got[0].trace_id, a.trace_id);
+  EXPECT_EQ(got[0].payload, a.payload);
+  EXPECT_EQ(got[0].aux, a.aux);
+  EXPECT_EQ(got[1].type, b.type);
+  EXPECT_EQ(got[1].request_id, b.request_id);
+  EXPECT_TRUE(got[1].payload.empty());
+  EXPECT_TRUE(got[1].aux.empty());
+}
+
 TEST(Frame, PeerDisconnectMidHeaderThrows) {
   Listener l(0);
   std::thread server([&] {

@@ -12,6 +12,9 @@
 //     on the VM and the lowered GPU kernel.
 //   * The RTL constant fold agrees with Java's operators (bytecode/ops.h)
 //     on random int and long operands, and float Math.min/max follow Java.
+//   * Every LM102/LM103 the interval engine reports on random
+//     straight-line int and long code over extreme literals names the
+//     out-of-range value the VM computes.
 //   * The wire format round-trips arbitrary arrays of every element type.
 //   * Random RTL expression DAGs over every operator, and random modules
 //     with registers stepped over many cycles, simulate exactly as the
@@ -27,9 +30,14 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
+#include <tuple>
 #include <utility>
 
+#include "analysis/analysis.h"
 #include "bytecode/compiler.h"
 #include "bytecode/interp.h"
 #include "bytecode/ops.h"
@@ -38,6 +46,7 @@
 #include "gpu/device.h"
 #include "gpu/kernel_compiler.h"
 #include "gpu/lowered.h"
+#include "ir/task_graph.h"
 #include "lime/frontend.h"
 #include "rtl/netlist.h"
 #include "rtl/sim.h"
@@ -257,6 +266,227 @@ TEST(RandomExprFpgaCoverage, SomeSeedsSynthesize) {
   }
   RecordProperty("synthesized_seeds", synthesized);
   EXPECT_GT(synthesized, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Constant facts against the VM
+// ---------------------------------------------------------------------------
+
+/// One straight-line case: locals bound to extreme literals and an int or
+/// long result `v = expr`, which indexes a length-4 array and is a shift
+/// amount.
+struct ConstCase {
+  std::string decls;  // one line of local declarations
+  std::string expr;
+  bool is_long = false;
+  /// Shifts inside `expr`, each by a literal: (amount, operand width).
+  std::vector<std::pair<int64_t, int>> inner_shifts;
+};
+
+/// Random ConstCases over MIN_VALUE, MAX_VALUE, -1, 0, 31, 32, 63 and 64
+/// with + - * / % << >>, negation and casts between int and long.
+class ConstCaseGen {
+ public:
+  explicit ConstCaseGen(SplitMix64& rng) : rng_(rng) {}
+
+  ConstCase make() {
+    ConstCase c;
+    locals_.clear();
+    for (int i = 0; i < 3; ++i) {
+      bool is_long = rng_.next_below(2) == 1;
+      std::string name = "x" + std::to_string(i);
+      c.decls += (is_long ? "long " : "int ") + name + " = " +
+                 literal(is_long).first + "; ";
+      locals_.emplace_back(name, is_long);
+    }
+    shifts_ = &c.inner_shifts;
+    std::tie(c.expr, c.is_long) = expr(3);
+    return c;
+  }
+
+ private:
+  /// Source text and value of a random extreme literal of the type.
+  std::pair<std::string, int64_t> literal(bool is_long) {
+    static constexpr int64_t kSmall[] = {-1, 0, 31, 32, 63, 64};
+    std::string suffix = is_long ? "L" : "";
+    switch (rng_.next_below(8)) {
+      case 0:
+        return is_long ? std::pair<std::string, int64_t>{
+                             "(-9223372036854775807L - 1L)", INT64_MIN}
+                       : std::pair<std::string, int64_t>{
+                             "(-2147483647 - 1)", INT32_MIN};
+      case 1:
+        return is_long ? std::pair<std::string, int64_t>{
+                             "9223372036854775807L", INT64_MAX}
+                       : std::pair<std::string, int64_t>{"2147483647",
+                                                         INT32_MAX};
+      default: {
+        int64_t v = kSmall[rng_.next_below(6)];
+        return {std::to_string(v) + suffix, v};
+      }
+    }
+  }
+
+  /// (text, is_long) of a random expression.
+  std::pair<std::string, bool> expr(int depth) {
+    if (depth == 0 || rng_.next_below(4) == 0) {
+      if (rng_.next_below(2) == 0) {
+        return locals_[rng_.next_below(locals_.size())];
+      }
+      bool is_long = rng_.next_below(2) == 1;
+      return {literal(is_long).first, is_long};
+    }
+    switch (rng_.next_below(6)) {
+      case 0: {
+        auto [e, is_long] = expr(depth - 1);
+        return {"-(" + e + ")", is_long};
+      }
+      case 1: {
+        bool to_long = rng_.next_below(2) == 1;
+        return {std::string(to_long ? "(long) (" : "(int) (") +
+                    expr(depth - 1).first + ")",
+                to_long};
+      }
+      case 2: {
+        // A shift's amount takes its operand's type.
+        auto [e, is_long] = expr(depth - 1);
+        auto [amount, value] = literal(is_long);
+        shifts_->emplace_back(value, is_long ? 64 : 32);
+        const char* op = rng_.next_below(2) == 0 ? " << " : " >> ";
+        return {"(" + e + op + amount + ")", is_long};
+      }
+      default: {
+        static constexpr const char* kOps[] = {" + ", " - ", " * ", " / ",
+                                               " % "};
+        auto [l, l_long] = expr(depth - 1);
+        auto [r, r_long] = expr(depth - 1);
+        return {"(" + l + kOps[rng_.next_below(5)] + r + ")",
+                l_long || r_long};
+      }
+    }
+  }
+
+  SplitMix64& rng_;
+  std::vector<std::pair<std::string, bool>> locals_;
+  std::vector<std::pair<int64_t, int>>* shifts_ = nullptr;
+};
+
+/// The number after `prefix` in a diagnostic message.
+int64_t number_after(const std::string& msg, const std::string& prefix) {
+  size_t at = msg.find(prefix);
+  EXPECT_NE(at, std::string::npos) << msg;
+  if (at == std::string::npos) return 0;
+  return std::stoll(msg.substr(at + prefix.size()));
+}
+
+// LM102 and LM103 may report only what the VM computes: every report names
+// the value the VM gives that index or shift amount, which must be out of
+// range, and a shift by an out-of-range literal is always reported.
+TEST(ConstantFacts, EveryReportNamesTheVmValue) {
+  std::vector<ConstCase> cases = {
+      // Java wraps where C++ traps or overflows.
+      {"long a = -9223372036854775807L - 1L;", "a / -1L", true, {}},
+      {"long a = -9223372036854775807L - 1L;", "a % -1L", true, {}},
+      {"long a = 9223372036854775807L;", "a * 3L", true, {}},
+      {"long a = -9223372036854775807L - 1L;", "-a", true, {}},
+      // j wraps to MIN_VALUE, so the index is 2, not 4294967298.
+      {"int j = 2147483647 + 1;", "j + 2147483647 + 3", false, {}},
+      // Out of range without wrapping: both checks must fire.
+      {"int a = 31;", "a + 1", false, {}},
+      {"long a = 63L;", "a + 1L", true, {}},
+  };
+  SplitMix64 rng(20261019);
+  ConstCaseGen gen(rng);
+  for (int i = 0; i < 96; ++i) cases.push_back(gen.make());
+
+  // Per case: v<k> returns the value; u<k> uses it, one role per line.
+  enum Role { kExpr, kShift, kIndex };
+  std::map<uint32_t, std::pair<size_t, Role>> lines;
+  std::string src = "class K {\n";
+  uint32_t line = 2;
+  auto emit = [&](const std::string& text, size_t k, Role role) {
+    src += text + "\n";
+    lines[line++] = {k, role};
+  };
+  for (size_t k = 0; k < cases.size(); ++k) {
+    const ConstCase& c = cases[k];
+    std::string t = c.is_long ? "long" : "int";
+    std::string id = std::to_string(k);
+    emit("  static " + t + " v" + id + "() { " + c.decls + " " + t +
+             " v = " + c.expr + "; return v; }",
+         k, kExpr);
+    emit("  static int u" + id + "() { " + c.decls, k, kExpr);
+    emit("    " + t + " v = " + c.expr + ";", k, kExpr);
+    emit("    int[] arr = new int[4];", k, kExpr);
+    emit("    " + t + " s = " + (c.is_long ? "1L" : "1") + " << v;", k,
+         kShift);
+    emit(std::string("    return arr[") + (c.is_long ? "(int) v" : "v") +
+             "]; }",
+         k, kIndex);
+  }
+  src += "}\n";
+
+  auto fr = lime::compile_source(src);
+  ASSERT_TRUE(fr.ok()) << fr.diags.to_string() << "\nsource:\n" << src;
+  DiagnosticEngine diags;
+  auto graphs = ir::extract_task_graphs(*fr.program, diags);
+  analysis::AnalysisResult ar = analysis::analyze_program(*fr.program, graphs);
+  auto module = bc::compile_program(*fr.program, diags);
+  ASSERT_FALSE(diags.has_errors()) << diags.to_string();
+  bc::Interpreter vm(*module);
+
+  // The VM's v per case; a case whose v divides by zero has none.
+  std::vector<std::optional<int64_t>> values(cases.size());
+  for (size_t k = 0; k < cases.size(); ++k) {
+    try {
+      bc::Value v = vm.call("K.v" + std::to_string(k), {});
+      values[k] = cases[k].is_long ? v.as_i64() : v.as_i32();
+    } catch (const RuntimeError&) {
+    }
+  }
+
+  int final_reports = 0;
+  std::vector<std::set<std::pair<int64_t, int>>> reported(cases.size());
+  for (const Diagnostic& d : ar.diags.diagnostics()) {
+    if (d.code != "LM102" && d.code != "LM103") continue;
+    auto it = lines.find(d.loc.line);
+    ASSERT_NE(it, lines.end()) << to_string(d);
+    auto [k, role] = it->second;
+    const ConstCase& c = cases[k];
+    SCOPED_TRACE("case " + std::to_string(k) + ": " + c.decls + " v = " +
+                 c.expr + "; " + to_string(d));
+    if (d.code == "LM103") {
+      int64_t amount = number_after(d.message, "shift amount ");
+      auto width = static_cast<int>(number_after(d.message, "for a "));
+      if (role == kExpr) {
+        reported[k].insert({amount, width});
+        continue;
+      }
+      ASSERT_EQ(role, kShift);
+      ASSERT_TRUE(values[k].has_value());
+      EXPECT_EQ(amount, *values[k]);
+      EXPECT_EQ(width, c.is_long ? 64 : 32);
+      EXPECT_TRUE(amount < 0 || amount >= width);
+    } else {
+      ASSERT_EQ(role, kIndex);
+      ASSERT_TRUE(values[k].has_value());
+      int64_t index = number_after(d.message, "constant index ");
+      EXPECT_EQ(index, static_cast<int32_t>(*values[k]));
+      EXPECT_EQ(number_after(d.message, "known length "), 4);
+      EXPECT_TRUE(index < 0 || index >= 4);
+    }
+    ++final_reports;
+  }
+  for (size_t k = 0; k < cases.size(); ++k) {
+    std::set<std::pair<int64_t, int>> want;
+    for (const auto& [amount, width] : cases[k].inner_shifts) {
+      if (amount < 0 || amount >= width) want.insert({amount, width});
+    }
+    EXPECT_EQ(reported[k], want) << "case " << k << ": " << cases[k].expr;
+  }
+  // The fixed out-of-range cases fire at least their four reports.
+  EXPECT_GE(final_reports, 4);
+  RecordProperty("final_reports", final_reports);
 }
 
 // ---------------------------------------------------------------------------

@@ -292,6 +292,40 @@ TEST(CoExecution, PathsOnlyDataRuleOutStillCompileAndRun) {
   }
 }
 
+// Falling off the end of a non-void method is a Lime-level error naming
+// the method under every placement: the device backends decline such a
+// task, so it runs on the VM.
+TEST(CoExecution, FallingOffANonVoidMethodIsARuntimeError) {
+  auto cp = compile_ok(R"(
+    class W {
+      local static int lift(int x) {
+        if (x > 0) { return x + 100; }
+      }
+      static int[[]] run(int[[]] input) {
+        int[] result = new int[input.length];
+        var g = input.source(1) => ([ task lift ]) => result.<int>sink();
+        g.finish();
+        return new int[[]](result);
+      }
+    }
+  )");
+  for (Placement p : {Placement::kCpuOnly, Placement::kGpuOnly,
+                      Placement::kFpgaOnly, Placement::kAuto}) {
+    RuntimeConfig rc;
+    rc.placement = p;
+    LiquidRuntime rt(*cp, rc);
+    try {
+      rt.call("W.run", {Value::array(bc::make_i32_array({3, -2, 5}, true))});
+      ADD_FAILURE() << "no error, placement=" << static_cast<int>(p);
+    } catch (const RuntimeError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "method W.lift ended without returning a value"),
+                std::string::npos)
+          << e.what() << ", placement=" << static_cast<int>(p);
+    }
+  }
+}
+
 TEST(Substitution, PrefersLargerFusedSegment) {
   auto cp = compile_ok(kPipelineSource);
   LiquidRuntime rt(*cp);
